@@ -8,6 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use privtopk_bench::bench_locals;
 use privtopk_core::{ProtocolConfig, RoundPolicy, SimulationEngine};
+use privtopk_datagen::DatasetBuilder;
+use privtopk_domain::TopKVector;
 
 fn bench_max_vs_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("max_protocol_vs_n");
@@ -69,10 +71,32 @@ fn bench_protocol_kinds(c: &mut Criterion) {
     group.finish();
 }
 
+/// The local step every query compiles per member: one column of 10⁴
+/// uniform rows into its top-k vector.
+fn bench_local_topk_compile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("local_topk_compile");
+    let db = DatasetBuilder::new(1)
+        .rows_per_node(10_000)
+        .seed(5)
+        .build()
+        .expect("valid benchmark dataset")
+        .remove(0);
+    let domain = db.domain();
+    for k in [1usize, 8, 16, 64] {
+        group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
+            b.iter(|| {
+                TopKVector::from_values(k, db.sensitive_values(), &domain).expect("in domain")
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_max_vs_n,
     bench_topk_vs_k,
-    bench_protocol_kinds
+    bench_protocol_kinds,
+    bench_local_topk_compile
 );
 criterion_main!(benches);

@@ -56,13 +56,20 @@ impl TopKVector {
 
     /// Builds a local top-k vector from a node's attribute values.
     ///
-    /// Sorts `values` descending, keeps the largest `k`, and pads with the
-    /// domain floor if fewer than `k` values were supplied.
+    /// Keeps the largest `k` of `values`, sorted descending, and pads with
+    /// the domain floor if fewer than `k` values were supplied. The result
+    /// is identical to sorting every value and truncating to `k`, but the
+    /// selection is bounded: O(N) time for N values and O(min(N, k))
+    /// memory. Candidates collect in a buffer of at most `2k`; each time
+    /// it fills, a linear-time selection cuts it back to its top `k` and
+    /// raises a threshold, and later values at or below the threshold
+    /// are skipped without being stored.
     ///
     /// # Errors
     ///
     /// - [`DomainError::ZeroK`] if `k == 0`.
-    /// - [`DomainError::OutOfDomain`] if any value lies outside `domain`.
+    /// - [`DomainError::OutOfDomain`] naming the first value, in iteration
+    ///   order, that lies outside `domain`.
     pub fn from_values<I>(k: usize, values: I, domain: &ValueDomain) -> Result<Self, DomainError>
     where
         I: IntoIterator<Item = Value>,
@@ -70,19 +77,33 @@ impl TopKVector {
         if k == 0 {
             return Err(DomainError::ZeroK);
         }
-        let mut vs: Vec<Value> = Vec::new();
+        let values = values.into_iter();
+        let cap = k.saturating_mul(2);
+        let mut buf: Vec<Value> = Vec::with_capacity(values.size_hint().0.min(cap));
+        // Values at the floor can be skipped from the start: padding puts
+        // the same value back in any rank they would have filled.
+        let mut threshold = domain.min();
         for v in values {
             if !domain.contains(v) {
                 return Err(DomainError::OutOfDomain { value: v });
             }
-            vs.push(v);
+            if v <= threshold {
+                continue;
+            }
+            if buf.len() == cap {
+                buf.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+                buf.truncate(k);
+                threshold = buf[k - 1];
+                if v <= threshold {
+                    continue;
+                }
+            }
+            buf.push(v);
         }
-        vs.sort_unstable_by(|a, b| b.cmp(a));
-        vs.truncate(k);
-        while vs.len() < k {
-            vs.push(domain.min());
-        }
-        Ok(TopKVector { values: vs })
+        buf.sort_unstable_by(|a, b| b.cmp(a));
+        buf.truncate(k);
+        buf.resize(k, domain.min());
+        Ok(TopKVector { values: buf })
     }
 
     /// Builds a vector from parts already known to be sorted descending.
@@ -103,6 +124,29 @@ impl TopKVector {
             "from_sorted requires descending input"
         );
         Ok(TopKVector { values: parts })
+    }
+
+    /// The top-`k` prefix of this vector.
+    ///
+    /// For `k <= k'`, the first `k` entries of a top-`k'` vector are
+    /// exactly the top-`k` of the same values, so one wide vector serves
+    /// every narrower request over them.
+    ///
+    /// # Errors
+    ///
+    /// - [`DomainError::ZeroK`] if `k == 0`.
+    /// - [`DomainError::MismatchedK`] if `k` exceeds this vector's length.
+    pub fn top(&self, k: usize) -> Result<TopKVector, DomainError> {
+        if k == 0 {
+            return Err(DomainError::ZeroK);
+        }
+        let values = self.values.get(..k).ok_or(DomainError::MismatchedK {
+            left: k,
+            right: self.k(),
+        })?;
+        Ok(TopKVector {
+            values: values.to_vec(),
+        })
     }
 
     /// The `k` parameter (vector length).
@@ -425,6 +469,23 @@ mod tests {
     fn from_values_rejects_out_of_domain() {
         let err = TopKVector::from_values(2, [Value::new(20_000)], &domain()).unwrap_err();
         assert!(matches!(err, DomainError::OutOfDomain { .. }));
+    }
+
+    #[test]
+    fn top_is_the_prefix_and_equals_a_narrow_build() {
+        let vals = [7, 40, 3, 40, 19, 11, 2];
+        let wide = vk(5, &vals);
+        for k in 1..=5 {
+            let narrow = wide.top(k).unwrap();
+            assert_eq!(narrow.as_slice(), &wide.as_slice()[..k]);
+            assert_eq!(narrow, vk(k, &vals), "k {k}");
+        }
+        assert_eq!(wide.top(5).unwrap(), wide);
+        assert_eq!(wide.top(0).unwrap_err(), DomainError::ZeroK);
+        assert_eq!(
+            wide.top(6).unwrap_err(),
+            DomainError::MismatchedK { left: 6, right: 5 }
+        );
     }
 
     #[test]

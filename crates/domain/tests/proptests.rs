@@ -1,7 +1,7 @@
 //! Property-based tests for the domain foundation types.
 
 use privtopk_domain::rng::{derive_seed, seeded_rng};
-use privtopk_domain::{PrivacySpectrum, TopKVector, Value, ValueDomain};
+use privtopk_domain::{DomainError, PrivacySpectrum, TopKVector, Value, ValueDomain};
 use proptest::prelude::*;
 
 fn arb_domain() -> impl Strategy<Value = ValueDomain> {
@@ -15,6 +15,78 @@ fn arb_values(domain: ValueDomain, max_len: usize) -> impl Strategy<Value = Vec<
         (domain.min().get()..=domain.max().get()).prop_map(Value::new),
         0..max_len,
     )
+}
+
+/// The collect-sort-truncate-pad construction `from_values` replaced,
+/// kept as the reference its bounded selection must match exactly.
+fn full_sort_reference(
+    k: usize,
+    values: &[Value],
+    domain: &ValueDomain,
+) -> Result<Vec<Value>, DomainError> {
+    if k == 0 {
+        return Err(DomainError::ZeroK);
+    }
+    let mut vs = Vec::new();
+    for &v in values {
+        if !domain.contains(v) {
+            return Err(DomainError::OutOfDomain { value: v });
+        }
+        vs.push(v);
+    }
+    vs.sort_unstable_by(|a, b| b.cmp(a));
+    vs.truncate(k);
+    while vs.len() < k {
+        vs.push(domain.min());
+    }
+    Ok(vs)
+}
+
+/// Column lengths for the reference check: anywhere in `0..4096`, or
+/// pinned near the `k`, `2k` and `4k` points where the selection buffer
+/// first fills and compacts.
+fn arb_len(k: usize) -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..4096,
+        (0usize..3).prop_map(move |d| (k + d).saturating_sub(1)),
+        (0usize..3).prop_map(move |d| (2 * k + d).saturating_sub(1)),
+        (0usize..3).prop_map(move |d| (4 * k + d).saturating_sub(1)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn from_values_matches_full_sort_reference(
+        (domain, mut values, k) in (arb_domain(), 1usize..=64, any::<bool>()).prop_flat_map(
+            |(d, k, duplicates)| {
+                // Heavy duplicates: every value from a 3-wide range (or
+                // the whole domain when it is narrower than that).
+                let (lo, hi) = (d.min().get(), d.max().get());
+                let hi = if duplicates { hi.min(lo + 2) } else { hi };
+                let values = arb_len(k).prop_flat_map(move |len| {
+                    prop::collection::vec((lo..=hi).prop_map(Value::new), len)
+                });
+                (Just(d), values, Just(k))
+            }
+        ),
+        bad in prop::option::of((any::<u64>(), any::<bool>())),
+    ) {
+        if let Some((at, above)) = bad {
+            // One out-of-domain value at a random position, on either side.
+            let outside = if above {
+                Value::new(domain.max().get() + 1)
+            } else {
+                Value::new(domain.min().get() - 1)
+            };
+            let at = at as usize % (values.len() + 1);
+            values.insert(at, outside);
+        }
+        let expected = full_sort_reference(k, &values, &domain);
+        let got = TopKVector::from_values(k, values.iter().copied(), &domain);
+        prop_assert_eq!(got.map(TopKVector::into_values), expected);
+    }
 }
 
 proptest! {

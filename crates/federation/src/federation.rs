@@ -4,6 +4,7 @@ use privtopk_core::distributed::{
     run_distributed, run_distributed_batch, run_distributed_batch_traced, run_distributed_traced,
     NetworkKind,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -14,7 +15,7 @@ use privtopk_core::{
     ChaosState, ProtocolConfig, RoundPolicy, SimulationEngine, Transcript,
 };
 use privtopk_datagen::PrivateDatabase;
-use privtopk_domain::{TopKVector, Value, ValueDomain};
+use privtopk_domain::{DomainError, TopKVector, Value, ValueDomain};
 use privtopk_observe::{
     render_summary, write_build_info, write_counter, write_gauge, write_gauge_f64,
     write_gauge_f64_series, write_histogram, MetricsServer, Recorder, SloConfig, SloEngine,
@@ -240,6 +241,14 @@ impl Federation {
     /// changes only transport cost, never results, transcripts, or the
     /// level of privacy of any individual query.
     ///
+    /// Compilation makes one pass over each member column per
+    /// `(attribute, direction)` pair in the batch — max/top-k/kth-largest
+    /// read a column descending, min/bottom-k read it mirrored — at the
+    /// widest `k` any query asks of that pair; each query takes the top-`k`
+    /// prefix of those local vectors, which is exactly its own local
+    /// top-`k`. Queries are checked in batch order, so the first failing
+    /// query decides the error.
+    ///
     /// # Errors
     ///
     /// As [`Federation::execute`] for each member query, plus
@@ -304,17 +313,42 @@ impl Federation {
     }
 
     /// Compiles every query of a batch into a protocol job plus its
-    /// mirroring flag.
+    /// mirroring flag, scanning each column once (see
+    /// [`Federation::execute_batch`]). A pair is compiled when its first
+    /// spec is reached, so a domain error surfaces at the same spec as in
+    /// a spec-by-spec compile.
     fn compile_batch(
         &self,
         batch: &QueryBatch,
     ) -> Result<(Vec<BatchJob>, Vec<bool>), FederationError> {
+        let mut widest: HashMap<(&str, bool), usize> = HashMap::new();
+        for spec in batch.specs() {
+            let k = widest.entry(column_key(spec)).or_default();
+            *k = (*k).max(spec.kind().k());
+        }
+        let mut columns: HashMap<(&str, bool), Vec<TopKVector>> = HashMap::new();
         let mut jobs = Vec::with_capacity(batch.len());
         let mut mirrors = Vec::with_capacity(batch.len());
         for (i, spec) in batch.specs().iter().enumerate() {
-            let (config, locals, mirrored) = self.compile(spec)?;
-            jobs.push(BatchJob::new(config, locals, batch.query_seed(i)));
-            mirrors.push(mirrored);
+            self.check_spec(spec)?;
+            let wide = match columns.entry(column_key(spec)) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let (attribute, mirrored) = *e.key();
+                    let k = widest[e.key()];
+                    e.insert(self.local_vectors(attribute, k, mirrored)?)
+                }
+            };
+            let locals = wide
+                .iter()
+                .map(|v| v.top(spec.kind().k()))
+                .collect::<Result<_, _>>()?;
+            jobs.push(BatchJob::new(
+                self.config(spec),
+                locals,
+                batch.query_seed(i),
+            ));
+            mirrors.push(spec.kind().is_mirrored());
         }
         Ok((jobs, mirrors))
     }
@@ -378,24 +412,41 @@ impl Federation {
         &self,
         spec: &QuerySpec,
     ) -> Result<(ProtocolConfig, Vec<TopKVector>, bool), FederationError> {
-        let k = spec.kind().k();
-        if k == 0 {
+        self.check_spec(spec)?;
+        let mirrored = spec.kind().is_mirrored();
+        let locals = self.local_vectors(spec.attribute(), spec.kind().k(), mirrored)?;
+        Ok((self.config(spec), locals, mirrored))
+    }
+
+    /// The query-specific checks that precede any column scan: a nonzero
+    /// `k`, then an attribute every member holds.
+    fn check_spec(&self, spec: &QuerySpec) -> Result<(), FederationError> {
+        if spec.kind().k() == 0 {
             return Err(FederationError::ZeroK);
         }
-        self.validate_attribute(spec.attribute())?;
-        let mirrored = spec.kind().is_mirrored();
-        let locals = self
-            .members
-            .iter()
-            .map(|m| self.local_vector(m, spec.attribute(), k, mirrored))
-            .collect::<Result<Vec<_>, _>>()?;
-        let config = ProtocolConfig::topk(k)
+        self.validate_attribute(spec.attribute())
+    }
+
+    fn config(&self, spec: &QuerySpec) -> ProtocolConfig {
+        ProtocolConfig::topk(spec.kind().k())
             .with_domain(self.domain)
             .with_schedule(spec.schedule())
             .with_rounds(RoundPolicy::Precision {
                 epsilon: spec.epsilon(),
-            });
-        Ok((config, locals, mirrored))
+            })
+    }
+
+    /// Every member's local top-`k` vector of `attribute`.
+    fn local_vectors(
+        &self,
+        attribute: &str,
+        k: usize,
+        mirrored: bool,
+    ) -> Result<Vec<TopKVector>, FederationError> {
+        self.members
+            .iter()
+            .map(|m| self.local_vector(m, attribute, k, mirrored))
+            .collect()
     }
 
     /// Converts a protocol transcript into a query outcome.
@@ -498,24 +549,23 @@ impl Federation {
         mirrored: bool,
     ) -> Result<TopKVector, FederationError> {
         let col = member.table().column_by_name(attribute)?;
-        // Single borrowed pass: domain-check each value and (for min /
-        // bottom-k queries) mirror it on the fly — no column clone.
-        let mut bad = None;
-        let values = member.table().column_iter(col).map(|v| {
-            if !self.domain.contains(v) {
-                bad.get_or_insert(v);
-            }
-            if mirrored {
-                self.mirror(v)
-            } else {
-                v
-            }
-        });
-        let vector = TopKVector::from_values(k, values, &self.domain);
-        if let Some(value) = bad {
-            return Err(privtopk_domain::DomainError::OutOfDomain { value }.into());
+        let values = member.table().column_iter(col);
+        if !mirrored {
+            return Ok(TopKVector::from_values(k, values, &self.domain)?);
         }
-        Ok(vector?)
+        // Min / bottom-k: mirror on the fly, no column clone. A value lies
+        // in the domain exactly when its mirror does, so the one domain
+        // check in `from_values` stops at the same row, and mirroring its
+        // report back names the raw value.
+        TopKVector::from_values(k, values.map(|v| self.mirror(v)), &self.domain).map_err(|e| {
+            match e {
+                DomainError::OutOfDomain { value } => DomainError::OutOfDomain {
+                    value: self.mirror(value),
+                },
+                other => other,
+            }
+            .into()
+        })
     }
 
     /// Mirrors a value inside the domain: `lo + hi − v`.
@@ -526,6 +576,12 @@ impl Federation {
             self.domain.min().get() as i128 + self.domain.max().get() as i128 - v.get() as i128;
         Value::new(wide as i64)
     }
+}
+
+/// The column a spec's local vectors come from: its attribute, and
+/// whether min / bottom-k mirroring reverses the direction.
+fn column_key(spec: &QuerySpec) -> (&str, bool) {
+    (spec.attribute(), spec.kind().is_mirrored())
 }
 
 /// A standing federated query service, created by [`Federation::serve`].
@@ -1248,6 +1304,114 @@ mod tests {
             .execute_batch_distributed(&batch, NetworkKind::InMemory)
             .unwrap();
         assert_eq!(sim, dist);
+    }
+
+    /// A federation whose members hold two in-domain columns, `value` and
+    /// `score`, each drawn like the single-column test data.
+    fn two_column_federation(n: usize, rows: usize, seed: u64) -> Federation {
+        let build = |seed| {
+            DatasetBuilder::new(n)
+                .rows_per_node(rows)
+                .seed(seed)
+                .build()
+                .unwrap()
+        };
+        let members = build(seed)
+            .into_iter()
+            .zip(build(seed + 1))
+            .map(|(a, b)| {
+                let mut t = Table::new(["value", "score"]).unwrap();
+                let col = |db: &PrivateDatabase| db.table().column_by_name("value").unwrap();
+                let (ca, cb) = (col(&a), col(&b));
+                for (x, y) in a.table().column_iter(ca).zip(b.table().column_iter(cb)) {
+                    t.push_row(vec![x, y]).unwrap();
+                }
+                PrivateDatabase::new(a.owner(), a.domain(), t, "value").unwrap()
+            })
+            .collect();
+        Federation::new(members).unwrap()
+    }
+
+    #[test]
+    fn batch_compile_shares_columns_and_keeps_outcomes() {
+        let f = two_column_federation(4, 6, 18);
+        let spec = |i: u64| {
+            let attribute = if i.is_multiple_of(3) {
+                "score"
+            } else {
+                "value"
+            };
+            // k up to 7 over 6 rows per member also covers padding.
+            let k = 1 + (i as usize * 5) % 7;
+            match i % 5 {
+                0 => QuerySpec::top_k(attribute, k),
+                1 => QuerySpec::bottom_k(attribute, k),
+                2 => QuerySpec::max(attribute),
+                3 => QuerySpec::min(attribute),
+                _ => QuerySpec::kth_largest(attribute, k),
+            }
+        };
+        // Specs 20..32 repeat specs 0..12 under their own seeds.
+        let batch = QueryBatch::from_specs((0..32).map(|i| spec(i % 20)).collect(), 61);
+        let batched = f.execute_batch(&batch).unwrap();
+        assert_eq!(batched.len(), 32);
+        for (i, out) in batched.iter().enumerate() {
+            let solo = f.execute(&batch.specs()[i], batch.query_seed(i)).unwrap();
+            assert_eq!(out, &solo, "query {i}");
+        }
+        let distributed = f
+            .execute_batch_distributed(&batch, NetworkKind::InMemory)
+            .unwrap();
+        assert_eq!(distributed, batched);
+
+        // The first failing spec in batch order decides the error.
+        let valid = QuerySpec::top_k("score", 2);
+        let zero_k = QuerySpec::top_k("value", 0);
+        let unknown = QuerySpec::max("revenue");
+        let run = |specs: Vec<QuerySpec>| f.execute_batch(&QueryBatch::from_specs(specs, 0));
+        assert!(matches!(
+            run(vec![valid.clone(), zero_k.clone(), unknown.clone()]),
+            Err(FederationError::ZeroK)
+        ));
+        assert!(matches!(
+            run(vec![valid, unknown, zero_k]),
+            Err(FederationError::SchemaMismatch { member: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn out_of_domain_error_names_the_raw_value_for_mirrored_specs() {
+        // Only the sensitive column is domain-checked on construction, so
+        // another column can carry values outside the public domain.
+        let domain = ValueDomain::paper_default();
+        let members = (0..3)
+            .map(|i| {
+                let mut t = Table::new(["value", "extra"]).unwrap();
+                let extra: [i64; 3] = if i == 1 { [3, 12_345, -9] } else { [4, 5, 6] };
+                for x in extra {
+                    t.push_row(vec![Value::new(7), Value::new(x)]).unwrap();
+                }
+                PrivateDatabase::new(NodeId::new(i), domain, t, "value").unwrap()
+            })
+            .collect();
+        let f = Federation::new(members).unwrap();
+        let raw = DomainError::OutOfDomain {
+            value: Value::new(12_345),
+        };
+        for spec in [
+            QuerySpec::bottom_k("extra", 2),
+            QuerySpec::top_k("extra", 2),
+        ] {
+            assert!(
+                matches!(f.execute(&spec, 0), Err(FederationError::Domain(e)) if e == raw),
+                "{spec:?}"
+            );
+            let batch = QueryBatch::new(0).with(QuerySpec::max("value")).with(spec);
+            assert!(matches!(
+                f.execute_batch(&batch),
+                Err(FederationError::Domain(e)) if e == raw
+            ));
+        }
     }
 
     #[test]

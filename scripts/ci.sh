@@ -47,6 +47,22 @@ echo "$BUDGET_OUT"
 echo "$BUDGET_OUT" | grep -q "1 passed" \
     || { echo "error: frame-budget smoke matched no test (renamed?)" >&2; exit 1; }
 
+# Local top-k compile gates, run by name with the same rename guard: the
+# bounded selection in `TopKVector::from_values` must equal a full sort,
+# and a batch compiling each column once must answer every spec exactly
+# as its solo run, with the same first error.
+echo "==> cargo test -p privtopk-domain --test proptests from_values_matches_full_sort_reference"
+TOPK_OUT=$(cargo test -p privtopk-domain --test proptests from_values_matches_full_sort_reference 2>&1)
+echo "$TOPK_OUT"
+echo "$TOPK_OUT" | grep -q "1 passed" \
+    || { echo "error: from_values reference gate matched no test (renamed?)" >&2; exit 1; }
+
+echo "==> cargo test -p privtopk-federation --lib batch_compile_shares_columns_and_keeps_outcomes"
+BATCH_OUT=$(cargo test -p privtopk-federation --lib batch_compile_shares_columns_and_keeps_outcomes 2>&1)
+echo "$BATCH_OUT"
+echo "$BATCH_OUT" | grep -q "1 passed" \
+    || { echo "error: shared batch compile gate matched no test (renamed?)" >&2; exit 1; }
+
 # Privacy-accounting gates, run by name so they can never be silently
 # skipped: the live accountant must match the offline harness bit for
 # bit on the same shadow seed, and two services holding different
