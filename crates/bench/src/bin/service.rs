@@ -186,7 +186,6 @@ fn main() {
         ms: f64,
         qps: f64,
         bytes: u64,
-        baseline_bytes: u64,
     }
     let mut matrix: Vec<Cell> = Vec::new();
     for &workers in &worker_counts {
@@ -221,7 +220,6 @@ fn main() {
                 ms,
                 qps: queries as f64 / (ms / 1e3),
                 bytes: wire.bytes_sent,
-                baseline_bytes: wire.baseline_bytes,
             };
             eprintln!(
                 "  workers={workers} depth={depth:>2}: {ms:>8.2} ms ({:>8.0} q/s, {:.2}x cold)",
@@ -419,14 +417,13 @@ fn main() {
     for (i, c) in matrix.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"workers\": {}, \"pipeline_depth\": {}, \"total_ms\": {:.3}, \"queries_per_sec\": {:.1}, \"speedup_vs_cold\": {:.3}, \"bytes_sent\": {}, \"baseline_bytes\": {}}}{}",
+            "    {{\"workers\": {}, \"pipeline_depth\": {}, \"total_ms\": {:.3}, \"queries_per_sec\": {:.1}, \"speedup_vs_cold\": {:.3}, \"bytes_sent\": {}}}{}",
             c.workers,
             c.depth,
             c.ms,
             c.qps,
             c.qps / cold_qps,
             c.bytes,
-            c.baseline_bytes,
             if i + 1 < matrix.len() { "," } else { "" }
         );
     }

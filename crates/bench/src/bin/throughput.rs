@@ -5,8 +5,8 @@
 //! `run_distributed` calls, once as a single `run_distributed_batch` —
 //! and reports queries/sec, the amortization factor, and the wire
 //! accounting (physical frames vs logical messages, per-frame and
-//! per-query bytes under the compact codec, plus what the legacy
-//! fixed-width codec would have sent).
+//! per-query bytes under the compact codec, plus what the retired
+//! fixed-width codec would have sent, computed from the message shapes).
 //!
 //! The run *asserts* the correctness gates before reporting numbers:
 //! every batched transcript must be bit-identical to its solo run, the
@@ -36,6 +36,18 @@ const REPS: u32 = 3;
 /// Mean-frame budget at B = 64: well under half the 2312.6 B the
 /// fixed-width codec produced at that width.
 const B64_FRAME_BUDGET: f64 = 1200.0;
+/// Fixed-width bytes of one top-k vector: `u32` k, then k `i64` values.
+const FIXED_VECTOR_BYTES: u64 = 4 + 8 * K as u64;
+
+/// Bytes the retired fixed-width codec would have sent for one batch of
+/// `width` queries: `n·r` token hops of `9 + B·(4 + 8k)` bytes (tag,
+/// `u32` round, `u32` length, vectors) and `n − 1` termination hops of
+/// `5 + B·(4 + 8k)` bytes (no round).
+fn baseline_bytes(n: usize, rounds: u32, width: usize) -> u64 {
+    let body = width as u64 * FIXED_VECTOR_BYTES;
+    let (n, rounds) = (n as u64, u64::from(rounds));
+    n * rounds * (9 + body) + (n - 1) * (5 + body)
+}
 
 struct Point {
     width: usize,
@@ -81,6 +93,12 @@ fn main() {
         // bit-identical to the solo runs they claim to amortize.
         let batch_out = run_distributed_batch(&jobs, NetworkKind::InMemory).expect("batch run");
         assert_eq!(batch_out.groups, 1, "homogeneous batch must form one group");
+        // The shape model behind the baseline column counts n·r + n − 1 hops.
+        assert_eq!(
+            batch_out.frames_sent,
+            (n as u64) * u64::from(rounds) + n as u64 - 1,
+            "B={width} frame count departs from the paper's cost model"
+        );
         for (i, job) in jobs.iter().enumerate() {
             let solo = run_distributed(&job.config, &job.locals, NetworkKind::InMemory, job.seed)
                 .expect("solo run");
@@ -125,15 +143,25 @@ fn main() {
             frames: batch_out.frames_sent,
             logical: batch_out.logical_messages,
             bytes: batch_out.bytes_sent,
-            baseline_bytes: batch_out.baseline_bytes,
+            baseline_bytes: baseline_bytes(n, rounds, width),
             mean_frame_bytes: batch_out.bytes_sent as f64 / batch_out.frames_sent as f64,
         };
         eprintln!(
-            "  B={width:>4}: batch {batch_ms:>8.2} ms ({:>9.0} q/s)  solo {solo_ms:>8.2} ms ({:>9.0} q/s)  frames {} logical {} wire {} B (legacy {} B)",
+            "  B={width:>4}: batch {batch_ms:>8.2} ms ({:>9.0} q/s)  solo {solo_ms:>8.2} ms ({:>9.0} q/s)  frames {} logical {} wire {} B (fixed-width {} B)",
             point.batch_qps, point.solo_qps, point.frames, point.logical, point.bytes,
             point.baseline_bytes
         );
         points.push(point);
+    }
+
+    // At the default shape the computed column must reproduce the B=1
+    // figure the fixed-width codec measured before it was retired.
+    if (n, rounds) == (6, 8) {
+        assert_eq!(
+            baseline_bytes(n, rounds, 1),
+            2365,
+            "fixed-width shape model"
+        );
     }
 
     // The batch-width cliff gate: queries/sec must rise strictly with

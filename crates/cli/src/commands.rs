@@ -844,7 +844,7 @@ fn emit_telemetry(
                 &format!(
                     "service stats: depth {} | in flight {} | high water {} | submitted {} | completed {}\n\
                      queue wait: count {} p50 {}ns p99 {}ns max {}ns\n\
-                     wire: {} frames, {} logical messages, {} bytes ({} pre-compression), \
+                     wire: {} frames, {} logical messages, {} bytes, \
                      pool high water {}, {} retransmissions, {} re-acks\n",
                     s.depth,
                     s.in_flight,
@@ -858,7 +858,6 @@ fn emit_telemetry(
                     s.frames_sent,
                     s.logical_messages,
                     s.bytes_sent,
-                    s.baseline_bytes,
                     s.pooled_buffers_high_water,
                     s.retransmissions,
                     s.re_acks,

@@ -16,9 +16,7 @@ use privtopk_domain::{NodeId, RingPosition, TopKVector};
 use privtopk_observe::{Ctx, Phase, Recorder};
 use privtopk_ring::chaos::{ChaosEndpoint, ChaosState};
 use privtopk_ring::faults::{FaultyEndpoint, ReliableEndpoint};
-use privtopk_ring::transport::{
-    send_value_many_traced, send_value_traced, FramePool, InMemoryNetwork, TcpNetwork, Transport,
-};
+use privtopk_ring::transport::{send_value, FramePool, InMemoryNetwork, TcpNetwork, Transport};
 use privtopk_ring::{MetricsSnapshot, RingError, RingTopology, TransportMetrics};
 
 use crate::local::{max_step, topk_step_scratch, TopkScratch};
@@ -402,9 +400,6 @@ pub struct DistributedBatchOutcome {
     pub logical_messages: u64,
     /// Total payload bytes sent.
     pub bytes_sent: u64,
-    /// Pre-compression payload bytes: what the same frames would have
-    /// cost under the legacy fixed-width codec.
-    pub baseline_bytes: u64,
     /// Number of lock-step groups the batch was partitioned into (jobs
     /// only share frames when they agree on ring order and round count).
     pub groups: u32,
@@ -602,7 +597,6 @@ pub fn run_distributed_batch_traced(
         wire.frames_sent += snap.frames_sent;
         wire.logical_messages += snap.logical_messages;
         wire.bytes_sent += snap.bytes_sent;
-        wire.baseline_bytes += snap.baseline_bytes;
         wire.retransmissions += snap.retransmissions;
         wire.re_acks += snap.re_acks;
         wire.pooled_buffers_high_water = wire
@@ -620,7 +614,6 @@ pub fn run_distributed_batch_traced(
         frames_sent: wire.frames_sent,
         logical_messages: wire.logical_messages,
         bytes_sent: wire.bytes_sent,
-        baseline_bytes: wire.baseline_bytes,
         groups: groups.len() as u32,
     })
 }
@@ -902,7 +895,7 @@ fn worker(
             my_ctx.with_round(round).with_hop(position.get() as u32),
             step_started,
         );
-        send_value_traced(
+        send_value(
             endpoint.as_mut(),
             &pool,
             successor,
@@ -910,6 +903,7 @@ fn worker(
                 round,
                 vector: outgoing,
             },
+            1,
             &recorder,
             my_ctx.with_round(round),
         )?;
@@ -919,13 +913,14 @@ fn worker(
     // final round and circulates the result once around the ring.
     let result = if position.is_start() {
         let result = recv_token(&mut endpoint, &recorder, rounds)?;
-        send_value_traced(
+        send_value(
             endpoint.as_mut(),
             &pool,
             successor,
             &TokenMessage::Finished {
                 vector: result.clone(),
             },
+            1,
             &recorder,
             my_ctx,
         )?;
@@ -942,13 +937,14 @@ fn worker(
         // Forward unless the successor is the starting node (which
         // initiated the circulation and already has the result).
         if position.get() + 1 < n {
-            send_value_traced(
+            send_value(
                 endpoint.as_mut(),
                 &pool,
                 successor,
                 &TokenMessage::Finished {
                     vector: vector.clone(),
                 },
+                1,
                 &recorder,
                 my_ctx,
             )?;
@@ -1089,7 +1085,7 @@ fn batch_worker(
                 step_started,
             );
         }
-        send_value_many_traced(
+        send_value(
             endpoint.as_mut(),
             &pool,
             successor,
@@ -1107,7 +1103,7 @@ fn batch_worker(
     // final closing tokens and circulates them once around the ring.
     let results: Vec<TopKVector> = if position.is_start() {
         let results = recv_batch(&mut endpoint, &pool, &recorder, rounds)?;
-        send_value_many_traced(
+        send_value(
             endpoint.as_mut(),
             &pool,
             successor,
@@ -1136,7 +1132,7 @@ fn batch_worker(
             }));
         }
         if position.get() + 1 < n {
-            send_value_many_traced(
+            send_value(
                 endpoint.as_mut(),
                 &pool,
                 successor,
@@ -1163,13 +1159,6 @@ fn batch_worker(
             .map(|(job, result)| (job.into_steps(), result))
             .collect(),
     })
-}
-
-// Keep the unused import warning away when building without debug
-// assertions (predecessor is only read in a debug_assert).
-#[allow(dead_code)]
-fn _use_ring_position(p: RingPosition) -> usize {
-    p.get()
 }
 
 #[cfg(test)]
@@ -1433,10 +1422,6 @@ mod tests {
         assert!(
             mean < 1156.3,
             "B=64 mean frame {mean:.1} B exceeds the 50% compact budget"
-        );
-        assert!(
-            out.baseline_bytes > out.bytes_sent,
-            "baseline accounting must show the codec saving"
         );
     }
 

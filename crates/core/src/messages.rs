@@ -1,28 +1,18 @@
 //! Wire messages exchanged by the distributed protocol drivers.
 //!
-//! Two generations of frame layout coexist behind distinct tags:
-//!
-//! | tag | message              | layout                                        |
-//! |-----|----------------------|-----------------------------------------------|
-//! | 1   | token (legacy)       | `u32` round, `u32` k + `i64` values           |
-//! | 2   | finished (legacy)    | `u32` k + `i64` values                        |
-//! | 3   | batch tokens (legacy)| `u32` round, `u32` len, legacy vectors        |
-//! | 4   | batch fin. (legacy)  | `u32` len, legacy vectors                     |
-//! | 5   | slot (legacy)        | `u64` query, legacy token                     |
-//! | 6   | token (compact)      | varint round, compact vector                  |
-//! | 7   | finished (compact)   | compact vector                                |
-//! | 8   | batch tokens (comp.) | varint round, varint len, compact vectors     |
-//! | 9   | batch fin. (comp.)   | varint len, compact vectors                   |
-//! | 10  | slot (compact)       | varint query, compact token                   |
+//! | tag | message      | layout                                    |
+//! |-----|--------------|-------------------------------------------|
+//! | 6   | token        | varint round, compact vector              |
+//! | 7   | finished     | compact vector                            |
+//! | 8   | batch tokens | varint round, varint len, compact vectors |
+//! | 9   | batch fin.   | varint len, compact vectors               |
+//! | 10  | slot         | varint query, token frame                 |
 //!
 //! A *compact vector* is the sort-exploiting delta layout of
 //! [`put_topk_compact`]: varint k, zigzag-varint first value, then
-//! unsigned varint descending deltas. Encoders emit the compact tags;
-//! decoders accept both generations, so frames recorded by earlier
-//! builds (and mixed-version rings) keep decoding. The legacy layout
-//! stays reachable through the `encode_legacy` methods for exactly that
-//! compatibility surface, and its per-message size is what the
-//! transport accounts as pre-compression baseline bytes.
+//! unsigned varint descending deltas. Tags 1–5 belonged to an earlier
+//! fixed-width layout; they are reserved, and every decoder rejects them
+//! like any other unknown tag.
 
 use bytes::{BufMut, BytesMut};
 
@@ -51,21 +41,11 @@ pub enum TokenMessage {
     },
 }
 
-const TAG_TOKEN: u8 = 1;
-const TAG_FINISHED: u8 = 2;
-const TAG_BATCH_TOKENS: u8 = 3;
-const TAG_BATCH_FINISHED: u8 = 4;
-const TAG_SLOT: u8 = 5;
-const TAG_TOKEN_COMPACT: u8 = 6;
-const TAG_FINISHED_COMPACT: u8 = 7;
-const TAG_BATCH_TOKENS_COMPACT: u8 = 8;
-const TAG_BATCH_FINISHED_COMPACT: u8 = 9;
-const TAG_SLOT_COMPACT: u8 = 10;
-
-/// Legacy fixed-width footprint of a [`TopKVector`]: `u32` k + `i64`s.
-fn legacy_vector_len(vector: &TopKVector) -> usize {
-    4 + 8 * vector.k()
-}
+const TAG_TOKEN: u8 = 6;
+const TAG_FINISHED: u8 = 7;
+const TAG_BATCH_TOKENS: u8 = 8;
+const TAG_BATCH_FINISHED: u8 = 9;
+const TAG_SLOT: u8 = 10;
 
 /// Hard cap on the number of piggybacked queries in one [`BatchMessage`].
 ///
@@ -74,45 +54,19 @@ fn legacy_vector_len(vector: &TopKVector) -> usize {
 /// can trigger during decode.
 pub const MAX_BATCH_ENTRIES: usize = 4096;
 
-impl TokenMessage {
-    /// Encodes in the legacy fixed-width layout (tags 1/2), exactly as
-    /// pre-compact builds framed every hop. Kept for cross-version
-    /// compatibility tests and recorded-frame replay.
-    pub fn encode_legacy(&self, buf: &mut BytesMut) {
-        match self {
-            TokenMessage::Token { round, vector } => {
-                buf.put_u8(TAG_TOKEN);
-                round.encode(buf);
-                vector.encode(buf);
-            }
-            TokenMessage::Finished { vector } => {
-                buf.put_u8(TAG_FINISHED);
-                vector.encode(buf);
-            }
-        }
-    }
-}
-
 impl WireEncode for TokenMessage {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             TokenMessage::Token { round, vector } => {
-                buf.put_u8(TAG_TOKEN_COMPACT);
+                buf.put_u8(TAG_TOKEN);
                 put_uvarint(buf, u64::from(*round));
                 put_topk_compact(buf, vector);
             }
             TokenMessage::Finished { vector } => {
-                buf.put_u8(TAG_FINISHED_COMPACT);
+                buf.put_u8(TAG_FINISHED);
                 put_topk_compact(buf, vector);
             }
         }
-    }
-
-    fn baseline_len(&self) -> Option<usize> {
-        Some(match self {
-            TokenMessage::Token { vector, .. } => 1 + 4 + legacy_vector_len(vector),
-            TokenMessage::Finished { vector } => 1 + legacy_vector_len(vector),
-        })
     }
 }
 
@@ -121,17 +75,10 @@ impl WireDecode for TokenMessage {
         let tag = u8::decode(buf)?;
         match tag {
             TAG_TOKEN => Ok(TokenMessage::Token {
-                round: u32::decode(buf)?,
-                vector: TopKVector::decode(buf)?,
-            }),
-            TAG_FINISHED => Ok(TokenMessage::Finished {
-                vector: TopKVector::decode(buf)?,
-            }),
-            TAG_TOKEN_COMPACT => Ok(TokenMessage::Token {
                 round: decode_round(buf)?,
                 vector: get_topk_compact(buf)?,
             }),
-            TAG_FINISHED_COMPACT => Ok(TokenMessage::Finished {
+            TAG_FINISHED => Ok(TokenMessage::Finished {
                 vector: get_topk_compact(buf)?,
             }),
             _ => Err(RingError::Decode {
@@ -164,44 +111,23 @@ pub struct SlotMessage {
     pub inner: TokenMessage,
 }
 
-impl SlotMessage {
-    /// Encodes in the legacy layout (tag 5 wrapping a legacy token).
-    pub fn encode_legacy(&self, buf: &mut BytesMut) {
-        buf.put_u8(TAG_SLOT);
-        self.query.encode(buf);
-        self.inner.encode_legacy(buf);
-    }
-}
-
 impl WireEncode for SlotMessage {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(TAG_SLOT_COMPACT);
+        buf.put_u8(TAG_SLOT);
         put_uvarint(buf, self.query);
         self.inner.encode(buf);
-    }
-
-    fn baseline_len(&self) -> Option<usize> {
-        Some(1 + 8 + self.inner.baseline_len().unwrap_or(0))
     }
 }
 
 impl WireDecode for SlotMessage {
     fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        let tag = u8::decode(buf)?;
-        let query = match tag {
-            TAG_SLOT => u64::decode(buf)?,
-            TAG_SLOT_COMPACT => get_uvarint(buf)?,
-            _ => {
-                return Err(RingError::Decode {
-                    reason: "unknown slot message tag",
-                })
-            }
-        };
-        // The inner decoder accepts both generations, so a legacy slot
-        // wrapping a legacy token and a compact slot wrapping a compact
-        // token both land here.
+        if u8::decode(buf)? != TAG_SLOT {
+            return Err(RingError::Decode {
+                reason: "unknown slot message tag",
+            });
+        }
         Ok(SlotMessage {
-            query,
+            query: get_uvarint(buf)?,
             inner: TokenMessage::decode(buf)?,
         })
     }
@@ -250,14 +176,17 @@ impl BatchMessage {
 }
 
 fn decode_batch_vectors(buf: &mut &[u8]) -> Result<Vec<TopKVector>, RingError> {
-    let vectors = Vec::<TopKVector>::decode(buf)?;
-    validate_batch_len(vectors.len())?;
-    Ok(vectors)
-}
-
-fn decode_batch_vectors_compact(buf: &mut &[u8]) -> Result<Vec<TopKVector>, RingError> {
     let len = get_uvarint(buf)? as usize;
-    validate_batch_len(len)?;
+    if len == 0 {
+        return Err(RingError::Decode {
+            reason: "batch message with zero entries",
+        });
+    }
+    if len > MAX_BATCH_ENTRIES {
+        return Err(RingError::Decode {
+            reason: "batch message exceeds entry cap",
+        });
+    }
     // Each compact vector costs at least two bytes (k + first value), so
     // the cap plus this bound keep adversarial lengths from allocating.
     if len * 2 > buf.len() {
@@ -272,47 +201,10 @@ fn decode_batch_vectors_compact(buf: &mut &[u8]) -> Result<Vec<TopKVector>, Ring
     Ok(vectors)
 }
 
-fn validate_batch_len(len: usize) -> Result<(), RingError> {
-    if len == 0 {
-        return Err(RingError::Decode {
-            reason: "batch message with zero entries",
-        });
-    }
-    if len > MAX_BATCH_ENTRIES {
-        return Err(RingError::Decode {
-            reason: "batch message exceeds entry cap",
-        });
-    }
-    Ok(())
-}
-
-fn put_batch_vectors_compact(buf: &mut BytesMut, vectors: &[TopKVector]) {
+fn put_batch_vectors(buf: &mut BytesMut, vectors: &[TopKVector]) {
     put_uvarint(buf, vectors.len() as u64);
     for vector in vectors {
         put_topk_compact(buf, vector);
-    }
-}
-
-impl BatchMessage {
-    /// Encodes in the legacy fixed-width layout (tags 3/4).
-    pub fn encode_legacy(&self, buf: &mut BytesMut) {
-        match self {
-            BatchMessage::Tokens { round, vectors } => {
-                buf.put_u8(TAG_BATCH_TOKENS);
-                round.encode(buf);
-                vectors.encode(buf);
-            }
-            BatchMessage::Finished { vectors } => {
-                buf.put_u8(TAG_BATCH_FINISHED);
-                vectors.encode(buf);
-            }
-        }
-    }
-
-    fn vectors(&self) -> &[TopKVector] {
-        match self {
-            BatchMessage::Tokens { vectors, .. } | BatchMessage::Finished { vectors } => vectors,
-        }
     }
 }
 
@@ -320,23 +212,15 @@ impl WireEncode for BatchMessage {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             BatchMessage::Tokens { round, vectors } => {
-                buf.put_u8(TAG_BATCH_TOKENS_COMPACT);
+                buf.put_u8(TAG_BATCH_TOKENS);
                 put_uvarint(buf, u64::from(*round));
-                put_batch_vectors_compact(buf, vectors);
+                put_batch_vectors(buf, vectors);
             }
             BatchMessage::Finished { vectors } => {
-                buf.put_u8(TAG_BATCH_FINISHED_COMPACT);
-                put_batch_vectors_compact(buf, vectors);
+                buf.put_u8(TAG_BATCH_FINISHED);
+                put_batch_vectors(buf, vectors);
             }
         }
-    }
-
-    fn baseline_len(&self) -> Option<usize> {
-        let body: usize = self.vectors().iter().map(legacy_vector_len).sum();
-        Some(match self {
-            BatchMessage::Tokens { .. } => 1 + 4 + 4 + body,
-            BatchMessage::Finished { .. } => 1 + 4 + body,
-        })
     }
 }
 
@@ -345,7 +229,7 @@ impl WireDecode for BatchMessage {
         let tag = u8::decode(buf)?;
         match tag {
             TAG_BATCH_TOKENS => {
-                let round = u32::decode(buf)?;
+                let round = decode_round(buf)?;
                 Ok(BatchMessage::Tokens {
                     round,
                     vectors: decode_batch_vectors(buf)?,
@@ -353,16 +237,6 @@ impl WireDecode for BatchMessage {
             }
             TAG_BATCH_FINISHED => Ok(BatchMessage::Finished {
                 vectors: decode_batch_vectors(buf)?,
-            }),
-            TAG_BATCH_TOKENS_COMPACT => {
-                let round = decode_round(buf)?;
-                Ok(BatchMessage::Tokens {
-                    round,
-                    vectors: decode_batch_vectors_compact(buf)?,
-                })
-            }
-            TAG_BATCH_FINISHED_COMPACT => Ok(BatchMessage::Finished {
-                vectors: decode_batch_vectors_compact(buf)?,
             }),
             _ => Err(RingError::Decode {
                 reason: "unknown batch message tag",
@@ -466,20 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_rejected() {
-        let mut buf = bytes::BytesMut::new();
-        buf.put_u8(TAG_BATCH_TOKENS);
-        3u32.encode(&mut buf);
-        buf.put_u32_le(0); // zero vectors
-        assert!(decode_from_bytes::<BatchMessage>(&buf.freeze()).is_err());
-
-        let mut buf = bytes::BytesMut::new();
-        buf.put_u8(TAG_BATCH_FINISHED);
-        buf.put_u32_le(0);
-        assert!(decode_from_bytes::<BatchMessage>(&buf.freeze()).is_err());
-    }
-
-    #[test]
     fn oversized_batch_rejected() {
         // A batch of MAX_BATCH_ENTRIES + 1 k=1 vectors is structurally
         // valid but must be refused by the entry cap.
@@ -505,87 +365,6 @@ mod tests {
             vectors: vec![vector(); b],
         });
         assert!(batch.len() < b * solo.len());
-    }
-
-    fn encode_legacy_token(msg: &TokenMessage) -> Bytes {
-        let mut buf = BytesMut::new();
-        msg.encode_legacy(&mut buf);
-        buf.freeze()
-    }
-
-    #[test]
-    fn compact_reader_accepts_legacy_frames() {
-        // Cross-decode: frames recorded by pre-compact builds (tags 1-5)
-        // must keep decoding to the same values the new encoder round-trips.
-        let token = TokenMessage::Token {
-            round: 7,
-            vector: vector(),
-        };
-        assert_eq!(
-            decode_from_bytes::<TokenMessage>(&encode_legacy_token(&token)).unwrap(),
-            token
-        );
-        let finished = TokenMessage::Finished { vector: vector() };
-        assert_eq!(
-            decode_from_bytes::<TokenMessage>(&encode_legacy_token(&finished)).unwrap(),
-            finished
-        );
-        let slot = SlotMessage {
-            query: 123,
-            inner: token.clone(),
-        };
-        let mut buf = BytesMut::new();
-        slot.encode_legacy(&mut buf);
-        assert_eq!(
-            decode_from_bytes::<SlotMessage>(&buf.freeze()).unwrap(),
-            slot
-        );
-        let batch = BatchMessage::Tokens {
-            round: 2,
-            vectors: vec![vector(); 3],
-        };
-        let mut buf = BytesMut::new();
-        batch.encode_legacy(&mut buf);
-        assert_eq!(
-            decode_from_bytes::<BatchMessage>(&buf.freeze()).unwrap(),
-            batch
-        );
-    }
-
-    #[test]
-    fn compact_frames_undercut_legacy_and_report_baseline() {
-        let token = TokenMessage::Token {
-            round: 7,
-            vector: vector(),
-        };
-        let compact = encode_to_bytes(&token);
-        let legacy = encode_legacy_token(&token);
-        assert!(compact.len() < legacy.len());
-        assert_eq!(token.baseline_len(), Some(legacy.len()));
-
-        let batch = BatchMessage::Tokens {
-            round: 4,
-            vectors: vec![vector(); 64],
-        };
-        let compact = encode_to_bytes(&batch);
-        let mut buf = BytesMut::new();
-        batch.encode_legacy(&mut buf);
-        let legacy = buf.freeze();
-        assert!(
-            compact.len() * 2 < legacy.len(),
-            "compact batch ({}) must at least halve the legacy batch ({})",
-            compact.len(),
-            legacy.len()
-        );
-        assert_eq!(batch.baseline_len(), Some(legacy.len()));
-
-        let slot = SlotMessage {
-            query: 9,
-            inner: token,
-        };
-        let mut buf = BytesMut::new();
-        slot.encode_legacy(&mut buf);
-        assert_eq!(slot.baseline_len(), Some(buf.len()));
     }
 
     #[test]
@@ -621,8 +400,13 @@ mod tests {
     #[test]
     fn compact_empty_batch_rejected() {
         let mut buf = bytes::BytesMut::new();
-        buf.put_u8(8); // compact batch-tokens tag
+        buf.put_u8(TAG_BATCH_TOKENS);
         buf.put_u8(3); // round
+        buf.put_u8(0); // zero entries
+        assert!(decode_from_bytes::<BatchMessage>(&buf.freeze()).is_err());
+
+        let mut buf = bytes::BytesMut::new();
+        buf.put_u8(TAG_BATCH_FINISHED);
         buf.put_u8(0); // zero entries
         assert!(decode_from_bytes::<BatchMessage>(&buf.freeze()).is_err());
     }

@@ -32,7 +32,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use privtopk_domain::{LocalTopkSource, NodeId, RingPosition, TopKVector};
 use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Phase, Recorder};
-use privtopk_ring::transport::{send_value_traced, FramePool, Transport};
+use privtopk_ring::transport::{send_value, FramePool, Transport};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{MetricsSnapshot, RingError, RingTopology, TransportMetrics};
 
@@ -535,11 +535,12 @@ impl ServiceWorker {
             query: slot.query,
             inner,
         };
-        send_value_traced(
+        send_value(
             self.endpoint.as_mut(),
             &self.pool,
             slot.successor,
             &msg,
+            1,
             &self.recorder,
             ctx,
         )?;
@@ -664,7 +665,6 @@ impl ServiceStatsHandle {
             frames_sent: wire.frames_sent,
             logical_messages: wire.logical_messages,
             bytes_sent: wire.bytes_sent,
-            baseline_bytes: wire.baseline_bytes,
             pooled_buffers_high_water: wire.pooled_buffers_high_water,
             retransmissions: wire.retransmissions,
             re_acks: wire.re_acks,
@@ -699,9 +699,6 @@ pub struct ServiceStats {
     pub logical_messages: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
-    /// Pre-compression payload bytes: what the same frames would have
-    /// cost under the legacy fixed-width codec.
-    pub baseline_bytes: u64,
     /// Lifetime frame-pool high-water mark.
     pub pooled_buffers_high_water: u64,
     /// Frames retransmitted by the reliability layer (lossy networks).
@@ -1381,7 +1378,6 @@ impl ShardedService {
             total.frames_sent += snap.frames_sent;
             total.logical_messages += snap.logical_messages;
             total.bytes_sent += snap.bytes_sent;
-            total.baseline_bytes += snap.baseline_bytes;
             total.pooled_buffers_high_water += snap.pooled_buffers_high_water;
             total.retransmissions += snap.retransmissions;
             total.re_acks += snap.re_acks;
@@ -1862,10 +1858,6 @@ mod tests {
         assert_eq!(outcomes.len(), workload.len());
         let totals = sharded.wire_totals();
         assert!(totals.frames_sent > 0);
-        assert!(
-            totals.baseline_bytes > totals.bytes_sent,
-            "compact codec must undercut the legacy baseline"
-        );
         assert_eq!(sharded.shard_stats().len(), 2);
         sharded.shutdown().unwrap();
 

@@ -1,16 +1,17 @@
-//! Property-based tests pinning the compact wire codec to the legacy
-//! one: every frame a legacy writer produces must decode identically to
-//! its compact twin, varints must reject malformed input, and the
-//! compact encoding must never lose a value. `scripts/ci.sh` runs this
-//! file by name so a test filter cannot silently drop it.
+//! Property-based tests for the compact wire codec: varints must reject
+//! malformed input, the compact encoding must never lose a value, and
+//! every frame tag outside 6–10 — including the reserved fixed-width
+//! tags 1–5 — must be refused. `scripts/ci.sh` runs this file by name
+//! so a test filter cannot silently drop it.
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 use privtopk_core::{BatchMessage, SlotMessage, TokenMessage};
 use privtopk_domain::{TopKVector, Value, ValueDomain};
 use privtopk_ring::wire::{
-    decode_from_bytes, encode_to_bytes, get_topk_compact, get_uvarint, put_topk_compact,
-    put_uvarint, unzigzag, uvarint_len, zigzag,
+    decode_from_bytes, decode_from_slice, encode_to_bytes, get_topk_compact, get_uvarint,
+    put_topk_compact, put_uvarint, unzigzag, uvarint_len, zigzag,
 };
+use privtopk_ring::RingError;
 use proptest::prelude::*;
 
 fn domain() -> ValueDomain {
@@ -66,69 +67,25 @@ proptest! {
         prop_assert_eq!(get_topk_compact(&mut slice).unwrap(), v);
     }
 
-    /// Cross-decode: the reader accepts the legacy tags 1/2 and the
-    /// compact tags 6/7 for the same token, yielding equal messages.
+    /// Token and slot frames roundtrip through the compact tags 6, 7
+    /// and 10 (batch frames have their own roundtrip in `proptests.rs`).
     #[test]
-    fn token_old_and_new_tags_decode_identically(
+    fn token_and_slot_frames_roundtrip(
+        query in any::<u64>(),
         round in 1u32..=64,
         vector in arb_vector(),
         finished in any::<bool>(),
     ) {
-        let msg = if finished {
+        let inner = if finished {
             TokenMessage::Finished { vector }
         } else {
             TokenMessage::Token { round, vector }
         };
-        let mut legacy = BytesMut::new();
-        msg.encode_legacy(&mut legacy);
-        let compact = encode_to_bytes(&msg);
-        prop_assert!(compact.len() < legacy.len());
-        let from_legacy: TokenMessage = decode_from_bytes(&legacy.freeze()).unwrap();
-        let from_compact: TokenMessage = decode_from_bytes(&compact).unwrap();
-        prop_assert_eq!(&from_legacy, &msg);
-        prop_assert_eq!(&from_compact, &msg);
-    }
-
-    /// Cross-decode for batch frames (tags 3/4 vs 8/9).
-    #[test]
-    fn batch_old_and_new_tags_decode_identically(
-        round in 1u32..=64,
-        vectors in prop::collection::vec(arb_vector(), 1..=6),
-        finished in any::<bool>(),
-    ) {
-        let msg = if finished {
-            BatchMessage::Finished { vectors }
-        } else {
-            BatchMessage::Tokens { round, vectors }
-        };
-        let mut legacy = BytesMut::new();
-        msg.encode_legacy(&mut legacy);
-        let compact = encode_to_bytes(&msg);
-        prop_assert!(compact.len() < legacy.len());
-        let from_legacy: BatchMessage = decode_from_bytes(&legacy.freeze()).unwrap();
-        let from_compact: BatchMessage = decode_from_bytes(&compact).unwrap();
-        prop_assert_eq!(&from_legacy, &msg);
-        prop_assert_eq!(&from_compact, &msg);
-    }
-
-    /// Cross-decode for service slot frames (tag 5 vs 10).
-    #[test]
-    fn slot_old_and_new_tags_decode_identically(
-        query in any::<u64>(),
-        round in 1u32..=64,
-        vector in arb_vector(),
-    ) {
-        let msg = SlotMessage {
-            query,
-            inner: TokenMessage::Token { round, vector },
-        };
-        let mut legacy = BytesMut::new();
-        msg.encode_legacy(&mut legacy);
-        let compact = encode_to_bytes(&msg);
-        let from_legacy: SlotMessage = decode_from_bytes(&legacy.freeze()).unwrap();
-        let from_compact: SlotMessage = decode_from_bytes(&compact).unwrap();
-        prop_assert_eq!(&from_legacy, &msg);
-        prop_assert_eq!(&from_compact, &msg);
+        let token: TokenMessage = decode_from_bytes(&encode_to_bytes(&inner)).unwrap();
+        prop_assert_eq!(&token, &inner);
+        let slot = SlotMessage { query, inner };
+        let back: SlotMessage = decode_from_bytes(&encode_to_bytes(&slot)).unwrap();
+        prop_assert_eq!(&back, &slot);
     }
 
     /// Truncating a compact frame anywhere past the tag never decodes:
@@ -138,9 +95,77 @@ proptest! {
         let msg = TokenMessage::Token { round: 3, vector };
         let full = encode_to_bytes(&msg);
         let cut = cut.min(full.len() - 1);
-        let r: Result<TokenMessage, _> = privtopk_ring::wire::decode_from_slice(
+        let r: Result<TokenMessage, _> = decode_from_slice(
             &full[..full.len() - cut],
         );
         prop_assert!(r.is_err());
+    }
+}
+
+/// Appends a vector in the retired fixed-width layout: `u32` k, then k
+/// `i64` values.
+fn put_fixed_vector(buf: &mut BytesMut, values: &[i64]) {
+    buf.put_u32_le(values.len() as u32);
+    for &v in values {
+        buf.put_i64_le(v);
+    }
+}
+
+/// A frame that was well-formed under the retired fixed-width layout of
+/// `tag` (1 token, 2 finished, 3 batch tokens, 4 batch finished, 5 slot).
+fn fixed_width_frame(tag: u8) -> BytesMut {
+    let values = [9, 5, 5];
+    let mut buf = BytesMut::new();
+    buf.put_u8(tag);
+    match tag {
+        1 => {
+            buf.put_u32_le(7); // round
+            put_fixed_vector(&mut buf, &values);
+        }
+        2 => put_fixed_vector(&mut buf, &values),
+        3 | 4 => {
+            if tag == 3 {
+                buf.put_u32_le(7); // round
+            }
+            buf.put_u32_le(2); // entries
+            put_fixed_vector(&mut buf, &values);
+            put_fixed_vector(&mut buf, &values);
+        }
+        5 => {
+            buf.put_u64_le(12); // query
+            buf.extend_from_slice(&fixed_width_frame(1));
+        }
+        _ => unreachable!("tags 1-5 only"),
+    }
+    buf
+}
+
+#[test]
+fn reserved_legacy_tags_are_rejected() {
+    let mut frames: Vec<(u8, BytesMut)> = (1..=5).map(|t| (t, fixed_width_frame(t))).collect();
+    // Every other unassigned tag, followed by a well-formed compact
+    // finished-token body (k = 3, values [9, 5, 5]).
+    for tag in std::iter::once(0).chain(11..=255) {
+        let mut buf = BytesMut::new();
+        buf.put_u8(tag);
+        buf.extend_from_slice(&[3, 18, 4, 0]);
+        frames.push((tag, buf));
+    }
+    for (tag, frame) in &frames {
+        let token = decode_from_slice::<TokenMessage>(frame);
+        assert!(
+            matches!(token, Err(RingError::Decode { .. })),
+            "tag {tag}: token decoder returned {token:?}"
+        );
+        let batch = decode_from_slice::<BatchMessage>(frame);
+        assert!(
+            matches!(batch, Err(RingError::Decode { .. })),
+            "tag {tag}: batch decoder returned {batch:?}"
+        );
+        let slot = decode_from_slice::<SlotMessage>(frame);
+        assert!(
+            matches!(slot, Err(RingError::Decode { .. })),
+            "tag {tag}: slot decoder returned {slot:?}"
+        );
     }
 }

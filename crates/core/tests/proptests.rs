@@ -241,16 +241,15 @@ proptest! {
 
 #[test]
 fn zero_entry_batch_frames_are_rejected() {
-    use privtopk_ring::wire::WireEncode;
-    // Hand-craft frames with a zero entry count: structurally decodable,
-    // semantically forbidden.
-    for tag in [3u8, 4u8] {
+    // Hand-craft compact frames with a zero entry count: structurally
+    // decodable, semantically forbidden.
+    for tag in [8u8, 9u8] {
         let mut buf = bytes::BytesMut::new();
         bytes::BufMut::put_u8(&mut buf, tag);
-        if tag == 3 {
-            1u32.encode(&mut buf); // round label (Tokens only)
+        if tag == 8 {
+            bytes::BufMut::put_u8(&mut buf, 1); // varint round (Tokens only)
         }
-        bytes::BufMut::put_u32_le(&mut buf, 0); // zero vectors
+        bytes::BufMut::put_u8(&mut buf, 0); // varint entry count: zero
         assert!(
             decode_from_slice::<BatchMessage>(buf.as_ref()).is_err(),
             "tag {tag} accepted an empty batch"

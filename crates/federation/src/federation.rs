@@ -681,14 +681,8 @@ fn render_service_metrics(
     write_counter(
         &mut body,
         "privtopk_service_bytes_sent_total",
-        "Payload bytes sent (post-compression wire size).",
+        "Payload bytes sent (wire size).",
         stats.bytes_sent,
-    );
-    write_counter(
-        &mut body,
-        "privtopk_service_baseline_bytes_total",
-        "Pre-compression payload bytes: what the legacy fixed-width codec would have sent.",
-        stats.baseline_bytes,
     );
     write_gauge(
         &mut body,
@@ -1589,14 +1583,6 @@ mod tests {
         assert_eq!(
             metric(&body, "privtopk_service_bytes_sent_total"),
             stats.bytes_sent
-        );
-        assert_eq!(
-            metric(&body, "privtopk_service_baseline_bytes_total"),
-            stats.baseline_bytes
-        );
-        assert!(
-            stats.baseline_bytes > stats.bytes_sent,
-            "compact codec must undercut the legacy baseline on the wire"
         );
         assert_eq!(
             metric(&body, "privtopk_service_queue_wait_ns_count"),

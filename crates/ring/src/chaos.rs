@@ -336,10 +336,6 @@ impl<T: Transport> Transport for ChaosEndpoint<T> {
     fn pool(&self) -> FramePool {
         self.inner.pool()
     }
-
-    fn record_baseline_extra(&mut self, saved: u64) {
-        self.inner.record_baseline_extra(saved);
-    }
 }
 
 #[cfg(test)]

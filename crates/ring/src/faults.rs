@@ -88,10 +88,6 @@ impl<T: Transport> Transport for FaultyEndpoint<T> {
     fn pool(&self) -> FramePool {
         self.inner.pool()
     }
-
-    fn record_baseline_extra(&mut self, saved: u64) {
-        self.inner.record_baseline_extra(saved);
-    }
 }
 
 const FRAME_DATA: u8 = 1;
@@ -327,10 +323,6 @@ impl<T: Transport> Transport for ReliableEndpoint<T> {
 
     fn pool(&self) -> FramePool {
         self.inner.pool()
-    }
-
-    fn record_baseline_extra(&mut self, saved: u64) {
-        self.inner.record_baseline_extra(saved);
     }
 }
 

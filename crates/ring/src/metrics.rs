@@ -42,7 +42,6 @@ struct Counters {
     frames: AtomicU64,
     logical: AtomicU64,
     bytes: AtomicU64,
-    baseline: AtomicU64,
     pooled_high_water: AtomicU64,
     retransmissions: AtomicU64,
     re_acks: AtomicU64,
@@ -59,12 +58,6 @@ pub struct MetricsSnapshot {
     pub logical_messages: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
-    /// Pre-compression payload bytes: what the same frames would have
-    /// cost under the legacy fixed-width codec. Senders that encode
-    /// compact frames record both figures, so `baseline_bytes -
-    /// bytes_sent` is the codec's saving; senders without a baseline
-    /// leave this at the wire size.
-    pub baseline_bytes: u64,
     /// The most buffers the frame pool ever held at once. A lifetime peak,
     /// not a rate: [`TransportMetrics::take`] reports it without resetting.
     pub pooled_buffers_high_water: u64,
@@ -86,28 +79,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean pre-compression bytes per physical frame (0 when no frame
-    /// was sent).
-    #[must_use]
-    pub fn mean_baseline_frame_bytes(&self) -> f64 {
-        if self.frames_sent == 0 {
-            0.0
-        } else {
-            self.baseline_bytes as f64 / self.frames_sent as f64
-        }
-    }
-
-    /// Pre-compression over wire bytes: how many legacy bytes each sent
-    /// byte replaced (1.0 when nothing was sent or nothing compressed).
-    #[must_use]
-    pub fn compression_ratio(&self) -> f64 {
-        if self.bytes_sent == 0 || self.baseline_bytes == 0 {
-            1.0
-        } else {
-            self.baseline_bytes as f64 / self.bytes_sent as f64
-        }
-    }
-
     /// Publishes every figure into a [`Recorder`]'s counter registry,
     /// under the same names as the fields.
     ///
@@ -118,7 +89,6 @@ impl MetricsSnapshot {
         recorder.set_counter("frames_sent", self.frames_sent);
         recorder.set_counter("logical_messages", self.logical_messages);
         recorder.set_counter("bytes_sent", self.bytes_sent);
-        recorder.set_counter("baseline_bytes", self.baseline_bytes);
         recorder.set_counter("pooled_buffers_high_water", self.pooled_buffers_high_water);
         recorder.set_counter("retransmissions", self.retransmissions);
         recorder.set_counter("re_acks", self.re_acks);
@@ -140,34 +110,10 @@ impl TransportMetrics {
 
     /// Records one sent frame of `bytes` payload bytes carrying
     /// `logical` piggybacked logical messages.
-    ///
-    /// The wire size also lands in the pre-compression baseline, so
-    /// senders without a compact encoding stay at a neutral 1.0
-    /// compression ratio; typed send helpers top the baseline up with
-    /// [`record_baseline_extra`](Self::record_baseline_extra).
     pub fn record_frame(&self, bytes: usize, logical: u64) {
         self.inner.frames.fetch_add(1, Ordering::Relaxed);
         self.inner.logical.fetch_add(logical, Ordering::Relaxed);
         self.inner.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.inner
-            .baseline
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Adds the bytes a compact frame saved over its legacy encoding to
-    /// the pre-compression baseline. [`record_frame`](Self::record_frame)
-    /// already put the wire size there, so after this call the frame's
-    /// baseline contribution equals its full legacy size.
-    pub fn record_baseline_extra(&self, saved: usize) {
-        self.inner
-            .baseline
-            .fetch_add(saved as u64, Ordering::Relaxed);
-    }
-
-    /// Total pre-compression payload bytes recorded.
-    #[must_use]
-    pub fn baseline_bytes(&self) -> u64 {
-        self.inner.baseline.load(Ordering::Relaxed)
     }
 
     /// Records the frame pool's current occupancy, keeping the maximum
@@ -252,7 +198,6 @@ impl TransportMetrics {
             frames_sent: self.inner.frames.load(Ordering::Relaxed),
             logical_messages: self.inner.logical.load(Ordering::Relaxed),
             bytes_sent: self.inner.bytes.load(Ordering::Relaxed),
-            baseline_bytes: self.inner.baseline.load(Ordering::Relaxed),
             pooled_buffers_high_water: self.inner.pooled_high_water.load(Ordering::Relaxed),
             retransmissions: self.inner.retransmissions.load(Ordering::Relaxed),
             re_acks: self.inner.re_acks.load(Ordering::Relaxed),
@@ -272,7 +217,6 @@ impl TransportMetrics {
             frames_sent: self.inner.frames.swap(0, Ordering::Relaxed),
             logical_messages: self.inner.logical.swap(0, Ordering::Relaxed),
             bytes_sent: self.inner.bytes.swap(0, Ordering::Relaxed),
-            baseline_bytes: self.inner.baseline.swap(0, Ordering::Relaxed),
             pooled_buffers_high_water: self.inner.pooled_high_water.load(Ordering::Relaxed),
             retransmissions: self.inner.retransmissions.swap(0, Ordering::Relaxed),
             re_acks: self.inner.re_acks.swap(0, Ordering::Relaxed),
@@ -328,29 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_bytes_split_pre_and_post_compression() {
-        let m = TransportMetrics::new();
-        m.record_frame(100, 1);
-        m.record_baseline_extra(300);
-        let snap = m.peek();
-        assert_eq!(snap.bytes_sent, 100);
-        assert_eq!(snap.baseline_bytes, 400);
-        assert!((snap.compression_ratio() - 4.0).abs() < 1e-9);
-        assert!((snap.mean_baseline_frame_bytes() - 400.0).abs() < 1e-9);
-        // Publishing carries the split into the recorder registry.
-        let rec = Recorder::stats_only();
-        snap.publish(&rec);
-        assert_eq!(rec.counter("bytes_sent"), 100);
-        assert_eq!(rec.counter("baseline_bytes"), 400);
-        // Draining resets the baseline like any rate counter.
-        let drained = m.take();
-        assert_eq!(drained.baseline_bytes, 400);
-        assert_eq!(m.take().baseline_bytes, 0);
-        // An empty snapshot reports a neutral ratio.
-        assert!((MetricsSnapshot::default().compression_ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn clones_share_state() {
         let m = TransportMetrics::new();
         let m2 = m.clone();
@@ -381,7 +302,6 @@ mod tests {
                 frames_sent: 1,
                 logical_messages: 4,
                 bytes_sent: 64,
-                baseline_bytes: 64,
                 ..Default::default()
             }
         );

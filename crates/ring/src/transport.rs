@@ -20,7 +20,7 @@ use privtopk_domain::NodeId;
 use privtopk_observe::{Ctx, Phase, Recorder};
 
 use crate::cipher::{ChannelCipher, PlainCipher};
-use crate::wire::{decode_from_bytes, encode_into, WireDecode, WireEncode};
+use crate::wire::{encode_into, WireEncode};
 use crate::{RingError, TransportMetrics};
 
 /// Most buffers a [`FramePool`] retains; beyond this, recycled storage is
@@ -150,121 +150,21 @@ pub trait Transport: Send {
     fn pool(&self) -> FramePool {
         FramePool::new()
     }
-
-    /// Credits `saved` bytes to the pre-compression baseline in this
-    /// endpoint's [`TransportMetrics`]: the gap between what the legacy
-    /// fixed-width codec would have sent and what actually hit the wire.
-    /// The typed send helpers call this with the encoder's
-    /// [`WireEncode::baseline_len`] surplus; transports without metrics
-    /// ignore it.
-    fn record_baseline_extra(&mut self, saved: u64) {
-        let _ = saved;
-    }
 }
 
-/// Encodes `value` with the wire codec and sends it.
+/// Encodes `value` into a buffer from `pool` and sends it to `to` as one
+/// frame carrying `logical` piggybacked messages (1 for an unbatched hop).
 ///
-/// The frame buffer is drawn from the transport's [`FramePool`], so on
-/// pooled transports the steady-state cost is a copy into recycled
-/// storage, not an allocation. Hot loops that send many frames through
-/// one endpoint should hoist the pool handle once and use
-/// [`send_value_with`] — this convenience wrapper clones the pool handle
-/// (an `Arc` bump) on every call.
+/// Drawing the buffer from the transport's shared [`FramePool`] makes the
+/// steady-state cost a copy into recycled storage, not an allocation. The
+/// wire encode and the transport hand-off are timed as separate
+/// [`Phase::Encode`] and [`Phase::Send`] spans under `ctx`; with a
+/// disabled recorder that costs two branches and no clock reads.
 ///
 /// # Errors
 ///
 /// Propagates transport errors.
 pub fn send_value<T: WireEncode>(
-    transport: &mut dyn Transport,
-    to: NodeId,
-    value: &T,
-) -> Result<(), RingError> {
-    let pool = transport.pool();
-    send_value_with(transport, &pool, to, value)
-}
-
-/// [`send_value`] against a pre-acquired pool handle: the per-endpoint
-/// fast path, paying zero `Arc` traffic per frame.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn send_value_with<T: WireEncode>(
-    transport: &mut dyn Transport,
-    pool: &FramePool,
-    to: NodeId,
-    value: &T,
-) -> Result<(), RingError> {
-    let mut buf = pool.acquire();
-    encode_into(value, &mut buf);
-    if let Some(baseline) = value.baseline_len() {
-        transport.record_baseline_extra(baseline.saturating_sub(buf.len()) as u64);
-    }
-    transport.send(to, buf.freeze())
-}
-
-/// Like [`send_value`], but records the frame as `logical` piggybacked
-/// messages in the transport metrics.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn send_value_many<T: WireEncode>(
-    transport: &mut dyn Transport,
-    to: NodeId,
-    value: &T,
-    logical: u64,
-) -> Result<(), RingError> {
-    let pool = transport.pool();
-    send_value_many_with(transport, &pool, to, value, logical)
-}
-
-/// [`send_value_many`] against a pre-acquired pool handle.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn send_value_many_with<T: WireEncode>(
-    transport: &mut dyn Transport,
-    pool: &FramePool,
-    to: NodeId,
-    value: &T,
-    logical: u64,
-) -> Result<(), RingError> {
-    let mut buf = pool.acquire();
-    encode_into(value, &mut buf);
-    if let Some(baseline) = value.baseline_len() {
-        transport.record_baseline_extra(baseline.saturating_sub(buf.len()) as u64);
-    }
-    transport.send_many(to, buf.freeze(), logical)
-}
-
-/// [`send_value_with`] instrumented for telemetry: the wire encode and
-/// the transport hand-off are timed as separate [`Phase::Encode`] and
-/// [`Phase::Send`] spans under `ctx`. With a disabled recorder this is
-/// exactly [`send_value_with`] plus two branches — no clock reads.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn send_value_traced<T: WireEncode>(
-    transport: &mut dyn Transport,
-    pool: &FramePool,
-    to: NodeId,
-    value: &T,
-    recorder: &Recorder,
-    ctx: Ctx,
-) -> Result<(), RingError> {
-    send_value_many_traced(transport, pool, to, value, 1, recorder, ctx)
-}
-
-/// [`send_value_many_with`] with the same [`Phase::Encode`] /
-/// [`Phase::Send`] instrumentation as [`send_value_traced`].
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn send_value_many_traced<T: WireEncode>(
     transport: &mut dyn Transport,
     pool: &FramePool,
     to: NodeId,
@@ -276,45 +176,12 @@ pub fn send_value_many_traced<T: WireEncode>(
     let encode_started = recorder.clock();
     let mut buf = pool.acquire();
     encode_into(value, &mut buf);
-    if let Some(baseline) = value.baseline_len() {
-        transport.record_baseline_extra(baseline.saturating_sub(buf.len()) as u64);
-    }
     let frame = buf.freeze();
     recorder.record(Phase::Encode, ctx, encode_started);
     let send_started = recorder.clock();
     let result = transport.send_many(to, frame, logical);
     recorder.record(Phase::Send, ctx, send_started);
     result
-}
-
-/// Receives a frame and decodes it with the wire codec.
-///
-/// The exhausted frame is recycled into the transport's [`FramePool`];
-/// decode borrows from the frame, so no intermediate copy is made. As
-/// with [`send_value`], hot loops should hoist the pool handle and use
-/// [`recv_value_with`].
-///
-/// # Errors
-///
-/// Propagates transport errors and [`RingError::Decode`].
-pub fn recv_value<T: WireDecode>(transport: &mut dyn Transport) -> Result<(NodeId, T), RingError> {
-    let pool = transport.pool();
-    recv_value_with(transport, &pool)
-}
-
-/// [`recv_value`] against a pre-acquired pool handle.
-///
-/// # Errors
-///
-/// Propagates transport errors and [`RingError::Decode`].
-pub fn recv_value_with<T: WireDecode>(
-    transport: &mut dyn Transport,
-    pool: &FramePool,
-) -> Result<(NodeId, T), RingError> {
-    let (from, frame) = transport.recv()?;
-    let value = decode_from_bytes(&frame)?;
-    pool.recycle(frame);
-    Ok((from, value))
 }
 
 // ---------------------------------------------------------------------------
@@ -466,10 +333,6 @@ impl Transport for InMemoryEndpoint {
     fn pool(&self) -> FramePool {
         self.pool.clone()
     }
-
-    fn record_baseline_extra(&mut self, saved: u64) {
-        self.metrics.record_baseline_extra(saved as usize);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -481,8 +344,11 @@ const FRAME_HEADER_LEN: usize = 12;
 /// Upper bound on a single frame payload (16 MiB) — rejects nonsense
 /// lengths before allocation.
 const MAX_FRAME_LEN: usize = 16 << 20;
+/// Most payload bytes [`read_frame`] allocates ahead of the bytes that
+/// have actually arrived; frames up to this size take a single read.
+const READ_STEP: usize = 64 << 10;
 
-fn write_frame(stream: &mut TcpStream, from: NodeId, payload: &[u8]) -> Result<(), RingError> {
+fn write_frame<W: Write>(stream: &mut W, from: NodeId, payload: &[u8]) -> Result<(), RingError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     header[..8].copy_from_slice(&(from.get() as u64).to_le_bytes());
     header[8..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -511,7 +377,13 @@ fn write_frame(stream: &mut TcpStream, from: NodeId, payload: &[u8]) -> Result<(
     Ok(())
 }
 
-fn read_frame(stream: &mut TcpStream, pool: &FramePool) -> Result<(NodeId, Bytes), RingError> {
+/// Reads one frame written by [`write_frame`].
+///
+/// The length prefix comes from the peer, so it is not trusted with an
+/// allocation: the payload buffer grows by at most [`READ_STEP`] bytes at
+/// a time, each step only after the previous one was filled. A peer that
+/// claims 16 MiB and then stops costs at most 64 KiB, not 16 MiB.
+fn read_frame<R: Read>(stream: &mut R, pool: &FramePool) -> Result<(NodeId, Bytes), RingError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     stream.read_exact(&mut header)?;
     let from = u64::from_le_bytes(header[..8].try_into().expect("8 bytes")) as usize;
@@ -522,8 +394,11 @@ fn read_frame(stream: &mut TcpStream, pool: &FramePool) -> Result<(NodeId, Bytes
         });
     }
     let mut payload = pool.acquire();
-    payload.resize(len, 0);
-    stream.read_exact(&mut payload)?;
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(filled + (len - filled).min(READ_STEP), 0);
+        stream.read_exact(&mut payload[filled..])?;
+    }
     Ok((NodeId::new(from), payload.freeze()))
 }
 
@@ -729,10 +604,6 @@ impl Transport for TcpEndpoint {
     fn pool(&self) -> FramePool {
         self.pool.clone()
     }
-
-    fn record_baseline_extra(&mut self, saved: u64) {
-        self.metrics.record_baseline_extra(saved as usize);
-    }
 }
 
 impl Drop for TcpEndpoint {
@@ -747,6 +618,30 @@ impl Drop for TcpEndpoint {
 mod tests {
     use super::*;
     use crate::cipher::XorKeystreamCipher;
+    use crate::wire::decode_from_bytes;
+
+    /// Sends `value` as one untraced unbatched frame.
+    fn send_u64(ep: &mut dyn Transport, to: usize, value: u64) {
+        let pool = ep.pool();
+        send_value(
+            ep,
+            &pool,
+            NodeId::new(to),
+            &value,
+            1,
+            &Recorder::disabled(),
+            Ctx::default(),
+        )
+        .unwrap();
+    }
+
+    /// Receives and decodes one `u64` frame, recycling its storage.
+    fn recv_u64(ep: &mut dyn Transport) -> (NodeId, u64) {
+        let (from, frame) = ep.recv_timeout(Duration::from_secs(5)).unwrap();
+        let value = decode_from_bytes(&frame).unwrap();
+        ep.pool().recycle(frame);
+        (from, value)
+    }
 
     #[test]
     fn in_memory_point_to_point() {
@@ -820,9 +715,8 @@ mod tests {
     fn typed_send_recv_helpers() {
         let net = InMemoryNetwork::new(2);
         let mut eps = net.endpoints();
-        send_value(&mut eps[0], NodeId::new(1), &12345u64).unwrap();
-        let (from, v): (NodeId, u64) = recv_value(&mut eps[1]).unwrap();
-        assert_eq!((from, v), (NodeId::new(0), 12345));
+        send_u64(&mut eps[0], 1, 12345);
+        assert_eq!(recv_u64(&mut eps[1]), (NodeId::new(0), 12345));
     }
 
     #[test]
@@ -960,53 +854,20 @@ mod tests {
     }
 
     #[test]
-    fn typed_send_credits_encoder_baseline() {
-        // A payload whose compact encoding (2 bytes) undercuts its legacy
-        // baseline (10 bytes): the wire counter sees the compact size, the
-        // baseline counter the legacy size.
-        struct Compacted;
-        impl WireEncode for Compacted {
-            fn encode(&self, buf: &mut BytesMut) {
-                buf.extend_from_slice(&[0xC0, 0x01]);
-            }
-            fn baseline_len(&self) -> Option<usize> {
-                Some(10)
-            }
-        }
-        let net = InMemoryNetwork::new(2);
-        let metrics = net.metrics();
-        let mut eps = net.endpoints();
-        let pool = eps[0].pool();
-        send_value_many_with(&mut eps[0], &pool, NodeId::new(1), &Compacted, 4).unwrap();
-        assert_eq!(metrics.bytes_sent(), 2);
-        assert_eq!(metrics.baseline_bytes(), 10);
-        let snap = metrics.peek();
-        assert!((snap.compression_ratio() - 5.0).abs() < 1e-9);
-        // Untyped raw sends stay neutral: baseline tracks the wire.
-        eps[0]
-            .send(NodeId::new(1), Bytes::from_static(b"raw"))
-            .unwrap();
-        assert_eq!(metrics.bytes_sent(), 5);
-        assert_eq!(metrics.baseline_bytes(), 13);
-    }
-
-    #[test]
     fn in_memory_round_trip_recycles_into_shared_pool() {
         let net = InMemoryNetwork::new(2);
         let pool = net.pool();
         let mut eps = net.endpoints();
-        send_value(&mut eps[0], NodeId::new(1), &77u64).unwrap();
-        let (_, v): (NodeId, u64) = recv_value(&mut eps[1]).unwrap();
-        assert_eq!(v, 77);
+        send_u64(&mut eps[0], 1, 77);
+        assert_eq!(recv_u64(&mut eps[1]).1, 77);
         assert_eq!(
             pool.pooled(),
             1,
             "consumed frame storage returns to the network pool"
         );
         // A second exchange must not grow the pool: it reuses the buffer.
-        send_value(&mut eps[1], NodeId::new(0), &88u64).unwrap();
-        let (_, v): (NodeId, u64) = recv_value(&mut eps[0]).unwrap();
-        assert_eq!(v, 88);
+        send_u64(&mut eps[1], 0, 88);
+        assert_eq!(recv_u64(&mut eps[0]).1, 88);
         assert_eq!(pool.pooled(), 1);
     }
 
@@ -1016,13 +877,11 @@ mod tests {
         let metrics = net.metrics();
         let mut eps = net.endpoints();
         assert_eq!(metrics.pooled_buffers_high_water(), 0);
-        let pool = eps[0].pool();
         for i in 0..4u64 {
-            send_value_with(&mut eps[0], &pool, NodeId::new(1), &i).unwrap();
+            send_u64(&mut eps[0], 1, i);
         }
-        let recv_pool = eps[1].pool();
         for _ in 0..4 {
-            let (_, _v): (NodeId, u64) = recv_value_with(&mut eps[1], &recv_pool).unwrap();
+            recv_u64(&mut eps[1]);
         }
         // Four frames were consumed one at a time: the pool never held
         // more than one buffer, and the watermark is bounded by the cap.
@@ -1032,16 +891,31 @@ mod tests {
     }
 
     #[test]
-    fn pool_hoisted_helpers_match_wrappers() {
+    fn send_value_counts_logical_messages_and_traces_phases() {
         let net = InMemoryNetwork::new(2);
+        let metrics = net.metrics();
         let mut eps = net.endpoints();
         let pool = eps[0].pool();
-        send_value_with(&mut eps[0], &pool, NodeId::new(1), &41u64).unwrap();
-        send_value_many_with(&mut eps[0], &pool, NodeId::new(1), &42u64, 3).unwrap();
-        let rp = eps[1].pool();
-        let (_, a): (NodeId, u64) = recv_value_with(&mut eps[1], &rp).unwrap();
-        let (_, b): (NodeId, u64) = recv_value_with(&mut eps[1], &rp).unwrap();
-        assert_eq!((a, b), (41, 42));
+        let recorder = Recorder::stats_only();
+        send_u64(&mut eps[0], 1, 41);
+        send_value(
+            &mut eps[0],
+            &pool,
+            NodeId::new(1),
+            &42u64,
+            3,
+            &recorder,
+            Ctx::default(),
+        )
+        .unwrap();
+        assert_eq!(recv_u64(&mut eps[1]).1, 41);
+        assert_eq!(recv_u64(&mut eps[1]).1, 42);
+        assert_eq!(metrics.frames_sent(), 2);
+        assert_eq!(metrics.messages_sent(), 4);
+        assert_eq!(metrics.bytes_sent(), 16);
+        // Only the traced send was timed.
+        assert_eq!(recorder.phase(Phase::Encode).count, 1);
+        assert_eq!(recorder.phase(Phase::Send).count, 1);
     }
 
     #[test]
@@ -1049,11 +923,77 @@ mod tests {
         let net = TcpNetwork::bind(2).unwrap();
         let pool = net.pool();
         let mut eps = net.endpoints().unwrap();
-        send_value(&mut eps[0], NodeId::new(1), &123u64).unwrap();
-        let (_, v): (NodeId, u64) = recv_value(&mut eps[1]).unwrap();
-        assert_eq!(v, 123);
+        send_u64(&mut eps[0], 1, 123);
+        assert_eq!(recv_u64(&mut eps[1]).1, 123);
         // Sender-side storage was reclaimed after the vectored write
         // (receiver-side recycling also lands here, so allow either 1 or 2).
         assert!(pool.pooled() >= 1);
+    }
+
+    /// A reader that remembers the largest buffer it was asked to fill.
+    struct ReadProbe<'a> {
+        bytes: &'a [u8],
+        largest_request: usize,
+    }
+
+    impl Read for ReadProbe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    fn header(from: u64, len: u32) -> Vec<u8> {
+        let mut wire = from.to_le_bytes().to_vec();
+        wire.extend_from_slice(&len.to_le_bytes());
+        wire
+    }
+
+    #[test]
+    fn read_frame_lying_length_prefix_is_a_bounded_typed_error() {
+        // The header claims the 16 MiB maximum; 10 bytes follow, then EOF.
+        let mut wire = header(3, MAX_FRAME_LEN as u32);
+        wire.extend_from_slice(&[0xAB; 10]);
+        let mut probe = ReadProbe {
+            bytes: &wire,
+            largest_request: 0,
+        };
+        let result = read_frame(&mut probe, &FramePool::new());
+        assert!(
+            matches!(result, Err(RingError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof)
+        );
+        // The payload buffer only ever grew by one step ahead of the data.
+        assert_eq!(probe.largest_request, READ_STEP);
+    }
+
+    #[test]
+    fn read_frame_rejects_oversized_and_truncated_headers() {
+        let pool = FramePool::new();
+        let over = header(0, MAX_FRAME_LEN as u32 + 1);
+        assert!(matches!(
+            read_frame(&mut over.as_slice(), &pool),
+            Err(RingError::Decode { .. })
+        ));
+        // The peer stops after 5 of the 12 header bytes.
+        let cut = &header(0, 4)[..5];
+        assert!(matches!(
+            read_frame(&mut &cut[..], &pool),
+            Err(RingError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        ));
+    }
+
+    #[test]
+    fn frames_round_trip_across_read_step_boundaries() {
+        let pool = FramePool::new();
+        for len in [0, 1, READ_STEP, READ_STEP + 1] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, NodeId::new(7), &payload).unwrap();
+            let mut cursor = wire.as_slice();
+            let (from, frame) = read_frame(&mut cursor, &pool).unwrap();
+            assert_eq!(from, NodeId::new(7));
+            assert_eq!(&frame[..], &payload[..], "payload of {len} bytes");
+            assert!(cursor.is_empty(), "frame of {len} bytes left bytes unread");
+        }
     }
 }

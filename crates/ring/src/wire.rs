@@ -33,18 +33,6 @@ use crate::RingError;
 pub trait WireEncode {
     /// Appends the binary representation of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
-
-    /// Bytes this value would occupy under the *baseline* (fixed-width
-    /// legacy) layout, or `None` when [`encode`](Self::encode) already is
-    /// the baseline.
-    ///
-    /// Message types whose `encode` emits a compact frame override this
-    /// with the legacy size so the transport can account pre-compression
-    /// bytes next to the actual wire bytes (the pre-/post-compression
-    /// split in [`crate::TransportMetrics`]).
-    fn baseline_len(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// Types that can be read back from a wire frame.
@@ -307,44 +295,6 @@ impl WireDecode for RingPosition {
     }
 }
 
-impl WireEncode for TopKVector {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.k() as u32);
-        for v in self.iter() {
-            v.encode(buf);
-        }
-    }
-}
-
-impl WireDecode for TopKVector {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        need(buf, 4)?;
-        let k = buf.get_u32_le() as usize;
-        if k == 0 {
-            return Err(RingError::Decode {
-                reason: "top-k vector with k = 0",
-            });
-        }
-        let mut values = Vec::with_capacity(k.min(buf.remaining() / 8 + 1));
-        let mut prev: Option<Value> = None;
-        for _ in 0..k {
-            let v = Value::decode(buf)?;
-            if let Some(p) = prev {
-                if v > p {
-                    return Err(RingError::Decode {
-                        reason: "top-k vector not sorted descending",
-                    });
-                }
-            }
-            prev = Some(v);
-            values.push(v);
-        }
-        TopKVector::from_sorted(values).map_err(|_| RingError::Decode {
-            reason: "invalid top-k vector",
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Varints and the compact sorted-vector codec
 // ---------------------------------------------------------------------------
@@ -407,10 +357,6 @@ pub fn unzigzag(v: u64) -> i64 {
 /// `varint(k)`, `zigzag-varint(values[0])`, then `k - 1` unsigned varint
 /// deltas `values[i-1] - values[i]` (exact in wrapping arithmetic for any
 /// `i64` pair, and never negative because the vector is descending).
-///
-/// The legacy fixed-width layout (`u32` k + `i64` values) stays available
-/// through the [`WireEncode`] impl; this codec is what the compact wire
-/// tags carry.
 pub fn put_topk_compact(buf: &mut BytesMut, v: &TopKVector) {
     let values = v.as_slice();
     put_uvarint(buf, values.len() as u64);
@@ -483,7 +429,6 @@ pub fn uvarint_len(v: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privtopk_domain::ValueDomain;
 
     fn roundtrip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(v: T) {
         let frame = encode_to_bytes(&v);
@@ -521,9 +466,6 @@ mod tests {
         roundtrip(Value::new(-12345));
         roundtrip(NodeId::new(7));
         roundtrip(RingPosition::new(3));
-        let domain = ValueDomain::paper_default();
-        let v = TopKVector::from_values(4, [5, 9, 9, 1].map(Value::new), &domain).unwrap();
-        roundtrip(v);
     }
 
     #[test]
@@ -564,22 +506,6 @@ mod tests {
         buf.put_u32_le(2);
         buf.put_slice(&[0xFF, 0xFE]);
         assert!(decode_from_bytes::<String>(&buf.freeze()).is_err());
-    }
-
-    #[test]
-    fn unsorted_topk_vector_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(2);
-        Value::new(1).encode(&mut buf);
-        Value::new(5).encode(&mut buf); // ascending: invalid
-        assert!(decode_from_bytes::<TopKVector>(&buf.freeze()).is_err());
-    }
-
-    #[test]
-    fn zero_k_topk_vector_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        assert!(decode_from_bytes::<TopKVector>(&buf.freeze()).is_err());
     }
 
     #[test]

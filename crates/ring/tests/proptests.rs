@@ -1,11 +1,11 @@
 //! Property-based tests for the ring substrate.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use privtopk_domain::rng::seeded_rng;
 use privtopk_domain::{NodeId, TopKVector, Value, ValueDomain};
 use privtopk_ring::cipher::{ChannelCipher, XorKeystreamCipher};
 use privtopk_ring::trust::{coverage, trust_aware_arrangement, TrustGraph};
-use privtopk_ring::wire::{decode_from_bytes, encode_to_bytes};
+use privtopk_ring::wire::{decode_from_bytes, encode_to_bytes, get_topk_compact, put_topk_compact};
 use privtopk_ring::RingTopology;
 use proptest::prelude::*;
 
@@ -74,7 +74,7 @@ proptest! {
         prop_assert_eq!(decode_from_bytes::<Option<u64>>(&o_frame).unwrap(), opt);
     }
 
-    /// TopKVector wire roundtrip for arbitrary vectors.
+    /// TopKVector compact-codec roundtrip for arbitrary vectors.
     #[test]
     fn topk_vector_wire_roundtrip(
         vals in prop::collection::vec(1i64..=10_000, 0..20),
@@ -82,8 +82,11 @@ proptest! {
     ) {
         let domain = ValueDomain::paper_default();
         let v = TopKVector::from_values(k, vals.into_iter().map(Value::new), &domain).unwrap();
-        let frame = encode_to_bytes(&v);
-        prop_assert_eq!(decode_from_bytes::<TopKVector>(&frame).unwrap(), v);
+        let mut buf = BytesMut::new();
+        put_topk_compact(&mut buf, &v);
+        let mut cursor = buf.as_ref();
+        prop_assert_eq!(get_topk_compact(&mut cursor).unwrap(), v);
+        prop_assert!(cursor.is_empty(), "decoder must consume the whole vector");
     }
 
     /// Truncating any valid frame produces an error, never a panic or a

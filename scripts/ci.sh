@@ -24,12 +24,27 @@ cargo test --workspace -q
 echo "==> cargo test --test trace_no_leak"
 cargo test --test trace_no_leak
 
-# Wire-codec gates, also run by name. The proptest file pins the compact
-# encoding to the legacy one (cross-decode, truncation rejection, golden
-# sizes); the frame-budget smoke asserts a compact B=64 batch hop stays
-# under half the legacy 2312.6 B mean frame.
+# Wire-codec gates, also run by name. The proptest file checks the
+# compact codec (roundtrips, varint and truncation rejection) and that
+# every tag outside 6-10, the reserved fixed-width tags 1-5 included, is
+# refused; the frame-budget smoke asserts a compact B=64 batch hop stays
+# under half the 2312.6 B mean frame of the retired fixed-width codec.
 echo "==> cargo test -p privtopk-core --test codec_proptests"
 cargo test -p privtopk-core --test codec_proptests
+
+echo "==> cargo test -p privtopk-core --test codec_proptests reserved_legacy_tags_are_rejected"
+TAGS_OUT=$(cargo test -p privtopk-core --test codec_proptests reserved_legacy_tags_are_rejected 2>&1)
+echo "$TAGS_OUT"
+echo "$TAGS_OUT" | grep -q "1 passed" \
+    || { echo "error: reserved-tag gate matched no test (renamed?)" >&2; exit 1; }
+
+# TCP framing gate: a header that claims 16 MiB and then stops must
+# give a typed error after at most one 64 KiB read step.
+echo "==> cargo test -p privtopk-ring --lib read_frame_lying_length_prefix_is_a_bounded_typed_error"
+FRAME_OUT=$(cargo test -p privtopk-ring --lib read_frame_lying_length_prefix_is_a_bounded_typed_error 2>&1)
+echo "$FRAME_OUT"
+echo "$FRAME_OUT" | grep -q "1 passed" \
+    || { echo "error: TCP lying-length gate matched no test (renamed?)" >&2; exit 1; }
 
 # Storage gates, run by name: the incremental candidate index must
 # agree with a full re-sort over randomized insert/delete/query

@@ -4,9 +4,8 @@
 use bytes::Bytes;
 use privtopk::knn::{centralized_knn, KnnConfig, LabeledPoint, PrivateKnnClassifier};
 use privtopk::prelude::*;
-use privtopk::ring::wire::decode_from_bytes;
+use privtopk::ring::wire::{decode_from_bytes, get_topk_compact};
 use privtopk::ring::RingTopology;
-use privtopk_ring::wire::WireDecode;
 use proptest::prelude::*;
 
 /// A node fails mid-deployment: the ring is reconstructed by connecting
@@ -135,8 +134,9 @@ proptest! {
         let frame = Bytes::from(bytes);
         let _ = decode_from_bytes::<privtopk::core::TokenMessage>(&frame);
         let _ = decode_from_bytes::<privtopk::core::BatchMessage>(&frame);
+        let _ = decode_from_bytes::<privtopk::core::SlotMessage>(&frame);
         let mut buf: &[u8] = frame.as_ref();
-        let _ = TopKVector::decode(&mut buf);
+        let _ = get_topk_compact(&mut buf);
         let _ = decode_from_bytes::<String>(&frame);
         let _ = decode_from_bytes::<Vec<u64>>(&frame);
     }
