@@ -259,6 +259,11 @@ impl SloEngine {
     /// Records one query outcome at an explicit timestamp
     /// (microseconds). Timestamps may arrive slightly out of order;
     /// eviction uses the newest stamp seen.
+    ///
+    /// Evicting up to this stamp's own horizon is the same rule: the
+    /// newest sample is never evicted, so every front sample already
+    /// clears the newest stamp's horizon, and an older stamp's lower
+    /// horizon evicts nothing.
     pub fn record_at(&self, at_us: u64, latency_ns: u64, ok: bool) {
         let mut samples = self.samples.lock();
         samples.push_back(Sample {
@@ -266,8 +271,7 @@ impl SloEngine {
             latency_ns,
             ok,
         });
-        let newest = samples.iter().map(|s| s.at_us).max().unwrap_or(at_us);
-        let horizon = newest.saturating_sub(self.config.long_window_us);
+        let horizon = at_us.saturating_sub(self.config.long_window_us);
         while samples.front().is_some_and(|s| s.at_us < horizon) {
             samples.pop_front();
         }
@@ -479,6 +483,59 @@ mod tests {
         let report = engine.evaluate_at(99_000);
         assert_eq!(report.long.samples, 11);
         assert_eq!(engine.samples.lock().len(), 11);
+    }
+
+    /// Out-of-order stamps: evicting by each stamp's own horizon keeps
+    /// exactly what rescanning the window for its newest stamp did.
+    #[test]
+    fn stamp_horizon_eviction_matches_the_window_scan() {
+        /// Records into `engine` by the rule that scans the window for
+        /// its newest stamp on every record.
+        fn record_by_scan(engine: &SloEngine, at_us: u64, latency_ns: u64, ok: bool) {
+            let mut samples = engine.samples.lock();
+            samples.push_back(Sample {
+                at_us,
+                latency_ns,
+                ok,
+            });
+            let newest = samples.iter().map(|s| s.at_us).max().unwrap_or(at_us);
+            let horizon = newest.saturating_sub(engine.config.long_window_us);
+            while samples.front().is_some_and(|s| s.at_us < horizon) {
+                samples.pop_front();
+            }
+        }
+
+        let engine = SloEngine::new(test_config());
+        let reference = SloEngine::new(test_config());
+        // splitmix64: seeded stamps that mostly advance but jump back by
+        // up to 1.5 long windows.
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut clock = 20_000u64;
+        let mut newest = 0u64;
+        for _ in 0..2_000 {
+            clock += next() % 400;
+            let at_us = if next() % 4 == 0 {
+                clock.saturating_sub(next() % 15_000)
+            } else {
+                clock
+            };
+            let latency_ns = next() % 2_000_000;
+            let ok = next() % 8 != 0;
+            engine.record_at(at_us, latency_ns, ok);
+            record_by_scan(&reference, at_us, latency_ns, ok);
+            newest = newest.max(at_us);
+            for now_us in [at_us, newest] {
+                assert_eq!(engine.evaluate_at(now_us), reference.evaluate_at(now_us));
+            }
+            assert_eq!(engine.samples.lock().len(), reference.samples.lock().len());
+        }
     }
 
     #[test]

@@ -165,13 +165,21 @@ impl CandidateIndex {
     /// Replaces the index contents from net per-value live counts (a log
     /// replay), keeping whole values from the top until `capacity` is
     /// reached. Counts the operation as one rebuild.
-    pub fn rebuild_from_counts(&mut self, counts: &BTreeMap<Value, u64>, capacity: usize) {
+    ///
+    /// `counts` must be strictly ascending by value, as
+    /// [`Replay::counts`](crate::log::Replay::counts) and
+    /// [`counts_of`](crate::counts_of) return them.
+    pub fn rebuild_from_counts(&mut self, counts: &[(Value, u64)], capacity: usize) {
+        debug_assert!(
+            counts.windows(2).all(|w| w[0].0 < w[1].0),
+            "counts must be strictly ascending by value"
+        );
         self.capacity = capacity.max(1);
         self.candidates.clear();
         self.tracked = 0;
         self.threshold = None;
-        self.live_rows = counts.values().sum();
-        for (&v, &c) in counts.iter().rev() {
+        self.live_rows = counts.iter().map(|&(_, c)| c).sum();
+        for &(v, c) in counts.iter().rev() {
             if self.tracked >= self.capacity as u64 {
                 // First excluded (distinct) value: everything at or
                 // below it is untracked.
@@ -205,7 +213,7 @@ impl CandidateIndex {
 mod tests {
     use super::*;
 
-    fn counts(pairs: &[(i64, u64)]) -> BTreeMap<Value, u64> {
+    fn counts(pairs: &[(i64, u64)]) -> Vec<(Value, u64)> {
         pairs.iter().map(|&(v, c)| (Value::new(v), c)).collect()
     }
 

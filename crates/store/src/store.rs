@@ -1,6 +1,6 @@
 //! [`NodeStore`]: the per-node persistent store, and its snapshots.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use privtopk_domain::{DomainError, LocalTopkSource, TopKVector, Value, ValueDoma
 use privtopk_observe::Recorder;
 
 use crate::index::{CandidateIndex, DEFAULT_CAPACITY};
-use crate::log::{log_path, replay, write_compacted, LogRecord, LogWriter};
+use crate::log::{log_path, replay, sorted_counts, write_compacted, LogRecord, LogWriter};
 use crate::StoreError;
 
 /// Counter name published for total live rows (rendered by the
@@ -231,14 +231,18 @@ impl NodeStore {
                 inner.writer.flush()?;
                 return Err(DomainError::OutOfDomain { value: v }.into());
             }
+            if !wrote {
+                // The memoized snapshot is stale from the first row on,
+                // even if a later row fails.
+                inner.cache = None;
+                wrote = true;
+            }
             inner.writer.append(LogRecord::Insert(v))?;
             inner.index.insert(v);
             inner.generation += 1;
-            wrote = true;
         }
         if wrote {
             inner.writer.flush()?;
-            inner.cache = None;
         }
         Ok(())
     }
@@ -398,15 +402,16 @@ pub fn publish_store_metrics(recorder: &Recorder, stats: &[StoreStats], snapshot
     recorder.gauge_set(METRIC_SNAPSHOT_AGE, age);
 }
 
-/// Net live counts per value from an iterator of values — helper for
-/// tests and benches that need the full-re-sort reference answer.
+/// Net live counts per value from an iterator of values, ascending by
+/// value as [`CandidateIndex::rebuild_from_counts`] takes them — helper
+/// for tests and benches that need the full-re-sort reference answer.
 #[must_use]
-pub fn counts_of<I: IntoIterator<Item = Value>>(values: I) -> BTreeMap<Value, u64> {
-    let mut counts = BTreeMap::new();
+pub fn counts_of<I: IntoIterator<Item = Value>>(values: I) -> Vec<(Value, u64)> {
+    let mut counts = HashMap::new();
     for v in values {
         *counts.entry(v).or_insert(0) += 1;
     }
-    counts
+    sorted_counts(counts)
 }
 
 #[cfg(test)]
@@ -478,6 +483,30 @@ mod tests {
             Err(StoreError::Domain(DomainError::OutOfDomain { .. }))
         ));
         assert_eq!(store.row_count(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partial_insert_many_failure_invalidates_the_snapshot() {
+        let dir = tmp_dir("partial");
+        let store = NodeStore::create(&dir, ValueDomain::paper_default()).unwrap();
+        store.insert_many(vals(&[5])).unwrap();
+        let _ = store.snapshot();
+        // 9000 lands, then 20000 is out of the paper domain.
+        assert!(matches!(
+            store.insert_many(vals(&[9000, 20000])),
+            Err(StoreError::Domain(DomainError::OutOfDomain { .. }))
+        ));
+        let stats = store.stats();
+        let snap = store.snapshot();
+        assert_eq!(snap.rows(), stats.rows);
+        assert_eq!(snap.epoch(), stats.generation);
+        assert_eq!(snap.top(), vals(&[9000, 5]).as_slice());
+        drop(store);
+        let reopened = NodeStore::open(&dir).unwrap();
+        let snap = reopened.snapshot();
+        assert_eq!(snap.rows(), stats.rows);
+        assert_eq!(snap.top(), vals(&[9000, 5]).as_slice());
         let _ = fs::remove_dir_all(&dir);
     }
 

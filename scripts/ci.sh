@@ -49,12 +49,39 @@ echo "$FRAME_OUT" | grep -q "1 passed" \
 # Storage gates, run by name: the incremental candidate index must
 # agree with a full re-sort over randomized insert/delete/query
 # interleavings, and a standing service racing a writer thread must
-# produce transcripts bit-identical to a frozen-snapshot run.
+# produce transcripts bit-identical to a frozen-snapshot run. The replay
+# gate pins the block-read log replay to the record-at-a-time reference
+# it replaced: on random logs spanning up to three read blocks, with
+# stray tags, out-of-domain inserts, unmatched deletes and torn tails,
+# read whole or 1-13 bytes at a time, both give the same counts and
+# record count or the same first error text. A failed `insert_many`
+# that landed rows must not leave a stale snapshot behind.
 echo "==> cargo test --test store_index_equivalence"
 cargo test --test store_index_equivalence
 
 echo "==> cargo test --test store_snapshot_isolation"
 cargo test --test store_snapshot_isolation
+
+echo "==> cargo test -p privtopk-store --lib replay_matches_record_at_a_time_reference"
+REPLAY_OUT=$(cargo test -p privtopk-store --lib replay_matches_record_at_a_time_reference 2>&1)
+echo "$REPLAY_OUT"
+echo "$REPLAY_OUT" | grep -q "1 passed" \
+    || { echo "error: replay reference gate matched no test (renamed?)" >&2; exit 1; }
+
+echo "==> cargo test -p privtopk-store --lib partial_insert_many_failure_invalidates_the_snapshot"
+STALE_OUT=$(cargo test -p privtopk-store --lib partial_insert_many_failure_invalidates_the_snapshot 2>&1)
+echo "$STALE_OUT"
+echo "$STALE_OUT" | grep -q "1 passed" \
+    || { echo "error: stale-snapshot gate matched no test (renamed?)" >&2; exit 1; }
+
+# SLO gate: evicting by each record's own stamp must keep exactly what
+# rescanning the window for its newest stamp did, report for report, on
+# out-of-order stamps.
+echo "==> cargo test -p privtopk-observe --lib stamp_horizon_eviction_matches_the_window_scan"
+SLO_OUT=$(cargo test -p privtopk-observe --lib stamp_horizon_eviction_matches_the_window_scan 2>&1)
+echo "$SLO_OUT"
+echo "$SLO_OUT" | grep -q "1 passed" \
+    || { echo "error: SLO window gate matched no test (renamed?)" >&2; exit 1; }
 
 echo "==> cargo test -p privtopk-core --lib compact_b64_mean_frame_under_budget"
 BUDGET_OUT=$(cargo test -p privtopk-core --lib compact_b64_mean_frame_under_budget 2>&1)
