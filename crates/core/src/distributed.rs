@@ -1,5 +1,8 @@
-//! The distributed protocol driver: one thread per private database,
-//! communicating only through a [`Transport`].
+//! The distributed protocol drivers: one thread per private database,
+//! communicating only through a [`Transport`]. Every node runs the one
+//! per-node protocol machine (`crate::node`): one-shot runs drive it
+//! through the service worker loop, batches through the lock-step loop
+//! at the end of this module.
 //!
 //! This runs the *same* local algorithms as the
 //! [`SimulationEngine`](crate::SimulationEngine) — with the same seed
@@ -8,27 +11,21 @@
 //! equivalence is asserted by integration tests and is what justifies
 //! running the large experiment sweeps in-process.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use privtopk_domain::rng::SeedSpec;
-use privtopk_domain::{NodeId, RingPosition, TopKVector};
+use privtopk_domain::{NodeId, TopKVector};
 use privtopk_observe::{Ctx, Phase, Recorder};
-use privtopk_ring::chaos::{ChaosEndpoint, ChaosState};
 use privtopk_ring::faults::{FaultyEndpoint, ReliableEndpoint};
-use privtopk_ring::transport::{send_value, FramePool, InMemoryNetwork, TcpNetwork, Transport};
-use privtopk_ring::{MetricsSnapshot, RingError, RingTopology, TransportMetrics};
-
-use crate::local::{max_step, topk_step_scratch, TopkScratch};
-use crate::{
-    AlgorithmKind, BatchJob, BatchMessage, ProtocolConfig, ProtocolError, StartPolicy, StepRecord,
-    TokenMessage, Transcript,
+use privtopk_ring::transport::{
+    send_value, InMemoryEndpoint, InMemoryNetwork, TcpNetwork, Transport,
 };
+use privtopk_ring::wire::decode_from_bytes;
+use privtopk_ring::{MetricsSnapshot, RingError, TransportMetrics};
 
-/// Seed stream tags — shared with the simulation engine so both drivers
-/// derive identical randomness.
-pub(crate) const STREAM_TOPOLOGY: u64 = 0x10;
-pub(crate) const STREAM_NODE: u64 = 0x20;
+use crate::local::TopkScratch;
+use crate::node::{assemble, check_query, k_mismatch, Hop, NodeMachine, SlotInit, WorkerReport};
+use crate::service::run_once;
+use crate::{BatchJob, BatchMessage, ProtocolConfig, ProtocolError, TokenMessage, Transcript};
 
 /// How long a worker waits for its predecessor before giving up.
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(30);
@@ -110,7 +107,7 @@ pub fn run_distributed_traced(
         RECV_TIMEOUT,
         recorder,
     )
-    .map_err(RunFailure::into_error)
+    .map_err(|failure| failure.error)
 }
 
 /// Scheduled mid-protocol crashes, for failure-recovery testing: node ->
@@ -157,221 +154,63 @@ pub(crate) struct RunFailure {
     pub error: ProtocolError,
 }
 
-impl RunFailure {
-    fn into_error(self) -> ProtocolError {
-        self.error
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_once(
-    config: &ProtocolConfig,
-    locals: &[TopKVector],
-    network: NetworkKind,
-    seed: u64,
-    crashes: &CrashSchedule,
-    recv_timeout: Duration,
-    recorder: &Recorder,
-) -> Result<DistributedOutcome, RunFailure> {
-    let fail = |error: ProtocolError| RunFailure {
-        crashed: Vec::new(),
-        error,
-    };
-    let n = locals.len();
-    config.validate(n).map_err(fail)?;
-    for local in locals {
-        if local.k() != config.k() {
-            return Err(fail(ProtocolError::InconsistentK {
-                expected: config.k(),
-                got: local.k(),
-            }));
-        }
-    }
-    if config.remap_each_round() {
-        return Err(fail(ProtocolError::Ring(RingError::Decode {
-            reason: "per-round remapping is not supported by the distributed driver",
-        })));
-    }
-    let rounds = config.resolve_rounds().map_err(fail)?;
-    let topology = Arc::new(derive_topology(config, n, seed).map_err(fail)?);
-
-    let (endpoints, metrics) = build_endpoints(network, n, seed, recorder).map_err(fail)?;
-    let drain_on_exit = drain_window(network);
-    let config = Arc::new(config.clone());
-    let mut handles = Vec::with_capacity(n);
-    for (i, endpoint) in endpoints.into_iter().enumerate() {
-        let me = NodeId::new(i);
-        let topology = Arc::clone(&topology);
-        let state = NodeWorker::for_query(Arc::clone(&config), locals[i].clone(), seed, i, rounds);
-        let crash_at = crashes.round_for(me);
-        let recorder = recorder.clone();
-        handles.push(std::thread::spawn(move || {
-            worker(
-                me,
-                state,
-                endpoint,
-                &topology,
-                rounds,
-                drain_on_exit,
-                crash_at,
-                recv_timeout,
-                recorder,
-                Ctx::EMPTY,
-            )
-        }));
-    }
-
-    let mut reports: Vec<WorkerReport> = Vec::with_capacity(n);
-    let mut crashed: Vec<NodeId> = Vec::new();
-    let mut first_error: Option<ProtocolError> = None;
-    for (i, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(Ok(report)) => reports.push(report),
-            Ok(Err(ProtocolError::WorkerCrashed { node })) => crashed.push(node),
-            Ok(Err(e)) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-            Err(_) => {
-                if first_error.is_none() {
-                    first_error = Some(ProtocolError::WorkerFailed { position: i });
-                }
-            }
-        }
-    }
-    if let Some(error) = first_error {
-        return Err(RunFailure { crashed, error });
-    }
-    if !crashed.is_empty() {
-        // Every survivor somehow finished despite crashes (cannot happen
-        // on a ring, but be defensive).
-        let node = crashed[0];
-        return Err(RunFailure {
-            crashed,
-            error: ProtocolError::WorkerCrashed { node },
-        });
-    }
-
-    reports.sort_by_key(|r| r.node.get());
-    let per_node_results: Vec<TopKVector> = reports.iter().map(|r| r.result.clone()).collect();
-    let mut steps: Vec<StepRecord> = reports.into_iter().flat_map(|r| r.steps).collect();
-    steps.sort_by_key(|s| (s.round, s.position.get()));
-    let result = per_node_results[0].clone();
-    let transcript = Transcript::new(
-        n,
-        config.k(),
-        rounds,
-        vec![topology.order().to_vec()],
-        steps,
-        result,
-    );
-    let snap = metrics.take();
-    snap.publish(recorder);
-    Ok(DistributedOutcome {
-        transcript,
-        per_node_results,
-        messages_sent: snap.logical_messages,
-        bytes_sent: snap.bytes_sent,
-    })
-}
-
-/// Derives a query's ring topology from its seed — the same
-/// `STREAM_TOPOLOGY` derivation as the simulation engine, shared by the
-/// one-shot, batched and persistent-service drivers.
-pub(crate) fn derive_topology(
-    config: &ProtocolConfig,
-    n: usize,
-    seed: u64,
-) -> Result<RingTopology, ProtocolError> {
-    Ok(match config.start() {
-        StartPolicy::Fixed => RingTopology::identity(n)?,
-        StartPolicy::RandomAnonymous => {
-            RingTopology::random(n, &mut SeedSpec::new(seed).stream(STREAM_TOPOLOGY).rng())?
-        }
-    })
-}
-
 /// Builds one endpoint per node over the requested substrate, plus the
-/// network's shared metrics. Over a lossy substrate the reliability
-/// layer shares the metrics and the recorder, so retransmissions and
-/// re-ACKs show up in both.
+/// network's shared metrics.
 pub(crate) fn build_endpoints(
     network: NetworkKind,
     n: usize,
     seed: u64,
     recorder: &Recorder,
 ) -> Result<(Vec<Box<dyn Transport>>, TransportMetrics), ProtocolError> {
+    fn boxed<T: Transport + 'static>(endpoints: Vec<T>) -> Vec<Box<dyn Transport>> {
+        endpoints
+            .into_iter()
+            .map(|e| Box::new(e) as Box<dyn Transport>)
+            .collect()
+    }
     Ok(match network {
         NetworkKind::InMemory => {
             let net = InMemoryNetwork::new(n);
             let metrics = net.metrics();
-            (
-                net.endpoints()
-                    .into_iter()
-                    .map(|e| Box::new(e) as Box<dyn Transport>)
-                    .collect(),
-                metrics,
-            )
+            (boxed(net.endpoints()), metrics)
         }
         NetworkKind::Tcp => {
             let net = TcpNetwork::bind(n)?;
             let metrics = net.metrics();
-            (
-                net.endpoints()?
-                    .into_iter()
-                    .map(|e| Box::new(e) as Box<dyn Transport>)
-                    .collect(),
-                metrics,
-            )
+            (boxed(net.endpoints()?), metrics)
         }
         NetworkKind::LossyInMemory { drop_probability } => {
-            let net = InMemoryNetwork::new(n);
-            let metrics = net.metrics();
-            (
-                net.endpoints()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, e)| {
-                        let faulty =
-                            FaultyEndpoint::new(e, drop_probability, seed ^ (i as u64) << 8);
-                        let reliable = ReliableEndpoint::new(faulty)
-                            .with_observer(metrics.clone(), recorder.clone());
-                        Box::new(reliable) as Box<dyn Transport>
-                    })
-                    .collect(),
-                metrics,
-            )
+            healed_endpoints(n, seed, recorder, |e, seed| {
+                FaultyEndpoint::new(e, drop_probability, seed)
+            })
         }
     })
 }
 
-/// Builds one endpoint per node with a [`ChaosEndpoint`] injecting the
-/// shared [`ChaosState`]'s scheduled incidents underneath the usual
-/// reliability layer. The stack mirrors the lossy substrate — chaos
-/// drops frames, stop-and-wait heals them, and both the metrics and the
-/// recorder see every retransmission and re-ACK of the healing storm.
-pub(crate) fn build_chaos_endpoints(
+/// In-memory endpoints whose frames pass through `inject` (seeded per
+/// node) beneath the stop-and-wait reliability layer: the injector (a
+/// lossy link or a chaos schedule) drops frames, the layer heals them,
+/// and both the metrics and the recorder see every retransmission and
+/// re-ACK.
+pub(crate) fn healed_endpoints<T: Transport + 'static>(
     n: usize,
     seed: u64,
     recorder: &Recorder,
-    state: &Arc<ChaosState>,
+    inject: impl Fn(InMemoryEndpoint, u64) -> T,
 ) -> (Vec<Box<dyn Transport>>, TransportMetrics) {
     let net = InMemoryNetwork::new(n);
     let metrics = net.metrics();
-    (
-        net.endpoints()
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let chaotic = ChaosEndpoint::new(e, Arc::clone(state), seed ^ (i as u64) << 8);
-                let reliable =
-                    ReliableEndpoint::new(chaotic).with_observer(metrics.clone(), recorder.clone());
-                Box::new(reliable) as Box<dyn Transport>
-            })
-            .collect(),
-        metrics,
-    )
+    let endpoints = net
+        .endpoints()
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let reliable = ReliableEndpoint::new(inject(e, seed ^ (i as u64) << 8))
+                .with_observer(metrics.clone(), recorder.clone());
+            Box::new(reliable) as Box<dyn Transport>
+        })
+        .collect();
+    (endpoints, metrics)
 }
 
 /// Lossy transports need a shutdown drain: a finished worker keeps
@@ -412,7 +251,7 @@ pub struct DistributedBatchOutcome {
 /// ring order): within a group, one [`BatchMessage`] per hop piggybacks
 /// every member query's token, so per-hop framing, thread spawning and
 /// syscalls are amortized across the group. Jobs with
-/// [`StartPolicy::RandomAnonymous`] derive their ring order from their own
+/// [`StartPolicy::RandomAnonymous`](crate::StartPolicy::RandomAnonymous) derive their ring order from their own
 /// seed (exactly as solo runs do), so they only coalesce when their orders
 /// happen to agree; fixed-start homogeneous batches — the serving-path
 /// case — always form a single group.
@@ -456,45 +295,30 @@ pub fn run_distributed_batch_traced(
                 reason: "batched jobs must share one federation (node count)",
             });
         }
-        job.config.validate(n)?;
-        for local in &job.locals {
-            if local.k() != job.config.k() {
-                return Err(ProtocolError::InconsistentK {
-                    expected: job.config.k(),
-                    got: local.k(),
-                });
-            }
-        }
-        if job.config.remap_each_round() {
-            return Err(ProtocolError::Ring(RingError::Decode {
-                reason: "per-round remapping is not supported by the distributed driver",
-            }));
-        }
+        check_query(&job.config, n, k_mismatch(job.config.k(), &job.locals))?;
     }
 
     // Resolve each job's rounds and ring order from its own seed — the
-    // same derivation as its solo run.
-    let mut prepared: Vec<(u32, Arc<RingTopology>)> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let rounds = job.config.resolve_rounds()?;
-        let topology = derive_topology(&job.config, n, job.seed)?;
-        prepared.push((rounds, Arc::new(topology)));
-    }
+    // same derivation as its solo run. A job's id is its batch index.
+    let inits: Vec<SlotInit> = jobs
+        .iter()
+        .enumerate()
+        .map(|(j, job)| SlotInit::new(j as u64, &job.config, n, job.seed))
+        .collect::<Result<_, _>>()?;
 
     // Partition into lock-step groups: same rounds, same ring order.
-    let mut groups: Vec<(u32, Arc<RingTopology>, Vec<usize>)> = Vec::new();
-    for (idx, (rounds, topology)) in prepared.iter().enumerate() {
-        match groups
-            .iter_mut()
-            .find(|(r, t, _)| r == rounds && t.order() == topology.order())
-        {
-            Some((_, _, members)) => members.push(idx),
-            None => groups.push((*rounds, Arc::clone(topology), vec![idx])),
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (idx, init) in inits.iter().enumerate() {
+        let lockstep = |members: &&mut Vec<usize>| {
+            let lead = &inits[members[0]];
+            lead.rounds == init.rounds && lead.topology.order() == init.topology.order()
+        };
+        match groups.iter_mut().find(lockstep) {
+            Some(members) => members.push(idx),
+            None => groups.push(vec![idx]),
         }
     }
 
-    let configs: Vec<Arc<ProtocolConfig>> =
-        jobs.iter().map(|j| Arc::new(j.config.clone())).collect();
     let mut transcripts: Vec<Option<Transcript>> = vec![None; jobs.len()];
     let mut per_node_results: Vec<Vec<TopKVector>> = vec![Vec::new(); jobs.len()];
     let mut wire = MetricsSnapshot::default();
@@ -504,94 +328,59 @@ pub fn run_distributed_batch_traced(
     // so the `--stats` table can show each group's own distribution
     // instead of folding every group into one histogram.
     let batch_started = recorder.clock();
-    for (group_idx, (rounds, topology, members)) in groups.iter().enumerate() {
+    for (group_idx, members) in groups.iter().enumerate() {
         if batch_started.is_some() {
             let name = format!("queue_wait/group{group_idx}");
             for _ in members {
                 recorder.observe_named(&name, batch_started);
             }
         }
+        // Every node's machines, one per member job, opened before any
+        // thread starts.
+        let machines: Vec<Vec<NodeMachine>> = (0..n)
+            .map(|i| {
+                members
+                    .iter()
+                    .map(|&j| {
+                        NodeMachine::open(NodeId::new(i), jobs[j].locals[i].clone(), &inits[j])
+                    })
+                    .collect::<Result<_, _>>()
+            })
+            .collect::<Result<_, _>>()?;
         let (endpoints, metrics) = build_endpoints(network, n, jobs[members[0]].seed, recorder)?;
         let drain_on_exit = drain_window(network);
-        let mut handles = Vec::with_capacity(n);
-        for (i, endpoint) in endpoints.into_iter().enumerate() {
-            let worker_jobs: Vec<NodeWorker> = members
-                .iter()
-                .map(|&j| {
-                    NodeWorker::for_query(
-                        Arc::clone(&configs[j]),
-                        jobs[j].locals[i].clone(),
-                        jobs[j].seed,
-                        i,
-                        *rounds,
-                    )
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .zip(machines)
+            .enumerate()
+            .map(|(i, (endpoint, machines))| {
+                let recorder = recorder.clone();
+                std::thread::spawn(move || {
+                    batch_worker(NodeId::new(i), machines, endpoint, drain_on_exit, recorder)
                 })
-                .collect();
-            let topology = Arc::clone(topology);
-            let rounds = *rounds;
-            let member_indices: Vec<u64> = members.iter().map(|&j| j as u64).collect();
-            let recorder = recorder.clone();
-            handles.push(std::thread::spawn(move || {
-                batch_worker(
-                    NodeId::new(i),
-                    worker_jobs,
-                    endpoint,
-                    &topology,
-                    rounds,
-                    drain_on_exit,
-                    RECV_TIMEOUT,
-                    recorder,
-                    &member_indices,
-                )
-            }));
-        }
+            })
+            .collect();
 
-        let mut reports: Vec<BatchWorkerReport> = Vec::with_capacity(n);
-        let mut first_error: Option<ProtocolError> = None;
-        for (i, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(Ok(report)) => reports.push(report),
-                Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if first_error.is_none() {
-                        first_error = Some(ProtocolError::WorkerFailed { position: i });
-                    }
-                }
+        // Join every node, then regroup the reports by member job; the
+        // first failing node's error wins.
+        let joined: Vec<Result<Vec<WorkerReport>, ProtocolError>> = handles
+            .into_iter()
+            .enumerate()
+            .map(|(position, handle)| {
+                let failed = ProtocolError::WorkerFailed { position };
+                handle.join().unwrap_or(Err(failed))
+            })
+            .collect();
+        let mut by_job: Vec<Vec<WorkerReport>> = (0..members.len()).map(|_| Vec::new()).collect();
+        for node_reports in joined {
+            for (reports, report) in by_job.iter_mut().zip(node_reports?) {
+                reports.push(report);
             }
         }
-        if let Some(error) = first_error {
-            return Err(error);
-        }
-        reports.sort_by_key(|r| r.node.get());
-
-        // Reassemble each member query's transcript from the per-node,
-        // per-job step logs.
-        let mut steps_by_job: Vec<Vec<StepRecord>> = vec![Vec::new(); members.len()];
-        let mut results_by_job: Vec<Vec<TopKVector>> = vec![Vec::new(); members.len()];
-        for report in reports {
-            for (slot, (steps, result)) in report.jobs.into_iter().enumerate() {
-                steps_by_job[slot].extend(steps);
-                results_by_job[slot].push(result);
-            }
-        }
-        for (slot, &job_idx) in members.iter().enumerate() {
-            let mut steps = std::mem::take(&mut steps_by_job[slot]);
-            steps.sort_by_key(|s| (s.round, s.position.get()));
-            let results = std::mem::take(&mut results_by_job[slot]);
-            let result = results[0].clone();
-            transcripts[job_idx] = Some(Transcript::new(
-                n,
-                jobs[job_idx].config.k(),
-                *rounds,
-                vec![topology.order().to_vec()],
-                steps,
-                result,
-            ));
-            per_node_results[job_idx] = results;
+        for (&job, reports) in members.iter().zip(by_job) {
+            let outcome = assemble(&inits[job], reports);
+            transcripts[job] = Some(outcome.transcript);
+            per_node_results[job] = outcome.per_node_results;
         }
         let snap = metrics.take();
         wire.frames_sent += snap.frames_sent;
@@ -717,254 +506,6 @@ pub fn run_with_recovery(
     })
 }
 
-/// Per-node, per-query protocol state shared by every execution mode —
-/// the one-shot [`worker`], the lock-step [`batch_worker`], and the
-/// persistent service's in-flight slots (`crate::service`). It owns the
-/// node's seed-derived RNG stream, the top-k insertion flag and the step
-/// log, and advances exactly one hop at a time; centralizing the hop
-/// computation here is what keeps every mode's transcript bit-identical
-/// to the simulation for a given seed.
-pub(crate) struct NodeWorker {
-    config: Arc<ProtocolConfig>,
-    local: TopKVector,
-    rng: rand::rngs::SmallRng,
-    has_inserted: bool,
-    steps: Vec<StepRecord>,
-}
-
-impl NodeWorker {
-    /// State for node index `i` of a query seeded by `seed`, using the
-    /// `STREAM_NODE` derivation shared with the simulation engine.
-    pub(crate) fn for_query(
-        config: Arc<ProtocolConfig>,
-        local: TopKVector,
-        seed: u64,
-        node_index: usize,
-        rounds: u32,
-    ) -> Self {
-        NodeWorker {
-            config,
-            local,
-            rng: SeedSpec::new(seed)
-                .stream(STREAM_NODE)
-                .stream(node_index as u64)
-                .rng(),
-            has_inserted: false,
-            steps: Vec::with_capacity(rounds as usize),
-        }
-    }
-
-    /// The domain-floor vector the starting node consumes in round 1
-    /// instead of receiving.
-    pub(crate) fn floor(&self) -> TopKVector {
-        TopKVector::floor(self.config.k(), &self.config.domain())
-    }
-
-    /// Runs one hop of the local algorithm: consumes `incoming`, records
-    /// the step, and returns the vector to forward to the successor.
-    ///
-    /// `scratch` is the hop kernel's working memory; drivers keep one per
-    /// thread (shared across all batch entries and pipeline slots) so the
-    /// hot loop never allocates a merge or tail buffer. The scratch never
-    /// carries state between hops, so sharing cannot perturb transcripts.
-    pub(crate) fn advance(
-        &mut self,
-        round: u32,
-        position: RingPosition,
-        node: NodeId,
-        incoming: TopKVector,
-        scratch: &mut TopkScratch,
-    ) -> Result<TopKVector, ProtocolError> {
-        let domain = self.config.domain();
-        let probability = self.config.schedule().probability(round);
-        let (outgoing, action) = match self.config.algorithm() {
-            AlgorithmKind::Max => {
-                let step = max_step(
-                    &mut self.rng,
-                    probability,
-                    incoming.first(),
-                    self.local.first(),
-                    &domain,
-                )?;
-                (TopKVector::from_sorted(vec![step.output])?, step.action)
-            }
-            AlgorithmKind::TopK => {
-                let outcome = topk_step_scratch(
-                    &mut self.rng,
-                    probability,
-                    &incoming,
-                    &self.local,
-                    self.has_inserted,
-                    self.config.delta(),
-                    &domain,
-                    scratch,
-                )?;
-                self.has_inserted = outcome.has_inserted;
-                let out = outcome.output.unwrap_or_else(|| incoming.clone());
-                (out, outcome.action)
-            }
-        };
-        self.steps.push(StepRecord {
-            round,
-            position,
-            node,
-            incoming,
-            outgoing: outgoing.clone(),
-            action,
-        });
-        Ok(outgoing)
-    }
-
-    /// Consumes the state, yielding the recorded step log.
-    pub(crate) fn into_steps(self) -> Vec<StepRecord> {
-        self.steps
-    }
-}
-
-pub(crate) struct WorkerReport {
-    pub(crate) node: NodeId,
-    pub(crate) steps: Vec<StepRecord>,
-    pub(crate) result: TopKVector,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    me: NodeId,
-    mut state: NodeWorker,
-    mut endpoint: Box<dyn Transport>,
-    topology: &RingTopology,
-    rounds: u32,
-    drain_on_exit: Option<Duration>,
-    crash_at: Option<u32>,
-    recv_timeout: Duration,
-    recorder: Recorder,
-    base_ctx: Ctx,
-) -> Result<WorkerReport, ProtocolError> {
-    let n = topology.len();
-    let position = topology.position_of(me)?;
-    let successor = topology.successor_of(me)?;
-    let predecessor = topology.predecessor_of(me)?;
-    let pool = endpoint.pool();
-    let my_ctx = base_ctx.with_node(me.get() as u32);
-
-    let recv_token = |endpoint: &mut Box<dyn Transport>,
-                      recorder: &Recorder,
-                      expect_round: u32|
-     -> Result<TopKVector, ProtocolError> {
-        let recv_started = recorder.clock();
-        let (from, msg): (NodeId, TokenMessage) =
-            recv_with_timeout(endpoint.as_mut(), recv_timeout)?;
-        recorder.record(Phase::Recv, my_ctx.with_round(expect_round), recv_started);
-        match msg {
-            TokenMessage::Token { round, vector } if round == expect_round => {
-                debug_assert_eq!(from, predecessor, "token must come from predecessor");
-                Ok(vector)
-            }
-            // Out-of-protocol round labels or premature termination: a
-            // semi-honest network never produces these.
-            TokenMessage::Token { .. } => Err(ProtocolError::Ring(RingError::Decode {
-                reason: "unexpected round label",
-            })),
-            TokenMessage::Finished { .. } => Err(ProtocolError::Ring(RingError::Decode {
-                reason: "premature termination message",
-            })),
-        }
-    };
-
-    let mut scratch = TopkScratch::new();
-    for round in 1..=rounds {
-        if crash_at == Some(round) {
-            // Simulated node failure: die silently, mid-protocol.
-            return Err(ProtocolError::WorkerCrashed { node: me });
-        }
-        let incoming = if round == 1 && position.is_start() {
-            state.floor()
-        } else {
-            // Position 0 consumes the previous round's closing token.
-            let expect = if position.is_start() {
-                round - 1
-            } else {
-                round
-            };
-            recv_token(&mut endpoint, &recorder, expect)?
-        };
-        let step_started = recorder.clock();
-        let outgoing = state.advance(round, position, me, incoming, &mut scratch)?;
-        recorder.record(
-            Phase::Step,
-            my_ctx.with_round(round).with_hop(position.get() as u32),
-            step_started,
-        );
-        send_value(
-            endpoint.as_mut(),
-            &pool,
-            successor,
-            &TokenMessage::Token {
-                round,
-                vector: outgoing,
-            },
-            1,
-            &recorder,
-            my_ctx.with_round(round),
-        )?;
-    }
-
-    // Termination: the starting node collects the closing token of the
-    // final round and circulates the result once around the ring.
-    let result = if position.is_start() {
-        let result = recv_token(&mut endpoint, &recorder, rounds)?;
-        send_value(
-            endpoint.as_mut(),
-            &pool,
-            successor,
-            &TokenMessage::Finished {
-                vector: result.clone(),
-            },
-            1,
-            &recorder,
-            my_ctx,
-        )?;
-        result
-    } else {
-        let recv_started = recorder.clock();
-        let (_, msg): (NodeId, TokenMessage) = recv_with_timeout(endpoint.as_mut(), recv_timeout)?;
-        recorder.record(Phase::Recv, my_ctx, recv_started);
-        let TokenMessage::Finished { vector } = msg else {
-            return Err(ProtocolError::Ring(RingError::Decode {
-                reason: "expected termination message",
-            }));
-        };
-        // Forward unless the successor is the starting node (which
-        // initiated the circulation and already has the result).
-        if position.get() + 1 < n {
-            send_value(
-                endpoint.as_mut(),
-                &pool,
-                successor,
-                &TokenMessage::Finished {
-                    vector: vector.clone(),
-                },
-                1,
-                &recorder,
-                my_ctx,
-            )?;
-        }
-        vector
-    };
-
-    // Over lossy transports, keep re-acknowledging retransmissions for a
-    // grace window so peers whose ACKs were dropped can finish cleanly.
-    if let Some(window) = drain_on_exit {
-        drain_endpoint(endpoint.as_mut(), window)?;
-    }
-
-    Ok(WorkerReport {
-        node: me,
-        steps: state.into_steps(),
-        result,
-    })
-}
-
 /// Keeps receiving (and discarding) frames until `window` elapses or the
 /// network disconnects — the shutdown drain for lossy transports, whose
 /// reliability layer re-acknowledges duplicates inside `recv`.
@@ -986,185 +527,139 @@ pub(crate) fn drain_endpoint(
     }
 }
 
-fn recv_with_timeout(
-    endpoint: &mut dyn Transport,
-    timeout: Duration,
-) -> Result<(NodeId, TokenMessage), ProtocolError> {
-    let (from, frame) = endpoint.recv_timeout(timeout)?;
-    let msg = privtopk_ring::wire::decode_from_bytes(&frame)?;
-    Ok((from, msg))
-}
-
-/// What one node reports back for a batch group: per job (in group
-/// order), its step log and learned result.
-struct BatchWorkerReport {
-    node: NodeId,
-    jobs: Vec<(Vec<StepRecord>, TopKVector)>,
-}
-
-/// The batched counterpart of [`worker`]: runs the identical per-round
-/// protocol for every member job, but exchanges one [`BatchMessage`] per
-/// hop carrying all member tokens. Each job advances with its own RNG and
-/// `has_inserted` flag, so its step sequence is the one its solo worker
-/// would produce.
-#[allow(clippy::too_many_arguments)]
+/// One node of a lock-step batch group: each hop exchanges one
+/// [`BatchMessage`] carrying every member query's token. The worker
+/// splits each frame into per-entry tokens for the members' machines and
+/// packs their outputs back into one frame; each member keeps its own RNG
+/// stream and `has_inserted` flag, so its step sequence is the one its
+/// solo run produces. Returns each member's report, in group order.
 fn batch_worker(
     me: NodeId,
-    mut jobs: Vec<NodeWorker>,
+    mut machines: Vec<NodeMachine>,
     mut endpoint: Box<dyn Transport>,
-    topology: &RingTopology,
-    rounds: u32,
     drain_on_exit: Option<Duration>,
-    recv_timeout: Duration,
     recorder: Recorder,
-    query_indices: &[u64],
-) -> Result<BatchWorkerReport, ProtocolError> {
-    let n = topology.len();
-    let width = jobs.len();
-    let logical = width as u64;
-    let position = topology.position_of(me)?;
-    let successor = topology.successor_of(me)?;
-    let predecessor = topology.predecessor_of(me)?;
+) -> Result<Vec<WorkerReport>, ProtocolError> {
+    let width = machines.len();
     let pool = endpoint.pool();
-    let my_ctx = Ctx::default().with_node(me.get() as u32);
-
-    let recv_batch = |endpoint: &mut Box<dyn Transport>,
-                      pool: &FramePool,
-                      recorder: &Recorder,
-                      expect_round: u32|
-     -> Result<Vec<TopKVector>, ProtocolError> {
-        let recv_started = recorder.clock();
-        let (from, frame) = endpoint.recv_timeout(recv_timeout)?;
-        recorder.record(Phase::Recv, my_ctx.with_round(expect_round), recv_started);
-        let msg: BatchMessage = privtopk_ring::wire::decode_from_bytes(&frame)?;
-        pool.recycle(frame);
-        match msg {
-            BatchMessage::Tokens { round, vectors } if round == expect_round => {
-                debug_assert_eq!(from, predecessor, "tokens must come from predecessor");
-                if vectors.len() != width {
-                    return Err(ProtocolError::Ring(RingError::Decode {
-                        reason: "batch width changed mid-flight",
-                    }));
-                }
-                Ok(vectors)
-            }
-            BatchMessage::Tokens { .. } => Err(ProtocolError::Ring(RingError::Decode {
-                reason: "unexpected round label",
-            })),
-            BatchMessage::Finished { .. } => Err(ProtocolError::Ring(RingError::Decode {
-                reason: "premature termination message",
-            })),
-        }
-    };
-
+    let successor = machines[0].successor();
+    let ctx = Ctx::default().with_node(me.get() as u32);
     // One hop-kernel scratch shared across all B entries of the group:
-    // per-entry state lives in the jobs, the merge/tail buffers do not.
+    // per-entry state lives in the machines, the merge/tail buffers do not.
     let mut scratch = TopkScratch::new();
-    for round in 1..=rounds {
-        let incomings: Vec<TopKVector> = if round == 1 && position.is_start() {
-            jobs.iter().map(NodeWorker::floor).collect()
-        } else {
-            // Position 0 consumes the previous round's closing tokens.
-            let expect = if position.is_start() {
-                round - 1
-            } else {
-                round
-            };
-            recv_batch(&mut endpoint, &pool, &recorder, expect)?
-        };
-        let mut outgoing_vectors = Vec::with_capacity(width);
-        for ((slot, job), incoming) in jobs.iter_mut().enumerate().zip(incomings) {
-            let step_started = recorder.clock();
-            outgoing_vectors.push(job.advance(round, position, me, incoming, &mut scratch)?);
-            recorder.record(
-                Phase::Step,
-                my_ctx
-                    .with_query(query_indices[slot])
-                    .with_round(round)
-                    .with_hop(position.get() as u32),
-                step_started,
-            );
-        }
-        send_value(
-            endpoint.as_mut(),
-            &pool,
-            successor,
-            &BatchMessage::Tokens {
-                round,
-                vectors: outgoing_vectors,
-            },
-            logical,
-            &recorder,
-            my_ctx.with_round(round),
-        )?;
-    }
-
-    // Termination mirrors the solo worker: the starting node collects the
-    // final closing tokens and circulates them once around the ring.
-    let results: Vec<TopKVector> = if position.is_start() {
-        let results = recv_batch(&mut endpoint, &pool, &recorder, rounds)?;
-        send_value(
-            endpoint.as_mut(),
-            &pool,
-            successor,
-            &BatchMessage::Finished {
-                vectors: results.clone(),
-            },
-            logical,
-            &recorder,
-            my_ctx,
-        )?;
-        results
-    } else {
-        let recv_started = recorder.clock();
-        let (_, frame) = endpoint.recv_timeout(recv_timeout)?;
-        recorder.record(Phase::Recv, my_ctx, recv_started);
-        let msg: BatchMessage = privtopk_ring::wire::decode_from_bytes(&frame)?;
-        pool.recycle(frame);
-        let BatchMessage::Finished { vectors } = msg else {
-            return Err(ProtocolError::Ring(RingError::Decode {
-                reason: "expected termination message",
-            }));
-        };
-        if vectors.len() != width {
-            return Err(ProtocolError::Ring(RingError::Decode {
-                reason: "batch width changed mid-flight",
-            }));
-        }
-        if position.get() + 1 < n {
+    let mut hops = machines
+        .iter_mut()
+        .map(|machine| machine.kick_off(&mut scratch, &recorder))
+        .collect::<Result<Vec<Hop>, _>>()?;
+    let results = loop {
+        let (forwards, results): (Vec<_>, Vec<_>) = hops
+            .into_iter()
+            .map(|hop| (hop.forward, hop.result))
+            .unzip();
+        if let Some(batch) = pack(forwards)? {
             send_value(
                 endpoint.as_mut(),
                 &pool,
                 successor,
-                &BatchMessage::Finished {
-                    vectors: vectors.clone(),
-                },
-                logical,
+                &batch,
+                width as u64,
                 &recorder,
-                my_ctx,
+                batch_ctx(ctx, &batch),
             )?;
         }
-        vectors
+        if results.iter().all(Option::is_some) {
+            break results.into_iter().flatten().collect::<Vec<_>>();
+        }
+        let recv_started = recorder.clock();
+        let (from, frame) = endpoint.recv_timeout(RECV_TIMEOUT)?;
+        let batch: BatchMessage = decode_from_bytes(&frame)?;
+        pool.recycle(frame);
+        recorder.record(Phase::Recv, batch_ctx(ctx, &batch), recv_started);
+        if batch.len() != width {
+            return Err(ProtocolError::Ring(RingError::Decode {
+                reason: "batch width changed mid-flight",
+            }));
+        }
+        hops = machines
+            .iter_mut()
+            .zip(split(batch))
+            .map(|(machine, token)| machine.take(from, token, &mut scratch, &recorder))
+            .collect::<Result<_, _>>()?;
     };
 
+    // Over lossy transports, keep re-acknowledging retransmissions for a
+    // grace window so peers whose ACKs were dropped can finish cleanly.
     if let Some(window) = drain_on_exit {
         drain_endpoint(endpoint.as_mut(), window)?;
     }
+    Ok(machines
+        .into_iter()
+        .zip(results)
+        .map(|(machine, result)| WorkerReport {
+            node: me,
+            steps: machine.into_steps(),
+            result,
+        })
+        .collect())
+}
 
-    Ok(BatchWorkerReport {
-        node: me,
-        jobs: jobs
+/// The span context of a batch frame: the node, plus the round label of
+/// a token batch.
+fn batch_ctx(ctx: Ctx, batch: &BatchMessage) -> Ctx {
+    match batch {
+        BatchMessage::Tokens { round, .. } => ctx.with_round(*round),
+        BatchMessage::Finished { .. } => ctx,
+    }
+}
+
+/// One batch frame as the per-entry tokens its members would have sent
+/// alone.
+fn split(batch: BatchMessage) -> Vec<TokenMessage> {
+    match batch {
+        BatchMessage::Tokens { round, vectors } => vectors
             .into_iter()
-            .zip(results)
-            .map(|(job, result)| (job.into_steps(), result))
+            .map(|vector| TokenMessage::Token { round, vector })
             .collect(),
-    })
+        BatchMessage::Finished { vectors } => vectors
+            .into_iter()
+            .map(|vector| TokenMessage::Finished { vector })
+            .collect(),
+    }
+}
+
+/// Packs one lock-step hop's per-entry outputs back into a batch frame:
+/// `None` when no entry forwards (the last node of the termination
+/// circulation), an error if the entries disagree on what to send.
+fn pack(forwards: Vec<Option<TokenMessage>>) -> Result<Option<BatchMessage>, ProtocolError> {
+    let width = forwards.len();
+    // `Some(round)` labels a token batch, `None` a termination batch.
+    let mut label: Option<Option<u32>> = None;
+    let mut vectors = Vec::with_capacity(width);
+    for forward in forwards.into_iter().flatten() {
+        let (round, vector) = match forward {
+            TokenMessage::Token { round, vector } => (Some(round), vector),
+            TokenMessage::Finished { vector } => (None, vector),
+        };
+        // An entry disagreeing with the first one's label is left out,
+        // which the width check below turns into an error.
+        if *label.get_or_insert(round) == round {
+            vectors.push(vector);
+        }
+    }
+    match label {
+        None => Ok(None),
+        Some(_) if vectors.len() != width => Err(ProtocolError::Ring(RingError::Decode {
+            reason: "batch entries fell out of lock-step",
+        })),
+        Some(Some(round)) => Ok(Some(BatchMessage::Tokens { round, vectors })),
+        Some(None) => Ok(Some(BatchMessage::Finished { vectors })),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RoundPolicy, SimulationEngine};
+    use crate::{RoundPolicy, SimulationEngine, StartPolicy};
     use privtopk_domain::{Value, ValueDomain};
 
     fn locals_k(k: usize, data: &[&[i64]]) -> Vec<TopKVector> {

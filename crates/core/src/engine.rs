@@ -11,9 +11,10 @@ use crate::{
     AlgorithmKind, BatchJob, ProtocolConfig, ProtocolError, StartPolicy, StepRecord, Transcript,
 };
 
-/// Seed stream tags.
-const STREAM_TOPOLOGY: u64 = 0x10;
-const STREAM_NODE: u64 = 0x20;
+/// Seed stream tags, shared with the wire drivers so every execution
+/// mode derives identical randomness.
+pub(crate) const STREAM_TOPOLOGY: u64 = 0x10;
+pub(crate) const STREAM_NODE: u64 = 0x20;
 const STREAM_REMAP: u64 = 0x30;
 
 /// Executes a protocol configuration over in-process nodes, deterministic

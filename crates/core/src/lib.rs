@@ -57,6 +57,7 @@ pub mod groups;
 pub mod latency;
 pub mod local;
 mod messages;
+mod node;
 mod schedule;
 pub mod service;
 mod transcript;

@@ -17,11 +17,16 @@
 //! different position on the ring. Wire frames are tagged with a
 //! scheduler-assigned query id ([`SlotMessage`](crate::SlotMessage)) so
 //! workers demultiplex interleaved traversals onto per-query slots; each
-//! slot owns its seed-derived RNG stream and step log (a
-//! [`NodeWorker`]), so every transcript stays bit-identical to the same
-//! query's solo [`run_distributed`](crate::distributed::run_distributed)
-//! run regardless of how traversals interleave. Pipelining changes only
+//! slot is one node machine (`crate::node`) owning its seed-derived RNG
+//! stream and step log, so every transcript stays bit-identical to the
+//! same query's solo
+//! [`run_distributed`](crate::distributed::run_distributed) run
+//! regardless of how traversals interleave. Pipelining changes only
 //! *scheduling*, never per-query randomness.
+//!
+//! The same worker loop runs every one-shot query too: `run_distributed`
+//! starts n workers, each with the query's slot already open and no live
+//! control channel.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -30,21 +35,22 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use privtopk_domain::{LocalTopkSource, NodeId, RingPosition, TopKVector};
+use privtopk_domain::{LocalTopkSource, NodeId, TopKVector};
 use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Phase, Recorder};
 use privtopk_ring::transport::{send_value, FramePool, Transport};
 use privtopk_ring::wire::decode_from_bytes;
-use privtopk_ring::{MetricsSnapshot, RingError, RingTopology, TransportMetrics};
+use privtopk_ring::{MetricsSnapshot, RingError, TransportMetrics};
 
-use privtopk_ring::chaos::{ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
+use privtopk_ring::chaos::{ChaosEndpoint, ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
 
 use crate::distributed::{
-    build_chaos_endpoints, build_endpoints, derive_topology, drain_endpoint, drain_window,
-    NetworkKind, NodeWorker, WorkerReport, RECV_TIMEOUT,
+    build_endpoints, drain_endpoint, drain_window, healed_endpoints, CrashSchedule,
+    DistributedOutcome, NetworkKind, RunFailure, RECV_TIMEOUT,
 };
 use crate::local::TopkScratch;
 use crate::messages::SlotMessage;
-use crate::{ProtocolConfig, ProtocolError, StepRecord, TokenMessage, Transcript};
+use crate::node::{assemble, check_query, k_mismatch, Hop, NodeMachine, SlotInit, WorkerReport};
+use crate::{ProtocolConfig, ProtocolError, StepRecord, Transcript};
 
 /// How often an active worker interrupts its endpoint wait to pick up
 /// new slot assignments (or a shutdown) from the scheduler. Frames wake
@@ -89,15 +95,6 @@ impl QueryTicket {
     }
 }
 
-/// Everything a worker needs to open a slot for one query.
-struct SlotInit {
-    query: u64,
-    config: Arc<ProtocolConfig>,
-    topology: Arc<RingTopology>,
-    rounds: u32,
-    seed: u64,
-}
-
 enum WorkerControl {
     Assign(Arc<SlotInit>),
     Shutdown,
@@ -111,87 +108,9 @@ struct SlotReport {
     result: Result<(Vec<StepRecord>, TopKVector), ProtocolError>,
 }
 
-/// Where an in-flight slot stands in the ring protocol.
-///
-/// This is the solo worker's control flow unrolled into a state machine,
-/// so one long-lived thread can hold many queries at different protocol
-/// positions at once.
-#[derive(Debug, Clone, Copy)]
-#[allow(clippy::enum_variant_names)] // every phase *is* a wait
-enum SlotPhase {
-    /// Waiting for `Token { round: expect }`; on arrival compute round
-    /// `compute` (they differ only on the starting node, which consumes
-    /// round r's closing token as input to round r + 1).
-    AwaitToken { expect: u32, compute: u32 },
-    /// Starting node, all rounds computed: waiting for the final round's
-    /// closing token to initiate the termination circulation.
-    AwaitClosing,
-    /// Non-starting node, all rounds computed: waiting for the
-    /// termination circulation.
-    AwaitFinished,
-}
-
-/// One in-flight query at one node.
-struct SlotState {
-    query: u64,
-    state: NodeWorker,
-    phase: SlotPhase,
-    position: RingPosition,
-    successor: NodeId,
-    rounds: u32,
-    n: usize,
-}
-
-impl SlotState {
-    /// The phase entered after computing round `computed`.
-    fn phase_after(&self, computed: u32) -> SlotPhase {
-        if self.position.is_start() {
-            if computed < self.rounds {
-                SlotPhase::AwaitToken {
-                    expect: computed,
-                    compute: computed + 1,
-                }
-            } else {
-                SlotPhase::AwaitClosing
-            }
-        } else if computed < self.rounds {
-            SlotPhase::AwaitToken {
-                expect: computed + 1,
-                compute: computed + 1,
-            }
-        } else {
-            SlotPhase::AwaitFinished
-        }
-    }
-}
-
-enum SlotProgress {
-    Running,
-    Done(TopKVector),
-}
-
-fn expect_token(msg: TokenMessage, expect: u32) -> Result<TopKVector, ProtocolError> {
-    match msg {
-        TokenMessage::Token { round, vector } if round == expect => Ok(vector),
-        TokenMessage::Token { .. } => Err(ProtocolError::Ring(RingError::Decode {
-            reason: "unexpected round label",
-        })),
-        TokenMessage::Finished { .. } => Err(ProtocolError::Ring(RingError::Decode {
-            reason: "premature termination message",
-        })),
-    }
-}
-
-enum FrameEvent {
-    Frame(Bytes),
-    ControlOnly,
-    TimedOut,
-    Broken(ProtocolError),
-}
-
 /// The long-lived per-node worker: owns the node's database snapshot and
-/// ring endpoint, and multiplexes any number of in-flight query slots
-/// over them until told to shut down.
+/// ring endpoint, and multiplexes any number of in-flight query slots —
+/// one [`NodeMachine`] each — over them until told to shut down.
 struct ServiceWorker {
     me: NodeId,
     local: TopKVector,
@@ -201,7 +120,13 @@ struct ServiceWorker {
     reports: Sender<SlotReport>,
     drain_on_exit: Option<Duration>,
     recv_timeout: Duration,
-    slots: HashMap<u64, SlotState>,
+    /// One-shot runs only: the round before which this node dies.
+    crash_at: Option<u32>,
+    slots: HashMap<u64, NodeMachine>,
+    /// The highest query id assigned so far. Assigns reach a worker in
+    /// increasing id order, so a frame at or below it with no open slot
+    /// belongs to a query this worker has already closed.
+    highest_assigned: Option<u64>,
     draining: bool,
     recorder: Recorder,
     /// Hop-kernel working memory, shared across every in-flight slot:
@@ -211,66 +136,75 @@ struct ServiceWorker {
 }
 
 impl ServiceWorker {
-    /// The telemetry context every span from this worker carries.
-    fn ctx(&self) -> Ctx {
-        Ctx::default().with_node(self.me.get() as u32)
+    fn new(
+        me: NodeId,
+        local: TopKVector,
+        endpoint: Box<dyn Transport>,
+        control: Receiver<WorkerControl>,
+        reports: Sender<SlotReport>,
+        drain_on_exit: Option<Duration>,
+        recorder: Recorder,
+    ) -> ServiceWorker {
+        ServiceWorker {
+            me,
+            local,
+            pool: endpoint.pool(),
+            endpoint,
+            control,
+            reports,
+            drain_on_exit,
+            recv_timeout: RECV_TIMEOUT,
+            crash_at: None,
+            slots: HashMap::new(),
+            highest_assigned: None,
+            draining: false,
+            recorder,
+            scratch: TopkScratch::new(),
+        }
     }
 
     fn run(mut self) {
         loop {
-            if !self.pump_control() {
-                self.draining = true;
-            }
+            self.pump_control();
             if self.slots.is_empty() {
                 if self.draining {
                     break;
                 }
-                if self.drain_on_exit.is_some() {
-                    // Lossy transport: a peer may be retransmitting a
-                    // frame we already consumed whose ACK was dropped,
-                    // and only a recv re-acknowledges it — so an idle
-                    // worker must stay on the wire, not go deaf on the
-                    // control channel.
-                    match self.control.recv_timeout(ACTIVE_POLL) {
-                        Ok(msg) => self.handle_control(msg),
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Re-ACKs duplicates inside the reliability
-                            // layer; a genuinely new frame (one that
-                            // outran its own Assign) is dispatched.
-                            if let Ok((_, frame)) = self.endpoint.recv_timeout(ACTIVE_POLL) {
-                                self.dispatch(frame);
-                            }
+                if self.drain_on_exit.is_none() {
+                    // Idle: block until the scheduler speaks again — no
+                    // polling, so a depth-1 workload pays no poll latency.
+                    let idle_started = self.recorder.clock();
+                    match self.control.recv() {
+                        Ok(msg) => {
+                            let ctx = Ctx::default().with_node(self.me.get() as u32);
+                            self.recorder.record(Phase::Idle, ctx, idle_started);
+                            self.handle_control(msg);
                         }
-                        Err(RecvTimeoutError::Disconnected) => break,
+                        Err(_) => break,
                     }
                     continue;
                 }
-                // Idle: block until the scheduler speaks again — no
-                // polling, so a depth-1 workload pays no poll latency.
-                let idle_started = self.recorder.clock();
-                match self.control.recv() {
-                    Ok(msg) => {
-                        self.recorder.record(Phase::Idle, self.ctx(), idle_started);
-                        self.handle_control(msg);
-                    }
-                    Err(_) => break,
-                }
-                continue;
+                // Lossy transport: a peer may be retransmitting a frame
+                // we already consumed whose ACK was dropped, and only a
+                // recv re-acknowledges it — so an idle worker stays on
+                // the wire below, not deaf on the control channel.
             }
             match self.recv_frame() {
-                FrameEvent::Frame(frame) => self.dispatch(frame),
-                FrameEvent::ControlOnly => {}
-                FrameEvent::TimedOut => self.fail_all(|| ProtocolError::Ring(RingError::Timeout)),
-                FrameEvent::Broken(e) => {
-                    // The transport itself died: first slot gets the real
-                    // error, the rest a disconnect.
-                    let mut first = Some(e);
-                    self.fail_all(move || {
-                        first
-                            .take()
-                            .unwrap_or(ProtocolError::Ring(RingError::Disconnected))
+                Ok(Some((from, frame, started))) => self.dispatch(from, frame, started),
+                Ok(None) => {}
+                Err(error) => {
+                    // A timeout fails every open slot. A broken transport
+                    // gives the first slot the real error, the rest a
+                    // disconnect, and ends the worker.
+                    let broken = !matches!(error, ProtocolError::Ring(RingError::Timeout));
+                    self.fail_all(error, || {
+                        ProtocolError::Ring(if broken {
+                            RingError::Disconnected
+                        } else {
+                            RingError::Timeout
+                        })
                     });
-                    self.draining = true;
+                    self.draining |= broken;
                 }
             }
         }
@@ -281,153 +215,116 @@ impl ServiceWorker {
         }
     }
 
-    /// Drains pending control messages; returns `false` once the
-    /// scheduler has hung up.
-    fn pump_control(&mut self) -> bool {
-        loop {
+    /// Drains pending control messages, and starts draining once the
+    /// scheduler has hung up. A draining worker expects no more control
+    /// messages, so it no longer looks.
+    fn pump_control(&mut self) {
+        while !self.draining {
             match self.control.try_recv() {
                 Ok(msg) => self.handle_control(msg),
-                Err(TryRecvError::Empty) => return true,
-                Err(TryRecvError::Disconnected) => return false,
+                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Disconnected) => self.draining = true,
             }
         }
     }
 
     fn handle_control(&mut self, msg: WorkerControl) {
         match msg {
-            WorkerControl::Assign(init) => {
-                if let Err(e) = self.assign(&init) {
-                    self.report_err(init.query, e);
-                }
-            }
+            WorkerControl::Assign(init) => self.assign(&init),
             WorkerControl::Shutdown => self.draining = true,
         }
     }
 
-    /// Opens a slot for one query; the starting node computes round 1
-    /// from the domain floor and forwards it immediately.
-    fn assign(&mut self, init: &SlotInit) -> Result<(), ProtocolError> {
-        let position = init.topology.position_of(self.me)?;
-        let successor = init.topology.successor_of(self.me)?;
-        let state = NodeWorker::for_query(
-            Arc::clone(&init.config),
-            self.local.clone(),
-            init.seed,
-            self.me.get(),
-            init.rounds,
-        );
-        let mut slot = SlotState {
-            query: init.query,
-            state,
-            phase: SlotPhase::AwaitToken {
-                expect: 1,
-                compute: 1,
-            },
-            position,
-            successor,
-            rounds: init.rounds,
-            n: init.topology.len(),
+    /// Opens a slot for one query; the starting node kicks off round 1
+    /// at once.
+    fn assign(&mut self, init: &SlotInit) {
+        self.highest_assigned = Some(init.query);
+        let mut machine = match NodeMachine::open(self.me, self.local.clone(), init) {
+            Ok(machine) => machine,
+            Err(e) => return self.report(init.query, Err(e)),
         };
-        if position.is_start() {
-            let incoming = slot.state.floor();
-            let step_started = self.recorder.clock();
-            let outgoing = slot
-                .state
-                .advance(1, position, self.me, incoming, &mut self.scratch)?;
-            self.recorder.record(
-                Phase::Step,
-                self.ctx()
-                    .with_query(slot.query)
-                    .with_round(1)
-                    .with_hop(position.get() as u32),
-                step_started,
-            );
-            self.forward(
-                &slot,
-                Some(1),
-                TokenMessage::Token {
-                    round: 1,
-                    vector: outgoing,
-                },
-            )?;
-            slot.phase = slot.phase_after(1);
+        if self.crash_due(&machine) {
+            return self.crash(init.query);
         }
-        self.slots.insert(init.query, slot);
-        Ok(())
+        let hop = machine.kick_off(&mut self.scratch, &self.recorder);
+        self.settle(init.query, machine, hop);
     }
 
-    /// Waits for a frame while keeping the control plane responsive.
-    fn recv_frame(&mut self) -> FrameEvent {
-        let ctx = self.ctx();
+    /// Waits for a frame, its sender, and when the wait began. While the
+    /// scheduler can still assign, the wait wakes every [`ACTIVE_POLL`] to
+    /// pick up control messages, and an idle worker returns `None` to the
+    /// loop; once the scheduler has hung up (or sent its shutdown),
+    /// nothing more can arrive there, so the wait blocks on the endpoint
+    /// for the whole deadline.
+    fn recv_frame(&mut self) -> Result<Option<(NodeId, Bytes, Option<Instant>)>, ProtocolError> {
         let recv_started = self.recorder.clock();
         let deadline = Instant::now() + self.recv_timeout;
+        let mut remaining = self.recv_timeout;
         loop {
-            match self.endpoint.recv_timeout(ACTIVE_POLL) {
-                Ok((_, frame)) => {
-                    self.recorder.record(Phase::Recv, ctx, recv_started);
-                    return FrameEvent::Frame(frame);
-                }
+            let wait = if self.draining {
+                remaining
+            } else {
+                ACTIVE_POLL
+            };
+            match self.endpoint.recv_timeout(wait) {
+                Ok((from, frame)) => return Ok(Some((from, frame, recv_started))),
                 Err(RingError::Timeout) => {
-                    if !self.pump_control() {
-                        self.draining = true;
+                    self.pump_control();
+                    if self.slots.is_empty() {
+                        return Ok(None);
                     }
-                    if self.draining && self.slots.is_empty() {
-                        return FrameEvent::ControlOnly;
-                    }
-                    if Instant::now() >= deadline {
-                        return FrameEvent::TimedOut;
+                    remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return Err(ProtocolError::Ring(RingError::Timeout));
                     }
                 }
-                Err(e) => return FrameEvent::Broken(e.into()),
+                Err(e) => return Err(e.into()),
             }
         }
     }
 
-    /// Demultiplexes one tagged frame onto its slot and advances it.
-    fn dispatch(&mut self, frame: Bytes) {
+    /// Demultiplexes one tagged frame onto its slot's machine.
+    fn dispatch(&mut self, from: NodeId, frame: Bytes, recv_started: Option<Instant>) {
         let msg: SlotMessage = match decode_from_bytes(&frame) {
             Ok(msg) => msg,
             Err(e) => {
                 // An unattributable frame: the ring is corrupt for
                 // everyone currently on it.
-                let mut first = Some(ProtocolError::from(e));
-                self.fail_all(move || {
-                    first
-                        .take()
-                        .unwrap_or(ProtocolError::Ring(RingError::Disconnected))
-                });
+                self.fail_all(e.into(), || ProtocolError::Ring(RingError::Disconnected));
                 return;
             }
         };
         self.pool.recycle(frame);
         let query = msg.query;
-        if !self.slots.contains_key(&query) && !self.await_assignment(query) {
-            self.report_err(query, ProtocolError::Ring(RingError::Timeout));
+        if !self.await_assignment(query) {
+            self.report(query, Err(ProtocolError::Ring(RingError::Timeout)));
             return;
         }
-        let mut slot = self.slots.remove(&query).expect("assignment awaited");
-        match self.slot_step(&mut slot, msg.inner) {
-            Ok(SlotProgress::Running) => {
-                self.slots.insert(query, slot);
-            }
-            Ok(SlotProgress::Done(result)) => {
-                let _ = self.reports.send(SlotReport {
-                    query,
-                    node: self.me,
-                    result: Ok((slot.state.into_steps(), result)),
-                });
-            }
-            Err(e) => self.report_err(query, e),
-        }
+        // No open slot for an assigned query: it is already closed here
+        // (it failed at this node while upstream kept forwarding, or a
+        // peer injected the frame), so the frame is dropped.
+        let Some(mut machine) = self.slots.remove(&query) else {
+            return;
+        };
+        self.recorder
+            .record(Phase::Recv, machine.span_ctx(&msg.inner), recv_started);
+        let hop = machine.take(from, msg.inner, &mut self.scratch, &self.recorder);
+        self.settle(query, machine, hop);
     }
 
     /// A frame can outrun its own `Assign`: the starting node kicks off
     /// the moment it is assigned, while the scheduler is still fanning
     /// the control message out to the other workers. Block on the
-    /// control channel until this query's slot exists.
+    /// control channel until `query` has been assigned here.
     fn await_assignment(&mut self, query: u64) -> bool {
+        if self
+            .highest_assigned
+            .is_some_and(|highest| highest >= query)
+        {
+            return true;
+        }
         let deadline = Instant::now() + self.recv_timeout;
-        while !self.slots.contains_key(&query) {
+        while self.highest_assigned.is_none_or(|highest| highest < query) {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return false;
@@ -444,127 +341,168 @@ impl ServiceWorker {
         true
     }
 
-    /// Runs one hop of one slot — the solo worker's per-round body, with
-    /// the phase machine standing in for its sequential control flow.
-    fn slot_step(
-        &mut self,
-        slot: &mut SlotState,
-        msg: TokenMessage,
-    ) -> Result<SlotProgress, ProtocolError> {
-        match slot.phase {
-            SlotPhase::AwaitToken { expect, compute } => {
-                let incoming = expect_token(msg, expect)?;
-                let step_started = self.recorder.clock();
-                let outgoing = slot.state.advance(
-                    compute,
-                    slot.position,
-                    self.me,
-                    incoming,
-                    &mut self.scratch,
+    /// Acts on one machine's hop: sends what it forwards, then reports
+    /// the slot once the query is over at this node, or keeps it open —
+    /// unless a scheduled crash is due before the machine's next round.
+    fn settle(&mut self, query: u64, machine: NodeMachine, hop: Result<Hop, ProtocolError>) {
+        let settled = hop.and_then(|hop| {
+            if let Some(inner) = hop.forward {
+                // Tagged with its query id, for the successor's demux.
+                let ctx = machine.span_ctx(&inner);
+                send_value(
+                    self.endpoint.as_mut(),
+                    &self.pool,
+                    machine.successor(),
+                    &SlotMessage { query, inner },
+                    1,
+                    &self.recorder,
+                    ctx,
                 )?;
-                self.recorder.record(
-                    Phase::Step,
-                    self.ctx()
-                        .with_query(slot.query)
-                        .with_round(compute)
-                        .with_hop(slot.position.get() as u32),
-                    step_started,
-                );
-                self.forward(
-                    slot,
-                    Some(compute),
-                    TokenMessage::Token {
-                        round: compute,
-                        vector: outgoing,
-                    },
-                )?;
-                slot.phase = slot.phase_after(compute);
-                Ok(SlotProgress::Running)
             }
-            SlotPhase::AwaitClosing => {
-                let result = expect_token(msg, slot.rounds)?;
-                self.forward(
-                    slot,
-                    None,
-                    TokenMessage::Finished {
-                        vector: result.clone(),
-                    },
-                )?;
-                Ok(SlotProgress::Done(result))
-            }
-            SlotPhase::AwaitFinished => {
-                let TokenMessage::Finished { vector } = msg else {
-                    return Err(ProtocolError::Ring(RingError::Decode {
-                        reason: "expected termination message",
-                    }));
-                };
-                // Forward unless the successor is the starting node
-                // (which initiated the circulation).
-                if slot.position.get() + 1 < slot.n {
-                    self.forward(
-                        slot,
-                        None,
-                        TokenMessage::Finished {
-                            vector: vector.clone(),
-                        },
-                    )?;
-                }
-                Ok(SlotProgress::Done(vector))
+            Ok(hop.result)
+        });
+        match settled {
+            Err(e) => self.report(query, Err(e)),
+            Ok(Some(result)) => self.report(query, Ok((machine.into_steps(), result))),
+            Ok(None) if self.crash_due(&machine) => self.crash(query),
+            Ok(None) => {
+                self.slots.insert(query, machine);
             }
         }
     }
 
-    /// Sends `inner` to the slot's successor. `round` tags the send span
-    /// so the trace analyzer can attribute wire time to a specific hop
-    /// (`None` for the termination circulation, which belongs to no
-    /// round).
-    fn forward(
-        &mut self,
-        slot: &SlotState,
-        round: Option<u32>,
-        inner: TokenMessage,
-    ) -> Result<(), ProtocolError> {
-        let mut ctx = self
-            .ctx()
-            .with_query(slot.query)
-            .with_hop(slot.position.get() as u32);
-        if let Some(round) = round {
-            ctx = ctx.with_round(round);
-        }
-        let msg = SlotMessage {
-            query: slot.query,
-            inner,
-        };
-        send_value(
-            self.endpoint.as_mut(),
-            &self.pool,
-            slot.successor,
-            &msg,
-            1,
-            &self.recorder,
-            ctx,
-        )?;
-        Ok(())
+    fn crash_due(&self, machine: &NodeMachine) -> bool {
+        self.crash_at.is_some() && machine.next_round() == self.crash_at
     }
 
-    fn report_err(&mut self, query: u64, error: ProtocolError) {
+    /// A scheduled crash: the node dies silently, mid-protocol, before it
+    /// receives or sends anything for the round. Its slots report the
+    /// crash and the worker leaves the wire without a drain.
+    fn crash(&mut self, query: u64) {
+        let node = self.me;
+        let crashed = move || ProtocolError::WorkerCrashed { node };
+        self.report(query, Err(crashed()));
+        self.fail_all(crashed(), crashed);
+        self.draining = true;
+        self.drain_on_exit = None;
+    }
+
+    fn report(&mut self, query: u64, result: Result<(Vec<StepRecord>, TopKVector), ProtocolError>) {
+        let node = self.me;
         let _ = self.reports.send(SlotReport {
             query,
-            node: self.me,
-            result: Err(error),
+            node,
+            result,
         });
     }
 
-    /// Fails every open slot (`ProtocolError` is not `Clone`, hence the
-    /// factory).
-    fn fail_all(&mut self, mut make: impl FnMut() -> ProtocolError) {
-        let queries: Vec<u64> = self.slots.keys().copied().collect();
-        self.slots.clear();
-        for query in queries {
-            let error = make();
-            self.report_err(query, error);
+    /// Fails every open slot: one with `first`, the others with `rest()`
+    /// (`ProtocolError` is not `Clone`, hence the factory).
+    fn fail_all(&mut self, first: ProtocolError, rest: impl Fn() -> ProtocolError) {
+        let mut first = Some(first);
+        for query in std::mem::take(&mut self.slots).into_keys() {
+            let error = first.take().unwrap_or_else(&rest);
+            self.report(query, Err(error));
         }
     }
+}
+
+/// Runs one query as a one-shot ring of service workers. Each worker
+/// starts with the query's slot already open and its control plane hung
+/// up, so no `Assign` or `Shutdown` ever crosses a channel and a waiting
+/// worker blocks on its endpoint for the whole deadline. Every node files
+/// one report, so a failure names every node that crashed. The transport
+/// counters are published into `recorder` once the query completes.
+pub(crate) fn run_once(
+    config: &ProtocolConfig,
+    locals: &[TopKVector],
+    network: NetworkKind,
+    seed: u64,
+    crashes: &CrashSchedule,
+    recv_timeout: Duration,
+    recorder: &Recorder,
+) -> Result<DistributedOutcome, RunFailure> {
+    let fail = |error: ProtocolError| RunFailure {
+        crashed: Vec::new(),
+        error,
+    };
+    let n = locals.len();
+    check_query(config, n, k_mismatch(config.k(), locals)).map_err(fail)?;
+    let init = Arc::new(SlotInit::new(0, config, n, seed).map_err(fail)?);
+    let (endpoints, metrics) = build_endpoints(network, n, seed, recorder).map_err(fail)?;
+    let drain_on_exit = drain_window(network);
+    let (report_tx, report_rx) = unbounded();
+    let handles: Vec<_> = endpoints
+        .into_iter()
+        .enumerate()
+        .map(|(i, endpoint)| {
+            let me = NodeId::new(i);
+            // The sender drops here: the control plane is hung up from
+            // the start.
+            let (_, control) = unbounded();
+            let mut worker = ServiceWorker::new(
+                me,
+                locals[i].clone(),
+                endpoint,
+                control,
+                report_tx.clone(),
+                drain_on_exit,
+                recorder.clone(),
+            );
+            worker.recv_timeout = recv_timeout;
+            worker.crash_at = crashes.round_for(me);
+            let init = Arc::clone(&init);
+            std::thread::spawn(move || {
+                worker.assign(&init);
+                worker.run();
+            })
+        })
+        .collect();
+    drop(report_tx);
+    // A worker that panicked files no report; the verdicts below turn
+    // its silence into `WorkerFailed`.
+    for handle in handles {
+        let _ = handle.join();
+    }
+    let mut verdicts: Vec<Option<_>> = (0..n).map(|_| None).collect();
+    while let Ok(report) = report_rx.try_recv() {
+        if report.query == init.query {
+            verdicts[report.node.get()].get_or_insert(report.result);
+        }
+    }
+    let mut reports = Vec::with_capacity(n);
+    let mut crashed = Vec::new();
+    let mut first_error = None;
+    for (position, verdict) in verdicts.into_iter().enumerate() {
+        match verdict.unwrap_or(Err(ProtocolError::WorkerFailed { position })) {
+            Ok((steps, result)) => reports.push(WorkerReport {
+                node: NodeId::new(position),
+                steps,
+                result,
+            }),
+            Err(ProtocolError::WorkerCrashed { node }) => crashed.push(node),
+            Err(error) => {
+                first_error.get_or_insert(error);
+            }
+        }
+    }
+    // With no other error, a crash is the failure (every survivor
+    // finishing despite one cannot happen on a ring, but be defensive).
+    let crash = crashed
+        .first()
+        .map(|&node| ProtocolError::WorkerCrashed { node });
+    if let Some(error) = first_error.or(crash) {
+        return Err(RunFailure { crashed, error });
+    }
+    let outcome = assemble(&init, reports);
+    let snap = metrics.take();
+    snap.publish(recorder);
+    Ok(DistributedOutcome {
+        transcript: outcome.transcript,
+        per_node_results: outcome.per_node_results,
+        messages_sent: snap.logical_messages,
+        bytes_sent: snap.bytes_sent,
+    })
 }
 
 /// A hook observing every query admitted into a service, fed nothing
@@ -580,13 +518,6 @@ impl ServiceWorker {
 pub trait QueryObserver: Send + Sync {
     /// Called once per admitted query with its protocol coordinates.
     fn on_query(&self, config: &ProtocolConfig, n: usize, rounds: u32);
-}
-
-/// Bookkeeping the scheduler keeps per in-flight query.
-struct QueryMeta {
-    k: usize,
-    rounds: u32,
-    topology: Arc<RingTopology>,
 }
 
 /// A standing federation of long-lived node workers answering a stream
@@ -605,8 +536,9 @@ pub struct ServiceRuntime {
     in_flight: usize,
     controls: Vec<Sender<WorkerControl>>,
     reports: Receiver<SlotReport>,
-    pending: HashMap<u64, Vec<WorkerReport>>,
-    meta: HashMap<u64, QueryMeta>,
+    /// Each in-flight query's ring coordinates and the node reports
+    /// gathered so far.
+    open: HashMap<u64, (Arc<SlotInit>, Vec<WorkerReport>)>,
     done: HashMap<u64, Result<ServiceOutcome, ProtocolError>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     metrics: TransportMetrics,
@@ -742,18 +674,13 @@ impl ServiceRuntime {
         depth: usize,
         recorder: Recorder,
     ) -> Result<ServiceRuntime, ProtocolError> {
-        let (n, k) = Self::validate(locals, depth)?;
-        let (endpoints, metrics) = build_endpoints(network, n, FAULT_SEED, &recorder)?;
-        let drain_on_exit = drain_window(network);
-        Self::start_with_endpoints(
-            locals,
-            k,
-            depth,
-            endpoints,
-            metrics,
-            drain_on_exit,
-            recorder,
-        )
+        let wire = build_endpoints(
+            network,
+            Self::validate(locals, depth)?,
+            FAULT_SEED,
+            &recorder,
+        )?;
+        Self::start_with_endpoints(locals, depth, wire, drain_window(network), recorder)
     }
 
     /// [`start_traced`](Self::start_traced) over an in-memory network
@@ -795,23 +722,17 @@ impl ServiceRuntime {
         recorder: Recorder,
         state: &Arc<ChaosState>,
     ) -> Result<ServiceRuntime, ProtocolError> {
-        let (n, k) = Self::validate(locals, depth)?;
-        let (endpoints, metrics) = build_chaos_endpoints(n, FAULT_SEED, &recorder, state);
+        let n = Self::validate(locals, depth)?;
+        let wire = healed_endpoints(n, FAULT_SEED, &recorder, |e, seed| {
+            ChaosEndpoint::new(e, Arc::clone(state), seed)
+        });
         // Same shutdown drain as a lossy network: finished workers keep
         // re-ACKing retransmissions for a grace window.
-        let drain_on_exit = Some(Duration::from_secs(1));
-        Self::start_with_endpoints(
-            locals,
-            k,
-            depth,
-            endpoints,
-            metrics,
-            drain_on_exit,
-            recorder,
-        )
+        Self::start_with_endpoints(locals, depth, wire, Some(Duration::from_secs(1)), recorder)
     }
 
-    fn validate(locals: &[TopKVector], depth: usize) -> Result<(usize, usize), ProtocolError> {
+    /// Checks the depth and the snapshots; returns the ring size.
+    fn validate(locals: &[TopKVector], depth: usize) -> Result<usize, ProtocolError> {
         if depth == 0 {
             return Err(ProtocolError::InvalidService {
                 reason: "pipeline depth must be at least 1",
@@ -821,24 +742,16 @@ impl ServiceRuntime {
         if n < 3 {
             return Err(ProtocolError::TooFewNodes { got: n, minimum: 3 });
         }
-        let k = locals[0].k();
-        for local in locals {
-            if local.k() != k {
-                return Err(ProtocolError::InconsistentK {
-                    expected: k,
-                    got: local.k(),
-                });
-            }
+        match k_mismatch(locals[0].k(), locals) {
+            Some(error) => Err(error),
+            None => Ok(n),
         }
-        Ok((n, k))
     }
 
     fn start_with_endpoints(
         locals: &[TopKVector],
-        k: usize,
         depth: usize,
-        endpoints: Vec<Box<dyn Transport>>,
-        metrics: TransportMetrics,
+        (endpoints, metrics): (Vec<Box<dyn Transport>>, TransportMetrics),
         drain_on_exit: Option<Duration>,
         recorder: Recorder,
     ) -> Result<ServiceRuntime, ProtocolError> {
@@ -848,21 +761,15 @@ impl ServiceRuntime {
         let mut handles = Vec::with_capacity(n);
         for (i, endpoint) in endpoints.into_iter().enumerate() {
             let (control_tx, control_rx) = unbounded();
-            let pool = endpoint.pool();
-            let worker = ServiceWorker {
-                me: NodeId::new(i),
-                local: locals[i].clone(),
+            let worker = ServiceWorker::new(
+                NodeId::new(i),
+                locals[i].clone(),
                 endpoint,
-                pool,
-                control: control_rx,
-                reports: report_tx.clone(),
+                control_rx,
+                report_tx.clone(),
                 drain_on_exit,
-                recv_timeout: RECV_TIMEOUT,
-                slots: HashMap::new(),
-                draining: false,
-                recorder: recorder.clone(),
-                scratch: TopkScratch::new(),
-            };
+                recorder.clone(),
+            );
             let handle = std::thread::Builder::new()
                 .name(format!("privtopk-svc-{i}"))
                 .spawn(move || worker.run())
@@ -872,14 +779,13 @@ impl ServiceRuntime {
         }
         Ok(ServiceRuntime {
             n,
-            k,
+            k: locals[0].k(),
             depth,
             next_query: 0,
             in_flight: 0,
             controls,
             reports: report_rx,
-            pending: HashMap::new(),
-            meta: HashMap::new(),
+            open: HashMap::new(),
             done: HashMap::new(),
             handles,
             metrics,
@@ -1004,50 +910,30 @@ impl ServiceRuntime {
         config: &ProtocolConfig,
         seed: u64,
     ) -> Result<QueryTicket, ProtocolError> {
-        config.validate(self.n)?;
-        if config.k() != self.k {
-            return Err(ProtocolError::InconsistentK {
-                expected: self.k,
-                got: config.k(),
-            });
-        }
-        if config.remap_each_round() {
-            return Err(ProtocolError::Ring(RingError::Decode {
-                reason: "per-round remapping is not supported by the distributed driver",
-            }));
-        }
-        let rounds = config.resolve_rounds()?;
+        let k_mismatch = (config.k() != self.k).then(|| ProtocolError::InconsistentK {
+            expected: self.k,
+            got: config.k(),
+        });
+        check_query(config, self.n, k_mismatch)?;
+        // Only `submit` hands out ids, so the next one is this query's
+        // however long it queues below.
+        let query = self.next_query;
+        let init = Arc::new(SlotInit::new(query, config, self.n, seed)?);
         // Feed the privacy accountant (or any other observer) the
         // query's protocol coordinates — configuration only, never the
         // seed, data or results.
         if let Some(observer) = &self.observer {
-            observer.on_query(config, self.n, rounds);
+            observer.on_query(config, self.n, init.rounds);
         }
-        let topology = Arc::new(derive_topology(config, self.n, seed)?);
         let queued = Instant::now();
         while self.in_flight >= self.depth {
             self.pump_one()?;
         }
         self.shared.queue_wait.record_duration(queued.elapsed());
         self.recorder.observe_named("queue_wait", Some(queued));
-        let query = self.next_query;
         self.next_query += 1;
-        self.meta.insert(
-            query,
-            QueryMeta {
-                k: config.k(),
-                rounds,
-                topology: Arc::clone(&topology),
-            },
-        );
-        self.pending.insert(query, Vec::with_capacity(self.n));
-        let init = Arc::new(SlotInit {
-            query,
-            config: Arc::new(config.clone()),
-            topology,
-            rounds,
-            seed,
-        });
+        self.open
+            .insert(query, (Arc::clone(&init), Vec::with_capacity(self.n)));
         for (position, control) in self.controls.iter().enumerate() {
             control
                 .send(WorkerControl::Assign(Arc::clone(&init)))
@@ -1073,7 +959,7 @@ impl ServiceRuntime {
             if let Some(outcome) = self.done.remove(&ticket.query) {
                 return outcome;
             }
-            if !self.meta.contains_key(&ticket.query) {
+            if !self.open.contains_key(&ticket.query) {
                 return Err(ProtocolError::InvalidService {
                     reason: "unknown or already collected query ticket",
                 });
@@ -1128,45 +1014,32 @@ impl ServiceRuntime {
     }
 
     fn absorb(&mut self, report: SlotReport) {
-        if !self.meta.contains_key(&report.query) {
-            // A straggler for a query that already failed: the first
-            // error decided the outcome.
+        // No open entry: a straggler for a query that already failed, whose
+        // first error decided the outcome.
+        let Some((init, reports)) = self.open.get_mut(&report.query) else {
             return;
-        }
-        match report.result {
-            Err(error) => {
-                self.meta.remove(&report.query);
-                self.pending.remove(&report.query);
-                self.done.insert(report.query, Err(error));
-                self.in_flight -= 1;
-                self.shared.queries_completed.fetch_add(1, Ordering::AcqRel);
-                self.shared.set_in_flight(self.in_flight);
-                self.recorder
-                    .gauge_set("pipeline_depth", self.in_flight as u64);
-            }
+        };
+        let outcome = match report.result {
             Ok((steps, result)) => {
-                let partial = self
-                    .pending
-                    .get_mut(&report.query)
-                    .expect("pending exists while meta does");
-                partial.push(WorkerReport {
+                reports.push(WorkerReport {
                     node: report.node,
                     steps,
                     result,
                 });
-                if partial.len() == self.n {
-                    let reports = self.pending.remove(&report.query).expect("just pushed");
-                    let meta = self.meta.remove(&report.query).expect("checked above");
-                    self.done
-                        .insert(report.query, Ok(assemble(self.n, &meta, reports)));
-                    self.in_flight -= 1;
-                    self.shared.queries_completed.fetch_add(1, Ordering::AcqRel);
-                    self.shared.set_in_flight(self.in_flight);
-                    self.recorder
-                        .gauge_set("pipeline_depth", self.in_flight as u64);
+                if reports.len() < self.n {
+                    return;
                 }
+                Ok(assemble(init, std::mem::take(reports)))
             }
-        }
+            Err(error) => Err(error),
+        };
+        self.open.remove(&report.query);
+        self.done.insert(report.query, outcome);
+        self.in_flight -= 1;
+        self.shared.queries_completed.fetch_add(1, Ordering::AcqRel);
+        self.shared.set_in_flight(self.in_flight);
+        self.recorder
+            .gauge_set("pipeline_depth", self.in_flight as u64);
     }
 
     /// Shuts the service down: in-flight queries are drained to
@@ -1195,30 +1068,6 @@ impl ServiceRuntime {
             Some(error) => Err(error),
             None => Ok(()),
         }
-    }
-}
-
-/// Merges n worker reports into a [`ServiceOutcome`] exactly the way the
-/// one-shot driver assembles its [`DistributedOutcome`]
-/// (`crate::distributed::run_once`) — that shared shape is what the
-/// bit-identity tests compare.
-fn assemble(n: usize, meta: &QueryMeta, mut reports: Vec<WorkerReport>) -> ServiceOutcome {
-    reports.sort_by_key(|r| r.node.get());
-    let per_node_results: Vec<TopKVector> = reports.iter().map(|r| r.result.clone()).collect();
-    let mut steps: Vec<StepRecord> = reports.into_iter().flat_map(|r| r.steps).collect();
-    steps.sort_by_key(|s| (s.round, s.position.get()));
-    let result = per_node_results[0].clone();
-    let transcript = Transcript::new(
-        n,
-        meta.k,
-        meta.rounds,
-        vec![meta.topology.order().to_vec()],
-        steps,
-        result,
-    );
-    ServiceOutcome {
-        transcript,
-        per_node_results,
     }
 }
 
@@ -1476,7 +1325,7 @@ impl ShardedService {
 mod tests {
     use super::*;
     use crate::distributed::run_distributed;
-    use crate::{RoundPolicy, Schedule, StartPolicy};
+    use crate::{RoundPolicy, Schedule, StartPolicy, TokenMessage};
     use privtopk_domain::{Value, ValueDomain};
 
     fn locals(n: usize, k: usize, seed: u64) -> Vec<TopKVector> {
@@ -1868,6 +1717,57 @@ mod tests {
             assert_eq!(outcome.per_node_results, reference.per_node_results);
         }
         solo.shutdown().unwrap();
+    }
+
+    #[test]
+    fn stale_frame_for_a_closed_query_does_not_stall_the_ring() {
+        // A depth-1 service on n of the network's n + 1 endpoints; the
+        // spare one injects a well-formed frame for query 0 after every
+        // worker has closed it. Node 1 meets that frame right after query
+        // 1's Assign: waiting for query 0's Assign would hold query 1 for
+        // the whole 30 s receive deadline, so it must be dropped instead.
+        use privtopk_ring::transport::InMemoryNetwork;
+        use privtopk_ring::wire::encode_to_bytes;
+        let n = 4;
+        let locals = locals(n, 2, 37);
+        let cfg = config(2).with_start(StartPolicy::Fixed);
+        let net = InMemoryNetwork::new(n + 1);
+        let metrics = net.metrics();
+        let mut endpoints: Vec<Box<dyn Transport>> = net
+            .endpoints()
+            .into_iter()
+            .map(|e| Box::new(e) as Box<dyn Transport>)
+            .collect();
+        let mut injector = endpoints.pop().unwrap();
+        let mut service = ServiceRuntime::start_with_endpoints(
+            &locals,
+            1,
+            (endpoints, metrics),
+            None,
+            Recorder::disabled(),
+        )
+        .unwrap();
+        let first = service.run(&cfg, 0).unwrap();
+        let stale = SlotMessage {
+            query: 0,
+            inner: TokenMessage::Token {
+                round: 1,
+                vector: first.transcript.result().clone(),
+            },
+        };
+        injector
+            .send(NodeId::new(1), encode_to_bytes(&stale))
+            .unwrap();
+        let started = Instant::now();
+        let second = service.run(&cfg, 1).unwrap();
+        let elapsed = started.elapsed();
+        service.shutdown().unwrap();
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "query 1 stalled behind the stale frame for {elapsed:?}"
+        );
+        let cold = run_distributed(&cfg, &locals, NetworkKind::InMemory, 1).unwrap();
+        assert_eq!(second.transcript, cold.transcript);
     }
 
     #[test]

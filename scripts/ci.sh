@@ -105,6 +105,29 @@ echo "$BATCH_OUT"
 echo "$BATCH_OUT" | grep -q "1 passed" \
     || { echo "error: shared batch compile gate matched no test (renamed?)" >&2; exit 1; }
 
+# Node machine gates, run by name with the same rename guard. The one
+# per-node protocol machine must turn a wrong sender, a wrong round
+# label and a premature termination into typed errors; eight queries
+# interleaved in one thread under 256 seeded delivery orders must each
+# equal the simulation engine's transcript at the paper's n*r + n - 1
+# frames; and a stale frame for a query a standing service has already
+# closed must be dropped instead of stalling the next query.
+for gate in bad_inputs_give_typed_errors_not_panics \
+    interleaved_queries_match_the_simulation \
+    stale_frame_for_a_closed_query_does_not_stall_the_ring; do
+    echo "==> cargo test -p privtopk-core --lib $gate"
+    GATE_OUT=$(cargo test -p privtopk-core --lib "$gate" 2>&1)
+    echo "$GATE_OUT"
+    echo "$GATE_OUT" | grep -q "1 passed" \
+        || { echo "error: node machine gate $gate matched no test (renamed?)" >&2; exit 1; }
+done
+
+# Crash recovery through the one-shot worker loop: a node dies in round
+# 3, the ring is rebuilt without it, and the example asserts the
+# survivors' answer itself.
+echo "==> cargo run --release --example node_failure"
+cargo run --release --example node_failure
+
 # Privacy-accounting gates, run by name so they can never be silently
 # skipped: the live accountant must match the offline harness bit for
 # bit on the same shadow seed, and two services holding different
