@@ -7,19 +7,10 @@
 //! queries) — and reports sustained queries/sec at pipeline depths
 //! 1, 4 and 16.
 //!
-//! A cores × depth matrix then reruns the workload through a
-//! [`ShardedService`] — one standing ring per logical core, queries
-//! slotted round-robin by index — at every (worker count, depth) pair.
-//! Worker counts are {1} on a single-core machine and {1, cores}
-//! otherwise, so the matrix never promises parallelism the machine
-//! can't deliver.
-//!
 //! The run *asserts* the correctness gates before reporting numbers:
 //! at every depth each service outcome must be bit-identical to its
-//! solo `run_distributed` run (sharded outcomes included), the best
-//! warm depth must sustain at least 2x the cold rate, every depth > 1
-//! must strictly beat depth 1, on a multi-core machine the sharded
-//! depth-16 run must beat the 1-worker depth-16 figure, and a
+//! solo `run_distributed` run, the best warm depth must sustain at least
+//! 2x the cold rate, every depth > 1 must strictly beat depth 1, and a
 //! recorder-armed service must keep transcripts bit-identical at under
 //! 2% throughput overhead.
 //!
@@ -29,10 +20,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use privtopk_bench::{bench_locals, logical_cores, machine_json};
+use privtopk_bench::{bench_locals, machine_json};
 use privtopk_core::distributed::{run_distributed, NetworkKind};
 use privtopk_core::groups::grouped_max_traced;
-use privtopk_core::service::{ServiceRuntime, ShardedService};
+use privtopk_core::service::ServiceRuntime;
 use privtopk_core::{derive_batch_seed, ProtocolConfig, RoundPolicy, StartPolicy};
 use privtopk_domain::Value;
 use privtopk_observe::{analyze, AnalyzerConfig, Recorder, TraceCollector};
@@ -173,82 +164,6 @@ fn main() {
         "  best warm vs cold: {warm_vs_cold:.2}x (depth {})",
         best.depth
     );
-
-    // Cores x depth matrix: the same workload through a sharded service
-    // at every (worker count, depth) pair. Queries slot to shards by
-    // index mod workers, so the transcripts depend only on (locals,
-    // config, seed) — the identity gate below runs before any timing.
-    let cores = logical_cores();
-    let worker_counts: Vec<usize> = if cores > 1 { vec![1, cores] } else { vec![1] };
-    struct Cell {
-        workers: usize,
-        depth: usize,
-        ms: f64,
-        qps: f64,
-        bytes: u64,
-    }
-    let mut matrix: Vec<Cell> = Vec::new();
-    for &workers in &worker_counts {
-        for depth in DEPTHS {
-            let mut sharded = ShardedService::start(&locals, NetworkKind::InMemory, depth, workers)
-                .expect("sharded start");
-            let outcomes = sharded
-                .run_workload(&workload)
-                .expect("sharded identity pass");
-            for (i, (outcome, cold)) in outcomes.iter().zip(&solo).enumerate() {
-                assert_eq!(
-                    outcome.transcript, cold.transcript,
-                    "workers={workers} depth={depth} query {i} transcript diverged from its solo run"
-                );
-                assert_eq!(
-                    outcome.per_node_results, cold.per_node_results,
-                    "workers={workers} depth={depth} query {i} results diverged from its solo run"
-                );
-            }
-            let mut ms = f64::INFINITY;
-            for _ in 0..REPS {
-                let start = Instant::now();
-                let out = sharded.run_workload(&workload).expect("sharded workload");
-                ms = ms.min(start.elapsed().as_secs_f64() * 1e3);
-                std::hint::black_box(out);
-            }
-            let wire = sharded.wire_totals();
-            sharded.shutdown().expect("sharded shutdown");
-            let cell = Cell {
-                workers,
-                depth,
-                ms,
-                qps: queries as f64 / (ms / 1e3),
-                bytes: wire.bytes_sent,
-            };
-            eprintln!(
-                "  workers={workers} depth={depth:>2}: {ms:>8.2} ms ({:>8.0} q/s, {:.2}x cold)",
-                cell.qps,
-                cell.qps / cold_qps
-            );
-            matrix.push(cell);
-        }
-    }
-    // On a multi-core machine, sharding has to pay: the full-width
-    // depth-16 cell must beat the 1-worker depth-16 cell. A single-core
-    // container can't parallelize, so there the matrix is 1 x depths
-    // and the gate is vacuous.
-    if cores > 1 {
-        let solo_d16 = matrix
-            .iter()
-            .find(|c| c.workers == 1 && c.depth == 16)
-            .expect("1-worker depth-16 cell");
-        let wide_d16 = matrix
-            .iter()
-            .find(|c| c.workers == cores && c.depth == 16)
-            .expect("full-width depth-16 cell");
-        assert!(
-            wide_d16.qps > solo_d16.qps,
-            "{cores}-worker depth-16 service ({:.0} q/s) must beat 1 worker ({:.0} q/s)",
-            wide_d16.qps,
-            solo_d16.qps
-        );
-    }
 
     // Telemetry overhead gate: the same workload through a recorder-armed
     // service at the best depth must (a) stay bit-identical to the solo
@@ -410,21 +325,6 @@ fn main() {
             p.warm_qps / cold_qps,
             p.pooled_high_water,
             if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"cores_by_depth\": [\n");
-    for (i, c) in matrix.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workers\": {}, \"pipeline_depth\": {}, \"total_ms\": {:.3}, \"queries_per_sec\": {:.1}, \"speedup_vs_cold\": {:.3}, \"bytes_sent\": {}}}{}",
-            c.workers,
-            c.depth,
-            c.ms,
-            c.qps,
-            c.qps / cold_qps,
-            c.bytes,
-            if i + 1 < matrix.len() { "," } else { "" }
         );
     }
     json.push_str("  ],\n");

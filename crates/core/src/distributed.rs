@@ -1,8 +1,7 @@
-//! The distributed protocol drivers: one thread per private database,
-//! communicating only through a [`Transport`]. Every node runs the one
-//! per-node protocol machine (`crate::node`): one-shot runs drive it
-//! through the service worker loop, batches through the lock-step loop
-//! at the end of this module.
+//! The distributed protocol entry points: one thread per private
+//! database, communicating only through a [`Transport`]. Every run, solo
+//! or batched, is one one-shot ring of service workers (`crate::service`),
+//! the only driver of the per-node protocol machine (`crate::node`).
 //!
 //! This runs the *same* local algorithms as the
 //! [`SimulationEngine`](crate::SimulationEngine) — with the same seed
@@ -14,18 +13,13 @@
 use std::time::Duration;
 
 use privtopk_domain::{NodeId, TopKVector};
-use privtopk_observe::{Ctx, Phase, Recorder};
+use privtopk_observe::Recorder;
 use privtopk_ring::faults::{FaultyEndpoint, ReliableEndpoint};
-use privtopk_ring::transport::{
-    send_value, InMemoryEndpoint, InMemoryNetwork, TcpNetwork, Transport,
-};
-use privtopk_ring::wire::decode_from_bytes;
-use privtopk_ring::{MetricsSnapshot, RingError, TransportMetrics};
+use privtopk_ring::transport::{InMemoryEndpoint, InMemoryNetwork, TcpNetwork, Transport};
+use privtopk_ring::TransportMetrics;
 
-use crate::local::TopkScratch;
-use crate::node::{assemble, check_query, k_mismatch, Hop, NodeMachine, SlotInit, WorkerReport};
 use crate::service::run_once;
-use crate::{BatchJob, BatchMessage, ProtocolConfig, ProtocolError, TokenMessage, Transcript};
+use crate::{BatchJob, ProtocolConfig, ProtocolError, Transcript};
 
 /// How long a worker waits for its predecessor before giving up.
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(30);
@@ -98,15 +92,15 @@ pub fn run_distributed_traced(
     seed: u64,
     recorder: &Recorder,
 ) -> Result<DistributedOutcome, ProtocolError> {
+    let job = BatchJob::new(config.clone(), locals.to_vec(), seed);
     run_once(
-        config,
-        locals,
+        &[job],
         network,
-        seed,
         &CrashSchedule::none(),
         RECV_TIMEOUT,
         recorder,
     )
+    .map(DistributedBatchOutcome::into_solo)
     .map_err(|failure| failure.error)
 }
 
@@ -244,13 +238,26 @@ pub struct DistributedBatchOutcome {
     pub groups: u32,
 }
 
+impl DistributedBatchOutcome {
+    /// A batch of one, as its solo run reports it.
+    fn into_solo(mut self) -> DistributedOutcome {
+        DistributedOutcome {
+            transcript: self.transcripts.swap_remove(0),
+            per_node_results: self.per_node_results.swap_remove(0),
+            messages_sent: self.logical_messages,
+            bytes_sent: self.bytes_sent,
+        }
+    }
+}
+
 /// Runs B independent queries over one federation of `n` nodes, sharing
 /// ring traversals wherever the jobs agree on topology and round count.
 ///
 /// Jobs are partitioned into lock-step groups keyed by (resolved rounds,
-/// ring order): within a group, one [`BatchMessage`] per hop piggybacks
-/// every member query's token, so per-hop framing, thread spawning and
-/// syscalls are amortized across the group. Jobs with
+/// ring order): within a group, one [`BatchMessage`](crate::BatchMessage)
+/// per hop piggybacks every member query's token, so per-hop framing and
+/// syscalls are amortized across the group. Every group is one slot of a
+/// single one-shot ring, so all groups are in flight at once. Jobs with
 /// [`StartPolicy::RandomAnonymous`](crate::StartPolicy::RandomAnonymous) derive their ring order from their own
 /// seed (exactly as solo runs do), so they only coalesce when their orders
 /// happen to agree; fixed-start homogeneous batches — the serving-path
@@ -287,124 +294,14 @@ pub fn run_distributed_batch_traced(
     network: NetworkKind,
     recorder: &Recorder,
 ) -> Result<DistributedBatchOutcome, ProtocolError> {
-    crate::batch::validate_batch_shape(jobs)?;
-    let n = jobs[0].locals.len();
-    for job in jobs {
-        if job.locals.len() != n {
-            return Err(ProtocolError::InvalidBatch {
-                reason: "batched jobs must share one federation (node count)",
-            });
-        }
-        check_query(&job.config, n, k_mismatch(job.config.k(), &job.locals))?;
-    }
-
-    // Resolve each job's rounds and ring order from its own seed — the
-    // same derivation as its solo run. A job's id is its batch index.
-    let inits: Vec<SlotInit> = jobs
-        .iter()
-        .enumerate()
-        .map(|(j, job)| SlotInit::new(j as u64, &job.config, n, job.seed))
-        .collect::<Result<_, _>>()?;
-
-    // Partition into lock-step groups: same rounds, same ring order.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (idx, init) in inits.iter().enumerate() {
-        let lockstep = |members: &&mut Vec<usize>| {
-            let lead = &inits[members[0]];
-            lead.rounds == init.rounds && lead.topology.order() == init.topology.order()
-        };
-        match groups.iter_mut().find(lockstep) {
-            Some(members) => members.push(idx),
-            None => groups.push(vec![idx]),
-        }
-    }
-
-    let mut transcripts: Vec<Option<Transcript>> = vec![None; jobs.len()];
-    let mut per_node_results: Vec<Vec<TopKVector>> = vec![Vec::new(); jobs.len()];
-    let mut wire = MetricsSnapshot::default();
-
-    // Groups execute sequentially, so later groups' jobs queue behind the
-    // earlier traversals. Account that wait per group (`queue_wait/groupG`)
-    // so the `--stats` table can show each group's own distribution
-    // instead of folding every group into one histogram.
-    let batch_started = recorder.clock();
-    for (group_idx, members) in groups.iter().enumerate() {
-        if batch_started.is_some() {
-            let name = format!("queue_wait/group{group_idx}");
-            for _ in members {
-                recorder.observe_named(&name, batch_started);
-            }
-        }
-        // Every node's machines, one per member job, opened before any
-        // thread starts.
-        let machines: Vec<Vec<NodeMachine>> = (0..n)
-            .map(|i| {
-                members
-                    .iter()
-                    .map(|&j| {
-                        NodeMachine::open(NodeId::new(i), jobs[j].locals[i].clone(), &inits[j])
-                    })
-                    .collect::<Result<_, _>>()
-            })
-            .collect::<Result<_, _>>()?;
-        let (endpoints, metrics) = build_endpoints(network, n, jobs[members[0]].seed, recorder)?;
-        let drain_on_exit = drain_window(network);
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .zip(machines)
-            .enumerate()
-            .map(|(i, (endpoint, machines))| {
-                let recorder = recorder.clone();
-                std::thread::spawn(move || {
-                    batch_worker(NodeId::new(i), machines, endpoint, drain_on_exit, recorder)
-                })
-            })
-            .collect();
-
-        // Join every node, then regroup the reports by member job; the
-        // first failing node's error wins.
-        let joined: Vec<Result<Vec<WorkerReport>, ProtocolError>> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(position, handle)| {
-                let failed = ProtocolError::WorkerFailed { position };
-                handle.join().unwrap_or(Err(failed))
-            })
-            .collect();
-        let mut by_job: Vec<Vec<WorkerReport>> = (0..members.len()).map(|_| Vec::new()).collect();
-        for node_reports in joined {
-            for (reports, report) in by_job.iter_mut().zip(node_reports?) {
-                reports.push(report);
-            }
-        }
-        for (&job, reports) in members.iter().zip(by_job) {
-            let outcome = assemble(&inits[job], reports);
-            transcripts[job] = Some(outcome.transcript);
-            per_node_results[job] = outcome.per_node_results;
-        }
-        let snap = metrics.take();
-        wire.frames_sent += snap.frames_sent;
-        wire.logical_messages += snap.logical_messages;
-        wire.bytes_sent += snap.bytes_sent;
-        wire.retransmissions += snap.retransmissions;
-        wire.re_acks += snap.re_acks;
-        wire.pooled_buffers_high_water = wire
-            .pooled_buffers_high_water
-            .max(snap.pooled_buffers_high_water);
-    }
-    wire.publish(recorder);
-
-    Ok(DistributedBatchOutcome {
-        transcripts: transcripts
-            .into_iter()
-            .map(|t| t.expect("every job belongs to exactly one group"))
-            .collect(),
-        per_node_results,
-        frames_sent: wire.frames_sent,
-        logical_messages: wire.logical_messages,
-        bytes_sent: wire.bytes_sent,
-        groups: groups.len() as u32,
-    })
+    run_once(
+        jobs,
+        network,
+        &CrashSchedule::none(),
+        RECV_TIMEOUT,
+        recorder,
+    )
+    .map_err(|failure| failure.error)
 }
 
 /// Outcome of a failure-recovered execution.
@@ -449,6 +346,7 @@ pub fn run_with_recovery(
     let mut current_ids: Vec<NodeId> = (0..locals.len()).map(NodeId::new).collect();
     let mut current_locals: Vec<TopKVector> = locals.to_vec();
     let mut excluded: Vec<NodeId> = Vec::new();
+    let recorder = Recorder::disabled();
     for attempt in 1..=max_attempts.max(1) {
         // Project the original-id crash schedule into survivor space.
         let mut projected = CrashSchedule::none();
@@ -457,18 +355,12 @@ pub fn run_with_recovery(
                 projected = projected.crash(NodeId::new(idx), round);
             }
         }
-        match run_once(
-            config,
-            &current_locals,
-            network,
-            seed.wrapping_add(u64::from(attempt)),
-            &projected,
-            worker_timeout,
-            &Recorder::disabled(),
-        ) {
+        let attempt_seed = seed.wrapping_add(u64::from(attempt));
+        let job = BatchJob::new(config.clone(), current_locals.clone(), attempt_seed);
+        match run_once(&[job], network, &projected, worker_timeout, &recorder) {
             Ok(outcome) => {
                 return Ok(RecoveryOutcome {
-                    outcome,
+                    outcome: outcome.into_solo(),
                     excluded,
                     survivors: current_ids,
                     attempts: attempt,
@@ -504,156 +396,6 @@ pub fn run_with_recovery(
     Err(ProtocolError::WorkerCrashed {
         node: *excluded.last().unwrap_or(&NodeId::new(0)),
     })
-}
-
-/// Keeps receiving (and discarding) frames until `window` elapses or the
-/// network disconnects — the shutdown drain for lossy transports, whose
-/// reliability layer re-acknowledges duplicates inside `recv`.
-pub(crate) fn drain_endpoint(
-    endpoint: &mut dyn Transport,
-    window: Duration,
-) -> Result<(), ProtocolError> {
-    let deadline = std::time::Instant::now() + window;
-    loop {
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if remaining.is_zero() {
-            return Ok(());
-        }
-        match endpoint.recv_timeout(remaining) {
-            Ok(_) => {} // duplicate already re-acked inside the layer
-            Err(RingError::Timeout) | Err(RingError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// One node of a lock-step batch group: each hop exchanges one
-/// [`BatchMessage`] carrying every member query's token. The worker
-/// splits each frame into per-entry tokens for the members' machines and
-/// packs their outputs back into one frame; each member keeps its own RNG
-/// stream and `has_inserted` flag, so its step sequence is the one its
-/// solo run produces. Returns each member's report, in group order.
-fn batch_worker(
-    me: NodeId,
-    mut machines: Vec<NodeMachine>,
-    mut endpoint: Box<dyn Transport>,
-    drain_on_exit: Option<Duration>,
-    recorder: Recorder,
-) -> Result<Vec<WorkerReport>, ProtocolError> {
-    let width = machines.len();
-    let pool = endpoint.pool();
-    let successor = machines[0].successor();
-    let ctx = Ctx::default().with_node(me.get() as u32);
-    // One hop-kernel scratch shared across all B entries of the group:
-    // per-entry state lives in the machines, the merge/tail buffers do not.
-    let mut scratch = TopkScratch::new();
-    let mut hops = machines
-        .iter_mut()
-        .map(|machine| machine.kick_off(&mut scratch, &recorder))
-        .collect::<Result<Vec<Hop>, _>>()?;
-    let results = loop {
-        let (forwards, results): (Vec<_>, Vec<_>) = hops
-            .into_iter()
-            .map(|hop| (hop.forward, hop.result))
-            .unzip();
-        if let Some(batch) = pack(forwards)? {
-            send_value(
-                endpoint.as_mut(),
-                &pool,
-                successor,
-                &batch,
-                width as u64,
-                &recorder,
-                batch_ctx(ctx, &batch),
-            )?;
-        }
-        if results.iter().all(Option::is_some) {
-            break results.into_iter().flatten().collect::<Vec<_>>();
-        }
-        let recv_started = recorder.clock();
-        let (from, frame) = endpoint.recv_timeout(RECV_TIMEOUT)?;
-        let batch: BatchMessage = decode_from_bytes(&frame)?;
-        pool.recycle(frame);
-        recorder.record(Phase::Recv, batch_ctx(ctx, &batch), recv_started);
-        if batch.len() != width {
-            return Err(ProtocolError::Ring(RingError::Decode {
-                reason: "batch width changed mid-flight",
-            }));
-        }
-        hops = machines
-            .iter_mut()
-            .zip(split(batch))
-            .map(|(machine, token)| machine.take(from, token, &mut scratch, &recorder))
-            .collect::<Result<_, _>>()?;
-    };
-
-    // Over lossy transports, keep re-acknowledging retransmissions for a
-    // grace window so peers whose ACKs were dropped can finish cleanly.
-    if let Some(window) = drain_on_exit {
-        drain_endpoint(endpoint.as_mut(), window)?;
-    }
-    Ok(machines
-        .into_iter()
-        .zip(results)
-        .map(|(machine, result)| WorkerReport {
-            node: me,
-            steps: machine.into_steps(),
-            result,
-        })
-        .collect())
-}
-
-/// The span context of a batch frame: the node, plus the round label of
-/// a token batch.
-fn batch_ctx(ctx: Ctx, batch: &BatchMessage) -> Ctx {
-    match batch {
-        BatchMessage::Tokens { round, .. } => ctx.with_round(*round),
-        BatchMessage::Finished { .. } => ctx,
-    }
-}
-
-/// One batch frame as the per-entry tokens its members would have sent
-/// alone.
-fn split(batch: BatchMessage) -> Vec<TokenMessage> {
-    match batch {
-        BatchMessage::Tokens { round, vectors } => vectors
-            .into_iter()
-            .map(|vector| TokenMessage::Token { round, vector })
-            .collect(),
-        BatchMessage::Finished { vectors } => vectors
-            .into_iter()
-            .map(|vector| TokenMessage::Finished { vector })
-            .collect(),
-    }
-}
-
-/// Packs one lock-step hop's per-entry outputs back into a batch frame:
-/// `None` when no entry forwards (the last node of the termination
-/// circulation), an error if the entries disagree on what to send.
-fn pack(forwards: Vec<Option<TokenMessage>>) -> Result<Option<BatchMessage>, ProtocolError> {
-    let width = forwards.len();
-    // `Some(round)` labels a token batch, `None` a termination batch.
-    let mut label: Option<Option<u32>> = None;
-    let mut vectors = Vec::with_capacity(width);
-    for forward in forwards.into_iter().flatten() {
-        let (round, vector) = match forward {
-            TokenMessage::Token { round, vector } => (Some(round), vector),
-            TokenMessage::Finished { vector } => (None, vector),
-        };
-        // An entry disagreeing with the first one's label is left out,
-        // which the width check below turns into an error.
-        if *label.get_or_insert(round) == round {
-            vectors.push(vector);
-        }
-    }
-    match label {
-        None => Ok(None),
-        Some(_) if vectors.len() != width => Err(ProtocolError::Ring(RingError::Decode {
-            reason: "batch entries fell out of lock-step",
-        })),
-        Some(Some(round)) => Ok(Some(BatchMessage::Tokens { round, vectors })),
-        Some(None) => Ok(Some(BatchMessage::Finished { vectors })),
-    }
 }
 
 #[cfg(test)]
@@ -951,6 +693,61 @@ mod tests {
                 run_distributed(&job.config, &job.locals, NetworkKind::InMemory, job.seed).unwrap();
             assert_eq!(batch.transcripts[i], solo.transcript, "job {i}");
             assert_eq!(batch.per_node_results[i], solo.per_node_results, "job {i}");
+        }
+    }
+
+    #[test]
+    fn heterogeneous_batch_runs_on_one_ring_over_every_network() {
+        // The jobs of `heterogeneous_batch_matches_each_solo_run`, with a
+        // fixed start for the even ones: the four Max jobs (5 rounds) form
+        // one group of four, and the four random-start TopK(2) jobs
+        // (7 rounds) four one-member groups, all in flight on one ring.
+        let max_locals = locals_k(1, &[&[300], &[100], &[900], &[500]]);
+        let topk_locals = locals_k(2, &[&[900, 400], &[850, 300], &[700, 650], &[20, 15]]);
+        let jobs: Vec<BatchJob> = (0..8u64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    BatchJob::new(
+                        ProtocolConfig::max()
+                            .with_start(StartPolicy::Fixed)
+                            .with_rounds(RoundPolicy::Fixed(5)),
+                        max_locals.clone(),
+                        100 + i,
+                    )
+                } else {
+                    BatchJob::new(
+                        ProtocolConfig::topk(2).with_rounds(RoundPolicy::Fixed(7)),
+                        topk_locals.clone(),
+                        200 + i,
+                    )
+                }
+            })
+            .collect();
+        let solo: Vec<DistributedOutcome> = jobs
+            .iter()
+            .map(|job| {
+                run_distributed(&job.config, &job.locals, NetworkKind::InMemory, job.seed).unwrap()
+            })
+            .collect();
+        let lossy = NetworkKind::LossyInMemory {
+            drop_probability: 0.2,
+        };
+        for network in [NetworkKind::InMemory, NetworkKind::Tcp, lossy] {
+            let batch = run_distributed_batch(&jobs, network).unwrap();
+            assert_eq!(batch.groups, 5, "{network:?}");
+            for (i, solo) in solo.iter().enumerate() {
+                assert_eq!(batch.transcripts[i], solo.transcript, "{network:?} job {i}");
+                assert_eq!(
+                    batch.per_node_results[i], solo.per_node_results,
+                    "{network:?} job {i}"
+                );
+            }
+            if network != lossy {
+                // n*r + n - 1 frames per group: 23 for the Max group, 31
+                // for each TopK job; the group's frames carry four queries.
+                assert_eq!(batch.frames_sent, 23 + 4 * 31, "{network:?}");
+                assert_eq!(batch.logical_messages, 4 * 23 + 4 * 31, "{network:?}");
+            }
         }
     }
 

@@ -70,7 +70,6 @@ pub use messages::{BatchMessage, SlotMessage, TokenMessage, MAX_BATCH_ENTRIES};
 pub use schedule::Schedule;
 pub use service::{
     QueryObserver, QueryTicket, ServiceOutcome, ServiceRuntime, ServiceStats, ServiceStatsHandle,
-    ShardedService,
 };
 pub use transcript::{StepRecord, Transcript};
 

@@ -6,7 +6,7 @@
 //! | 7   | finished     | compact vector                            |
 //! | 8   | batch tokens | varint round, varint len, compact vectors |
 //! | 9   | batch fin.   | varint len, compact vectors               |
-//! | 10  | slot         | varint query, token frame                 |
+//! | 10  | slot         | varint slot, token frame or batch frame   |
 //!
 //! A *compact vector* is the sort-exploiting delta layout of
 //! [`put_topk_compact`]: varint k, zigzag-varint first value, then
@@ -113,23 +113,73 @@ pub struct SlotMessage {
 
 impl WireEncode for SlotMessage {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(TAG_SLOT);
-        put_uvarint(buf, self.query);
+        put_slot_header(buf, self.query);
         self.inner.encode(buf);
     }
 }
 
+/// Decodes through `SlotFrame`, the decoder every service worker runs;
+/// a slot frame carrying a batch group's hop is not a `SlotMessage`.
 impl WireDecode for SlotMessage {
+    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
+        let SlotFrame { slot, payload } = SlotFrame::decode(buf)?;
+        match payload {
+            SlotPayload::Token(inner) => Ok(SlotMessage { query: slot, inner }),
+            SlotPayload::Batch(_) => Err(RingError::Decode {
+                reason: "slot message carries a batch frame",
+            }),
+        }
+    }
+}
+
+/// The tag-10 header shared by [`SlotMessage`] and [`SlotFrame`].
+fn put_slot_header(buf: &mut BytesMut, slot: u64) {
+    buf.put_u8(TAG_SLOT);
+    put_uvarint(buf, slot);
+}
+
+/// A slot frame as a service worker reads it: tag 10 and the varint slot
+/// id, then a token frame for a one-member slot or a batch frame for a
+/// batch group. A one-member frame is byte-for-byte a [`SlotMessage`].
+#[derive(Debug)]
+pub(crate) struct SlotFrame {
+    pub(crate) slot: u64,
+    pub(crate) payload: SlotPayload,
+}
+
+/// What a slot frame carries: one query's token, or one lock-step hop of
+/// every member of a batch group.
+#[derive(Debug)]
+pub(crate) enum SlotPayload {
+    Token(TokenMessage),
+    Batch(BatchMessage),
+}
+
+impl WireEncode for SlotFrame {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_slot_header(buf, self.slot);
+        match &self.payload {
+            SlotPayload::Token(token) => token.encode(buf),
+            SlotPayload::Batch(batch) => batch.encode(buf),
+        }
+    }
+}
+
+impl WireDecode for SlotFrame {
     fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
         if u8::decode(buf)? != TAG_SLOT {
             return Err(RingError::Decode {
                 reason: "unknown slot message tag",
             });
         }
-        Ok(SlotMessage {
-            query: get_uvarint(buf)?,
-            inner: TokenMessage::decode(buf)?,
-        })
+        let slot = get_uvarint(buf)?;
+        let payload = match buf.first() {
+            Some(&(TAG_BATCH_TOKENS | TAG_BATCH_FINISHED)) => {
+                SlotPayload::Batch(BatchMessage::decode(buf)?)
+            }
+            _ => SlotPayload::Token(TokenMessage::decode(buf)?),
+        };
+        Ok(SlotFrame { slot, payload })
     }
 }
 
@@ -395,6 +445,62 @@ mod tests {
             inner: TokenMessage::Finished { vector: vector() },
         };
         assert_eq!(encode_to_bytes(&slot).as_ref(), &[10, 5, 7, 3, 18, 4, 0]);
+    }
+
+    #[test]
+    fn slot_frames_are_a_slot_header_on_a_token_or_batch_frame() {
+        // A one-member slot frame is exactly the public slot message.
+        let token = TokenMessage::Finished { vector: vector() };
+        let one = SlotFrame {
+            slot: 5,
+            payload: SlotPayload::Token(token.clone()),
+        };
+        let message = SlotMessage {
+            query: 5,
+            inner: token,
+        };
+        assert_eq!(encode_to_bytes(&one), encode_to_bytes(&message));
+        // A group's frame: tag 10, varint slot 2, then the batch frame.
+        let group = SlotFrame {
+            slot: 2,
+            payload: SlotPayload::Batch(BatchMessage::Tokens {
+                round: 300,
+                vectors: vec![vector(); 2],
+            }),
+        };
+        let frame = encode_to_bytes(&group);
+        assert_eq!(
+            frame.as_ref(),
+            &[10, 2, 8, 0xAC, 0x02, 2, 3, 18, 4, 0, 3, 18, 4, 0]
+        );
+        for frame in [frame, encode_to_bytes(&one)] {
+            let back: SlotFrame = decode_from_bytes(&frame).unwrap();
+            assert_eq!(encode_to_bytes(&back), frame);
+        }
+    }
+
+    #[test]
+    fn slot_decoders_reject_group_frames_and_unknown_inner_tags() {
+        let group = encode_to_bytes(&SlotFrame {
+            slot: 2,
+            payload: SlotPayload::Batch(BatchMessage::Finished {
+                vectors: vec![vector(); 3],
+            }),
+        });
+        let as_message = decode_from_bytes::<SlotMessage>(&group);
+        assert!(matches!(as_message, Err(RingError::Decode { .. })));
+        for len in 0..group.len() {
+            assert!(decode_from_bytes::<SlotFrame>(&group.slice(..len)).is_err());
+        }
+        // After the slot header only tags 6-9 start a payload.
+        for tag in (0..=255u8).filter(|tag| !(6..=9).contains(tag)) {
+            let frame = Bytes::from(vec![10, 2, tag, 3, 18, 4, 0]);
+            let decoded = decode_from_bytes::<SlotFrame>(&frame);
+            assert!(
+                matches!(decoded, Err(RingError::Decode { .. })),
+                "tag {tag}: {decoded:?}"
+            );
+        }
     }
 
     #[test]

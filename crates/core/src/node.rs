@@ -8,11 +8,12 @@
 //! once. It takes `(from, TokenMessage)` and hands back the message to
 //! forward and, once the node is done, what it learned.
 //!
-//! Two drivers put the machine on a wire: the service worker loop
-//! (`crate::service`), which also runs every one-shot query, and the
-//! lock-step batch loop (`crate::distributed`), which splits each batch
-//! frame into per-entry tokens. The [`SimulationEngine`] stays the oracle:
-//! under the same seed, every driver's transcript equals its transcript.
+//! One driver puts the machine on a wire: the service worker loop
+//! (`crate::service`), which runs standing services, one-shot queries and
+//! batches alike. Each of its [`Slot`]s holds one machine per member
+//! query: one for a service or solo query, one per query of a lock-step
+//! batch group. The [`SimulationEngine`] stays the oracle: under the same
+//! seed, every query's transcript equals its transcript.
 //!
 //! [`SimulationEngine`]: crate::SimulationEngine
 
@@ -25,9 +26,11 @@ use privtopk_ring::{RingError, RingTopology};
 
 use crate::engine::{STREAM_NODE, STREAM_TOPOLOGY};
 use crate::local::{max_step, topk_step_scratch, TopkScratch};
+use crate::messages::SlotPayload;
 use crate::service::ServiceOutcome;
 use crate::{
-    AlgorithmKind, ProtocolConfig, ProtocolError, StartPolicy, StepRecord, TokenMessage, Transcript,
+    AlgorithmKind, BatchMessage, ProtocolConfig, ProtocolError, StartPolicy, StepRecord,
+    TokenMessage, Transcript,
 };
 
 /// The admission checks every wire entry point runs on a query, in one
@@ -67,7 +70,7 @@ pub(crate) fn k_mismatch(expected: usize, locals: &[TopKVector]) -> Option<Proto
 /// One admitted query's ring coordinates: everything a node needs to
 /// open its machine for it.
 pub(crate) struct SlotInit {
-    /// The query id frames and spans carry (a batch entry's index).
+    /// The query id spans and reports carry (a batch entry's index).
     pub(crate) query: u64,
     pub(crate) config: Arc<ProtocolConfig>,
     pub(crate) topology: Arc<RingTopology>,
@@ -159,6 +162,7 @@ pub(crate) struct Hop {
 /// sequence. Advancing it never touches a transport, which is what keeps
 /// every driver's transcript bit-identical to the simulation's.
 pub(crate) struct NodeMachine {
+    query: u64,
     config: Arc<ProtocolConfig>,
     local: TopKVector,
     rng: rand::rngs::SmallRng,
@@ -187,6 +191,7 @@ impl NodeMachine {
         let topology = &init.topology;
         let position = topology.position_of(me)?;
         Ok(NodeMachine {
+            query: init.query,
             config: Arc::clone(&init.config),
             local,
             rng: SeedSpec::new(init.seed)
@@ -383,6 +388,167 @@ impl NodeMachine {
     }
 }
 
+/// One node's machines for one slot, in member order: a single query, or
+/// every query of a lock-step batch group. A slot has at least one member.
+pub(crate) struct Slot {
+    machines: Vec<NodeMachine>,
+}
+
+/// What a slot asks of its driver after one input.
+pub(crate) struct SlotHop {
+    /// The payload to send to the successor, if any.
+    pub(crate) forward: Option<SlotPayload>,
+    /// Every member's result, once its queries are over at this node.
+    pub(crate) results: Option<Vec<TopKVector>>,
+}
+
+impl Slot {
+    pub(crate) fn new(machines: Vec<NodeMachine>) -> Slot {
+        Slot { machines }
+    }
+
+    /// The member count: the logical messages each of the slot's frames
+    /// carries.
+    pub(crate) fn width(&self) -> usize {
+        self.machines.len()
+    }
+
+    /// The node every forwarded payload goes to; members share a ring
+    /// order.
+    pub(crate) fn successor(&self) -> NodeId {
+        self.machines[0].successor()
+    }
+
+    /// The round the members compute next; they share it in lock-step.
+    pub(crate) fn next_round(&self) -> Option<u32> {
+        self.machines[0].next_round()
+    }
+
+    /// The span context of a payload this slot takes or forwards: a
+    /// token's is the member's own; a batch's is the members' shared node,
+    /// ring position and round label, with no query id.
+    pub(crate) fn span_ctx(&self, payload: &SlotPayload) -> Ctx {
+        let first = &self.machines[0];
+        match payload {
+            SlotPayload::Token(msg) => first.span_ctx(msg),
+            SlotPayload::Batch(BatchMessage::Tokens { round, .. }) => Ctx {
+                query: None,
+                ..first.ctx.with_round(*round)
+            },
+            SlotPayload::Batch(BatchMessage::Finished { .. }) => Ctx {
+                query: None,
+                ..first.ctx
+            },
+        }
+    }
+
+    /// Advances every member by one input: the kick-off for `None`, else
+    /// a frame's payload from `from`. A lone member takes a token as is; a
+    /// group splits a batch of its own width into one token per member and
+    /// packs what they forward back into one batch. A payload of the wrong
+    /// shape is a typed [`RingError::Decode`].
+    pub(crate) fn advance(
+        &mut self,
+        input: Option<(NodeId, SlotPayload)>,
+        scratch: &mut TopkScratch,
+        recorder: &Recorder,
+    ) -> Result<SlotHop, ProtocolError> {
+        if let [machine] = self.machines.as_mut_slice() {
+            let hop = match input {
+                None => machine.kick_off(scratch, recorder)?,
+                Some((from, SlotPayload::Token(msg))) => {
+                    machine.take(from, msg, scratch, recorder)?
+                }
+                Some((_, SlotPayload::Batch(_))) => {
+                    return Err(decode_error("batch frame for a one-query slot"))
+                }
+            };
+            return Ok(SlotHop {
+                forward: hop.forward.map(SlotPayload::Token),
+                results: hop.result.map(|result| vec![result]),
+            });
+        }
+        let hops: Vec<Hop> = match input {
+            None => self
+                .machines
+                .iter_mut()
+                .map(|machine| machine.kick_off(scratch, recorder))
+                .collect::<Result<_, _>>()?,
+            Some((from, SlotPayload::Batch(batch))) if batch.len() == self.width() => self
+                .machines
+                .iter_mut()
+                .zip(split(batch))
+                .map(|(machine, token)| machine.take(from, token, scratch, recorder))
+                .collect::<Result<_, _>>()?,
+            Some(_) => return Err(decode_error("batch width changed mid-flight")),
+        };
+        let (forwards, results): (Vec<_>, Vec<_>) = hops
+            .into_iter()
+            .map(|hop| (hop.forward, hop.result))
+            .unzip();
+        Ok(SlotHop {
+            forward: pack(forwards)?.map(SlotPayload::Batch),
+            results: results.into_iter().collect(),
+        })
+    }
+
+    /// Consumes the slot: each member's query id and step log, with its
+    /// result.
+    pub(crate) fn into_reports(
+        self,
+        results: Vec<TopKVector>,
+    ) -> impl Iterator<Item = (u64, Vec<StepRecord>, TopKVector)> {
+        self.machines
+            .into_iter()
+            .zip(results)
+            .map(|(machine, result)| (machine.query, machine.into_steps(), result))
+    }
+}
+
+/// One batch frame as the per-entry tokens its members would have sent
+/// alone.
+fn split(batch: BatchMessage) -> Vec<TokenMessage> {
+    match batch {
+        BatchMessage::Tokens { round, vectors } => vectors
+            .into_iter()
+            .map(|vector| TokenMessage::Token { round, vector })
+            .collect(),
+        BatchMessage::Finished { vectors } => vectors
+            .into_iter()
+            .map(|vector| TokenMessage::Finished { vector })
+            .collect(),
+    }
+}
+
+/// Packs one lock-step hop's per-entry outputs back into a batch frame:
+/// `None` when no entry forwards (the last node of the termination
+/// circulation), an error if the entries disagree on what to send.
+fn pack(forwards: Vec<Option<TokenMessage>>) -> Result<Option<BatchMessage>, ProtocolError> {
+    let width = forwards.len();
+    // `Some(round)` labels a token batch, `None` a termination batch.
+    let mut label: Option<Option<u32>> = None;
+    let mut vectors = Vec::with_capacity(width);
+    for forward in forwards.into_iter().flatten() {
+        let (round, vector) = match forward {
+            TokenMessage::Token { round, vector } => (Some(round), vector),
+            TokenMessage::Finished { vector } => (None, vector),
+        };
+        // An entry disagreeing with the first one's label is left out,
+        // which the width check below turns into an error.
+        if *label.get_or_insert(round) == round {
+            vectors.push(vector);
+        }
+    }
+    match label {
+        None => Ok(None),
+        Some(_) if vectors.len() != width => {
+            Err(decode_error("batch entries fell out of lock-step"))
+        }
+        Some(Some(round)) => Ok(Some(BatchMessage::Tokens { round, vectors })),
+        Some(None) => Ok(Some(BatchMessage::Finished { vectors })),
+    }
+}
+
 fn expect_token(msg: TokenMessage, expect: u32) -> Result<TopKVector, ProtocolError> {
     match msg {
         TokenMessage::Token { round, vector } if round == expect => Ok(vector),
@@ -460,6 +626,73 @@ mod tests {
             Some(TokenMessage::Token { round: 1, .. })
         ));
         assert_eq!(machine.into_steps().len(), 1);
+    }
+
+    #[test]
+    fn slot_width_and_lockstep_mismatches_are_typed_errors() {
+        // Node 2 of a fixed-start ring of four, in a one-member slot and in
+        // a four-member group, each given a frame of the wrong shape.
+        let config = ProtocolConfig::topk(2)
+            .with_start(StartPolicy::Fixed)
+            .with_rounds(RoundPolicy::Fixed(3));
+        let locals = random_locals(4, 2, &mut SeedSpec::new(3).rng());
+        let open = |width: u64| {
+            let machines = (0..width)
+                .map(|q| {
+                    let init = SlotInit::new(q, &config, 4, 11 + q).unwrap();
+                    NodeMachine::open(NodeId::new(2), locals[2].clone(), &init).unwrap()
+                })
+                .collect();
+            Slot::new(machines)
+        };
+        let batch = |width| {
+            SlotPayload::Batch(BatchMessage::Tokens {
+                round: 1,
+                vectors: vec![locals[0].clone(); width],
+            })
+        };
+        let token = SlotPayload::Token(TokenMessage::Token {
+            round: 1,
+            vector: locals[0].clone(),
+        });
+        let mut scratch = TopkScratch::new();
+        let recorder = Recorder::disabled();
+        let predecessor = NodeId::new(1);
+        let (mut one, mut group) = (open(1), open(4));
+        for (width, payload) in [(1, batch(2)), (4, token), (4, batch(3))] {
+            let slot = if width == 1 { &mut one } else { &mut group };
+            let label = format!("{width}-member slot given {payload:?}");
+            assert!(
+                matches!(
+                    slot.advance(Some((predecessor, payload)), &mut scratch, &recorder),
+                    Err(ProtocolError::Ring(RingError::Decode { .. }))
+                ),
+                "{label} must be a typed decode error"
+            );
+        }
+        // Refused frames leave the group where it was.
+        let hop = group
+            .advance(Some((predecessor, batch(4))), &mut scratch, &recorder)
+            .unwrap();
+        assert!(matches!(
+            hop.forward,
+            Some(SlotPayload::Batch(BatchMessage::Tokens { round: 1, ref vectors })) if vectors.len() == 4
+        ));
+        // Members forwarding a token and a termination in the same hop
+        // have fallen out of lock-step.
+        let torn = vec![
+            Some(TokenMessage::Token {
+                round: 2,
+                vector: locals[0].clone(),
+            }),
+            Some(TokenMessage::Finished {
+                vector: locals[0].clone(),
+            }),
+        ];
+        assert!(matches!(
+            pack(torn),
+            Err(ProtocolError::Ring(RingError::Decode { .. }))
+        ));
     }
 
     #[test]

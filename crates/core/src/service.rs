@@ -17,16 +17,18 @@
 //! different position on the ring. Wire frames are tagged with a
 //! scheduler-assigned query id ([`SlotMessage`](crate::SlotMessage)) so
 //! workers demultiplex interleaved traversals onto per-query slots; each
-//! slot is one node machine (`crate::node`) owning its seed-derived RNG
-//! stream and step log, so every transcript stays bit-identical to the
-//! same query's solo
+//! slot holds one node machine (`crate::node`) per member query, owning
+//! its seed-derived RNG stream and step log, so every transcript stays
+//! bit-identical to the same query's solo
 //! [`run_distributed`](crate::distributed::run_distributed) run
 //! regardless of how traversals interleave. Pipelining changes only
 //! *scheduling*, never per-query randomness.
 //!
-//! The same worker loop runs every one-shot query too: `run_distributed`
-//! starts n workers, each with the query's slot already open and no live
-//! control channel.
+//! This worker loop is the only driver of the node machine. One-shot
+//! queries and batches run on it too: `run_distributed` and
+//! `run_distributed_batch` start one ring of n workers with every slot
+//! already open (one per solo query or lock-step batch group, all in
+//! flight at once) and no live control channel.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,18 +41,20 @@ use privtopk_domain::{LocalTopkSource, NodeId, TopKVector};
 use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Phase, Recorder};
 use privtopk_ring::transport::{send_value, FramePool, Transport};
 use privtopk_ring::wire::decode_from_bytes;
-use privtopk_ring::{MetricsSnapshot, RingError, TransportMetrics};
+use privtopk_ring::{RingError, TransportMetrics};
 
 use privtopk_ring::chaos::{ChaosEndpoint, ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
 
 use crate::distributed::{
-    build_endpoints, drain_endpoint, drain_window, healed_endpoints, CrashSchedule,
-    DistributedOutcome, NetworkKind, RunFailure, RECV_TIMEOUT,
+    build_endpoints, drain_window, healed_endpoints, CrashSchedule, DistributedBatchOutcome,
+    NetworkKind, RunFailure, RECV_TIMEOUT,
 };
 use crate::local::TopkScratch;
-use crate::messages::SlotMessage;
-use crate::node::{assemble, check_query, k_mismatch, Hop, NodeMachine, SlotInit, WorkerReport};
-use crate::{ProtocolConfig, ProtocolError, StepRecord, Transcript};
+use crate::messages::SlotFrame;
+use crate::node::{
+    assemble, check_query, k_mismatch, NodeMachine, Slot, SlotHop, SlotInit, WorkerReport,
+};
+use crate::{BatchJob, ProtocolConfig, ProtocolError, StepRecord, Transcript};
 
 /// How often an active worker interrupts its endpoint wait to pick up
 /// new slot assignments (or a shutdown) from the scheduler. Frames wake
@@ -101,19 +105,23 @@ enum WorkerControl {
 }
 
 /// One node's verdict on one query: its step log and learned result, or
-/// the first error that killed the slot.
+/// the first error that killed the slot. `query` names the member query
+/// of a result and the slot of an error (the same on a standing service).
 struct SlotReport {
     query: u64,
     node: NodeId,
     result: Result<(Vec<StepRecord>, TopKVector), ProtocolError>,
 }
 
-/// The long-lived per-node worker: owns the node's database snapshot and
-/// ring endpoint, and multiplexes any number of in-flight query slots —
-/// one [`NodeMachine`] each — over them until told to shut down.
+/// The long-lived per-node worker: owns the node's ring endpoint and, on a
+/// standing service, its database snapshot, and multiplexes any number of
+/// open [`Slot`]s over them until told to shut down.
 struct ServiceWorker {
     me: NodeId,
-    local: TopKVector,
+    /// The snapshot a standing service's assignments open machines on. A
+    /// one-shot ring opens every slot up front and has none; only a
+    /// standing service assigns, so `assign` finds it set.
+    local: Option<TopKVector>,
     endpoint: Box<dyn Transport>,
     pool: FramePool,
     control: Receiver<WorkerControl>,
@@ -122,11 +130,11 @@ struct ServiceWorker {
     recv_timeout: Duration,
     /// One-shot runs only: the round before which this node dies.
     crash_at: Option<u32>,
-    slots: HashMap<u64, NodeMachine>,
-    /// The highest query id assigned so far. Assigns reach a worker in
-    /// increasing id order, so a frame at or below it with no open slot
-    /// belongs to a query this worker has already closed.
-    highest_assigned: Option<u64>,
+    slots: HashMap<u64, Slot>,
+    /// The highest slot id opened so far. Slots open in increasing id
+    /// order, so a frame at or below it with no open slot belongs to a
+    /// slot this worker has already closed.
+    highest_opened: Option<u64>,
     draining: bool,
     recorder: Recorder,
     /// Hop-kernel working memory, shared across every in-flight slot:
@@ -138,7 +146,7 @@ struct ServiceWorker {
 impl ServiceWorker {
     fn new(
         me: NodeId,
-        local: TopKVector,
+        local: Option<TopKVector>,
         endpoint: Box<dyn Transport>,
         control: Receiver<WorkerControl>,
         reports: Sender<SlotReport>,
@@ -156,7 +164,7 @@ impl ServiceWorker {
             recv_timeout: RECV_TIMEOUT,
             crash_at: None,
             slots: HashMap::new(),
-            highest_assigned: None,
+            highest_opened: None,
             draining: false,
             recorder,
             scratch: TopkScratch::new(),
@@ -209,9 +217,17 @@ impl ServiceWorker {
             }
         }
         // Over lossy transports, keep re-acknowledging retransmissions
-        // for a grace window so peers whose ACKs were dropped finish.
+        // for a grace window so peers whose ACKs were dropped finish: the
+        // reliability layer re-ACKs each duplicate inside `recv`, and the
+        // frames themselves are discarded.
         if let Some(window) = self.drain_on_exit {
-            let _ = drain_endpoint(self.endpoint.as_mut(), window);
+            let deadline = Instant::now() + window;
+            loop {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() || self.endpoint.recv_timeout(remaining).is_err() {
+                    break;
+                }
+            }
         }
     }
 
@@ -235,19 +251,26 @@ impl ServiceWorker {
         }
     }
 
-    /// Opens a slot for one query; the starting node kicks off round 1
-    /// at once.
+    /// Opens a one-member slot for an assigned query.
     fn assign(&mut self, init: &SlotInit) {
-        self.highest_assigned = Some(init.query);
-        let mut machine = match NodeMachine::open(self.me, self.local.clone(), init) {
-            Ok(machine) => machine,
-            Err(e) => return self.report(init.query, Err(e)),
-        };
-        if self.crash_due(&machine) {
-            return self.crash(init.query);
+        let local = self.local.clone().expect("only a standing service assigns");
+        match NodeMachine::open(self.me, local, init) {
+            Ok(machine) => self.open(init.query, Slot::new(vec![machine])),
+            Err(e) => {
+                self.highest_opened = Some(init.query);
+                self.report(init.query, Err(e));
+            }
         }
-        let hop = machine.kick_off(&mut self.scratch, &self.recorder);
-        self.settle(init.query, machine, hop);
+    }
+
+    /// Opens slot `id`; a starting node kicks off round 1 at once.
+    fn open(&mut self, id: u64, mut slot: Slot) {
+        self.highest_opened = Some(id);
+        if self.crash_due(&slot) {
+            return self.crash(id);
+        }
+        let hop = slot.advance(None, &mut self.scratch, &self.recorder);
+        self.settle(id, slot, hop);
     }
 
     /// Waits for a frame, its sender, and when the wait began. While the
@@ -283,9 +306,9 @@ impl ServiceWorker {
         }
     }
 
-    /// Demultiplexes one tagged frame onto its slot's machine.
+    /// Demultiplexes one tagged frame onto its slot.
     fn dispatch(&mut self, from: NodeId, frame: Bytes, recv_started: Option<Instant>) {
-        let msg: SlotMessage = match decode_from_bytes(&frame) {
+        let msg: SlotFrame = match decode_from_bytes(&frame) {
             Ok(msg) => msg,
             Err(e) => {
                 // An unattributable frame: the ring is corrupt for
@@ -295,21 +318,21 @@ impl ServiceWorker {
             }
         };
         self.pool.recycle(frame);
-        let query = msg.query;
-        if !self.await_assignment(query) {
-            self.report(query, Err(ProtocolError::Ring(RingError::Timeout)));
+        let id = msg.slot;
+        if !self.await_assignment(id) {
+            self.report(id, Err(ProtocolError::Ring(RingError::Timeout)));
             return;
         }
-        // No open slot for an assigned query: it is already closed here
-        // (it failed at this node while upstream kept forwarding, or a
-        // peer injected the frame), so the frame is dropped.
-        let Some(mut machine) = self.slots.remove(&query) else {
+        // No open slot for an assigned id: it is already closed here (it
+        // failed at this node while upstream kept forwarding, or a peer
+        // injected the frame), so the frame is dropped.
+        let Some(mut slot) = self.slots.remove(&id) else {
             return;
         };
         self.recorder
-            .record(Phase::Recv, machine.span_ctx(&msg.inner), recv_started);
-        let hop = machine.take(from, msg.inner, &mut self.scratch, &self.recorder);
-        self.settle(query, machine, hop);
+            .record(Phase::Recv, slot.span_ctx(&msg.payload), recv_started);
+        let hop = slot.advance(Some((from, msg.payload)), &mut self.scratch, &self.recorder);
+        self.settle(id, slot, hop);
     }
 
     /// A frame can outrun its own `Assign`: the starting node kicks off
@@ -317,14 +340,11 @@ impl ServiceWorker {
     /// the control message out to the other workers. Block on the
     /// control channel until `query` has been assigned here.
     fn await_assignment(&mut self, query: u64) -> bool {
-        if self
-            .highest_assigned
-            .is_some_and(|highest| highest >= query)
-        {
+        if self.highest_opened.is_some_and(|highest| highest >= query) {
             return true;
         }
         let deadline = Instant::now() + self.recv_timeout;
-        while self.highest_assigned.is_none_or(|highest| highest < query) {
+        while self.highest_opened.is_none_or(|highest| highest < query) {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return false;
@@ -341,47 +361,51 @@ impl ServiceWorker {
         true
     }
 
-    /// Acts on one machine's hop: sends what it forwards, then reports
-    /// the slot once the query is over at this node, or keeps it open —
-    /// unless a scheduled crash is due before the machine's next round.
-    fn settle(&mut self, query: u64, machine: NodeMachine, hop: Result<Hop, ProtocolError>) {
+    /// Acts on one slot's hop: sends what it forwards, then reports each
+    /// member once the slot's queries are over at this node, or keeps the
+    /// slot open — unless a scheduled crash is due before its next round.
+    fn settle(&mut self, id: u64, slot: Slot, hop: Result<SlotHop, ProtocolError>) {
         let settled = hop.and_then(|hop| {
-            if let Some(inner) = hop.forward {
-                // Tagged with its query id, for the successor's demux.
-                let ctx = machine.span_ctx(&inner);
+            if let Some(payload) = hop.forward {
+                // Tagged with its slot id, for the successor's demux.
+                let ctx = slot.span_ctx(&payload);
                 send_value(
                     self.endpoint.as_mut(),
                     &self.pool,
-                    machine.successor(),
-                    &SlotMessage { query, inner },
-                    1,
+                    slot.successor(),
+                    &SlotFrame { slot: id, payload },
+                    slot.width() as u64,
                     &self.recorder,
                     ctx,
                 )?;
             }
-            Ok(hop.result)
+            Ok(hop.results)
         });
         match settled {
-            Err(e) => self.report(query, Err(e)),
-            Ok(Some(result)) => self.report(query, Ok((machine.into_steps(), result))),
-            Ok(None) if self.crash_due(&machine) => self.crash(query),
+            Err(e) => self.report(id, Err(e)),
+            Ok(Some(results)) => {
+                for (query, steps, result) in slot.into_reports(results) {
+                    self.report(query, Ok((steps, result)));
+                }
+            }
+            Ok(None) if self.crash_due(&slot) => self.crash(id),
             Ok(None) => {
-                self.slots.insert(query, machine);
+                self.slots.insert(id, slot);
             }
         }
     }
 
-    fn crash_due(&self, machine: &NodeMachine) -> bool {
-        self.crash_at.is_some() && machine.next_round() == self.crash_at
+    fn crash_due(&self, slot: &Slot) -> bool {
+        self.crash_at.is_some() && slot.next_round() == self.crash_at
     }
 
     /// A scheduled crash: the node dies silently, mid-protocol, before it
     /// receives or sends anything for the round. Its slots report the
     /// crash and the worker leaves the wire without a drain.
-    fn crash(&mut self, query: u64) {
+    fn crash(&mut self, id: u64) {
         let node = self.me;
         let crashed = move || ProtocolError::WorkerCrashed { node };
-        self.report(query, Err(crashed()));
+        self.report(id, Err(crashed()));
         self.fail_all(crashed(), crashed);
         self.draining = true;
         self.drain_on_exit = None;
@@ -400,49 +424,97 @@ impl ServiceWorker {
     /// (`ProtocolError` is not `Clone`, hence the factory).
     fn fail_all(&mut self, first: ProtocolError, rest: impl Fn() -> ProtocolError) {
         let mut first = Some(first);
-        for query in std::mem::take(&mut self.slots).into_keys() {
+        for id in std::mem::take(&mut self.slots).into_keys() {
             let error = first.take().unwrap_or_else(&rest);
-            self.report(query, Err(error));
+            self.report(id, Err(error));
         }
     }
 }
 
-/// Runs one query as a one-shot ring of service workers. Each worker
-/// starts with the query's slot already open and its control plane hung
-/// up, so no `Assign` or `Shutdown` ever crosses a channel and a waiting
-/// worker blocks on its endpoint for the whole deadline. Every node files
-/// one report, so a failure names every node that crashed. The transport
-/// counters are published into `recorder` once the query completes.
+/// Runs `jobs` on one one-shot ring of service workers. Jobs that agree
+/// on round count and ring order form a lock-step group, and each group is
+/// one slot whose id is its group index. Every worker starts with every
+/// slot open and its control plane hung up, so every group is in flight at
+/// once, no `Assign` or `Shutdown` ever crosses a channel, and a waiting
+/// worker blocks on its endpoint for the whole deadline. Every node
+/// reports each member query or an error, so a failure names every node
+/// that crashed. The transport counters are published into `recorder`
+/// once every query completes.
 pub(crate) fn run_once(
-    config: &ProtocolConfig,
-    locals: &[TopKVector],
+    jobs: &[BatchJob],
     network: NetworkKind,
-    seed: u64,
     crashes: &CrashSchedule,
     recv_timeout: Duration,
     recorder: &Recorder,
-) -> Result<DistributedOutcome, RunFailure> {
+) -> Result<DistributedBatchOutcome, RunFailure> {
     let fail = |error: ProtocolError| RunFailure {
         crashed: Vec::new(),
         error,
     };
-    let n = locals.len();
-    check_query(config, n, k_mismatch(config.k(), locals)).map_err(fail)?;
-    let init = Arc::new(SlotInit::new(0, config, n, seed).map_err(fail)?);
-    let (endpoints, metrics) = build_endpoints(network, n, seed, recorder).map_err(fail)?;
+    crate::batch::validate_batch_shape(jobs).map_err(fail)?;
+    let n = jobs[0].locals.len();
+    for job in jobs {
+        if job.locals.len() != n {
+            return Err(fail(ProtocolError::InvalidBatch {
+                reason: "batched jobs must share one federation (node count)",
+            }));
+        }
+        check_query(&job.config, n, k_mismatch(job.config.k(), &job.locals)).map_err(fail)?;
+    }
+    // Each job's rounds and ring order come from its own seed, as in its
+    // solo run; its query id is its index in the batch.
+    let inits: Vec<SlotInit> = jobs
+        .iter()
+        .enumerate()
+        .map(|(j, job)| SlotInit::new(j as u64, &job.config, n, job.seed))
+        .collect::<Result<_, _>>()
+        .map_err(fail)?;
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (j, init) in inits.iter().enumerate() {
+        let lockstep = |members: &&mut Vec<usize>| {
+            let lead = &inits[members[0]];
+            lead.rounds == init.rounds && lead.topology.order() == init.topology.order()
+        };
+        match groups.iter_mut().find(lockstep) {
+            Some(members) => members.push(j),
+            None => groups.push(vec![j]),
+        }
+    }
+    let (endpoints, metrics) = build_endpoints(network, n, jobs[0].seed, recorder).map_err(fail)?;
+    // Every node's slots, one machine per member, opened before any
+    // worker starts.
+    let slots: Vec<Vec<Slot>> = (0..n)
+        .map(|i| {
+            groups
+                .iter()
+                .map(|members| {
+                    let open = |&j: &usize| {
+                        NodeMachine::open(NodeId::new(i), jobs[j].locals[i].clone(), &inits[j])
+                    };
+                    members
+                        .iter()
+                        .map(open)
+                        .collect::<Result<_, _>>()
+                        .map(Slot::new)
+                })
+                .collect()
+        })
+        .collect::<Result<_, _>>()
+        .map_err(fail)?;
     let drain_on_exit = drain_window(network);
     let (report_tx, report_rx) = unbounded();
     let handles: Vec<_> = endpoints
         .into_iter()
+        .zip(slots)
         .enumerate()
-        .map(|(i, endpoint)| {
+        .map(|(i, (endpoint, slots))| {
             let me = NodeId::new(i);
             // The sender drops here: the control plane is hung up from
             // the start.
             let (_, control) = unbounded();
             let mut worker = ServiceWorker::new(
                 me,
-                locals[i].clone(),
+                None,
                 endpoint,
                 control,
                 report_tx.clone(),
@@ -451,35 +523,46 @@ pub(crate) fn run_once(
             );
             worker.recv_timeout = recv_timeout;
             worker.crash_at = crashes.round_for(me);
-            let init = Arc::clone(&init);
             std::thread::spawn(move || {
-                worker.assign(&init);
+                for (id, slot) in slots.into_iter().enumerate() {
+                    worker.open(id as u64, slot);
+                }
                 worker.run();
             })
         })
         .collect();
     drop(report_tx);
-    // A worker that panicked files no report; the verdicts below turn
-    // its silence into `WorkerFailed`.
+    // A worker that panicked files too few reports; the verdicts below
+    // turn its silence into `WorkerFailed`.
     for handle in handles {
         let _ = handle.join();
     }
-    let mut verdicts: Vec<Option<_>> = (0..n).map(|_| None).collect();
+    let mut by_job: Vec<Vec<WorkerReport>> = jobs.iter().map(|_| Vec::with_capacity(n)).collect();
+    // Per node: how many member queries it reported, or its first error.
+    let mut verdicts: Vec<Result<usize, ProtocolError>> = (0..n).map(|_| Ok(0)).collect();
     while let Ok(report) = report_rx.try_recv() {
-        if report.query == init.query {
-            verdicts[report.node.get()].get_or_insert(report.result);
+        let (node, verdict) = (report.node, &mut verdicts[report.node.get()]);
+        match (report.result, verdict.as_mut()) {
+            (Ok((steps, result)), Ok(filed)) => {
+                *filed += 1;
+                by_job[report.query as usize].push(WorkerReport {
+                    node,
+                    steps,
+                    result,
+                });
+            }
+            (Err(error), Ok(_)) => *verdict = Err(error),
+            (_, Err(_)) => {}
         }
     }
-    let mut reports = Vec::with_capacity(n);
     let mut crashed = Vec::new();
     let mut first_error = None;
     for (position, verdict) in verdicts.into_iter().enumerate() {
-        match verdict.unwrap_or(Err(ProtocolError::WorkerFailed { position })) {
-            Ok((steps, result)) => reports.push(WorkerReport {
-                node: NodeId::new(position),
-                steps,
-                result,
-            }),
+        match verdict {
+            Ok(filed) if filed == jobs.len() => {}
+            Ok(_) => {
+                first_error.get_or_insert(ProtocolError::WorkerFailed { position });
+            }
             Err(ProtocolError::WorkerCrashed { node }) => crashed.push(node),
             Err(error) => {
                 first_error.get_or_insert(error);
@@ -494,14 +577,23 @@ pub(crate) fn run_once(
     if let Some(error) = first_error.or(crash) {
         return Err(RunFailure { crashed, error });
     }
-    let outcome = assemble(&init, reports);
     let snap = metrics.take();
     snap.publish(recorder);
-    Ok(DistributedOutcome {
-        transcript: outcome.transcript,
-        per_node_results: outcome.per_node_results,
-        messages_sent: snap.logical_messages,
+    let (transcripts, per_node_results) = by_job
+        .into_iter()
+        .zip(&inits)
+        .map(|(reports, init)| {
+            let outcome = assemble(init, reports);
+            (outcome.transcript, outcome.per_node_results)
+        })
+        .unzip();
+    Ok(DistributedBatchOutcome {
+        transcripts,
+        per_node_results,
+        frames_sent: snap.frames_sent,
+        logical_messages: snap.logical_messages,
         bytes_sent: snap.bytes_sent,
+        groups: groups.len() as u32,
     })
 }
 
@@ -704,31 +796,20 @@ impl ServiceRuntime {
     ) -> Result<(ServiceRuntime, Arc<ChaosState>), ProtocolError> {
         plan.validate(DEFAULT_HEAL_BUDGET)?;
         let state = ChaosState::new(plan.clone());
-        let runtime = Self::start_with_chaos_state(locals, depth, recorder, &state)?;
-        Ok((runtime, state))
-    }
-
-    /// Starts a runtime whose endpoints consult an existing shared
-    /// [`ChaosState`] — the building block that lets a
-    /// [`ShardedService`] subject all its rings to the same incident
-    /// schedule on one clock.
-    ///
-    /// # Errors
-    ///
-    /// As for [`start`](Self::start).
-    pub fn start_with_chaos_state(
-        locals: &[TopKVector],
-        depth: usize,
-        recorder: Recorder,
-        state: &Arc<ChaosState>,
-    ) -> Result<ServiceRuntime, ProtocolError> {
         let n = Self::validate(locals, depth)?;
         let wire = healed_endpoints(n, FAULT_SEED, &recorder, |e, seed| {
-            ChaosEndpoint::new(e, Arc::clone(state), seed)
+            ChaosEndpoint::new(e, Arc::clone(&state), seed)
         });
         // Same shutdown drain as a lossy network: finished workers keep
         // re-ACKing retransmissions for a grace window.
-        Self::start_with_endpoints(locals, depth, wire, Some(Duration::from_secs(1)), recorder)
+        let runtime = Self::start_with_endpoints(
+            locals,
+            depth,
+            wire,
+            Some(Duration::from_secs(1)),
+            recorder,
+        )?;
+        Ok((runtime, state))
     }
 
     /// Checks the depth and the snapshots; returns the ring size.
@@ -763,7 +844,7 @@ impl ServiceRuntime {
             let (control_tx, control_rx) = unbounded();
             let worker = ServiceWorker::new(
                 NodeId::new(i),
-                locals[i].clone(),
+                Some(locals[i].clone()),
                 endpoint,
                 control_rx,
                 report_tx.clone(),
@@ -1071,23 +1152,6 @@ impl ServiceRuntime {
     }
 }
 
-/// `W` independent standing federations answering one workload across
-/// cores.
-///
-/// Each shard is a full [`ServiceRuntime`] — its own ring of node
-/// workers over its own network — and queries are slotted onto shards
-/// deterministically by workload index (`query i` runs on shard
-/// `i mod W`, the same slotting the experiment harness's trial pool
-/// uses). A query's transcript depends only on `(locals, config, seed)`,
-/// never on which shard ran it or what else was in flight, so every
-/// transcript stays bit-identical to a solo [`ServiceRuntime`] run.
-///
-/// `W = 1` degenerates to a plain [`ServiceRuntime`]; on a multi-core
-/// host, `W` shards of depth `d` keep `W × d` queries in flight.
-pub struct ShardedService {
-    shards: Vec<ServiceRuntime>,
-}
-
 /// Acquires one consistent local top-k snapshot per source — the bridge
 /// from [`LocalTopkSource`] backends to the vector-based service
 /// constructors.
@@ -1101,231 +1165,11 @@ where
         .collect()
 }
 
-impl ShardedService {
-    /// Starts `workers` independent shards, each a standing ring over
-    /// its own `network` with pipeline `depth`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::InvalidService`] for a zero `workers`, plus
-    /// everything [`ServiceRuntime::start`] can return.
-    pub fn start(
-        locals: &[TopKVector],
-        network: NetworkKind,
-        depth: usize,
-        workers: usize,
-    ) -> Result<ShardedService, ProtocolError> {
-        Self::start_traced(locals, network, depth, workers, Recorder::disabled())
-    }
-
-    /// [`start`](Self::start) with telemetry; all shards share the one
-    /// recorder.
-    ///
-    /// # Errors
-    ///
-    /// As for [`start`](Self::start).
-    pub fn start_traced(
-        locals: &[TopKVector],
-        network: NetworkKind,
-        depth: usize,
-        workers: usize,
-        recorder: Recorder,
-    ) -> Result<ShardedService, ProtocolError> {
-        if workers == 0 {
-            return Err(ProtocolError::InvalidService {
-                reason: "worker count must be at least 1",
-            });
-        }
-        let shards = (0..workers)
-            .map(|_| ServiceRuntime::start_traced(locals, network, depth, recorder.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedService { shards })
-    }
-
-    /// [`start_traced`](Self::start_traced) with every shard's network
-    /// subjected to the same chaos plan on one shared clock: an
-    /// incident hits all rings simultaneously, as a real outage would.
-    /// Returns the shared [`ChaosState`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`start`](Self::start), plus [`ProtocolError::Ring`] for
-    /// a plan the reliability layer could not heal.
-    pub fn start_chaos_traced(
-        locals: &[TopKVector],
-        depth: usize,
-        workers: usize,
-        recorder: Recorder,
-        plan: &ChaosPlan,
-    ) -> Result<(ShardedService, Arc<ChaosState>), ProtocolError> {
-        if workers == 0 {
-            return Err(ProtocolError::InvalidService {
-                reason: "worker count must be at least 1",
-            });
-        }
-        plan.validate(DEFAULT_HEAL_BUDGET)?;
-        let state = ChaosState::new(plan.clone());
-        let shards = (0..workers)
-            .map(|_| {
-                ServiceRuntime::start_with_chaos_state(locals, depth, recorder.clone(), &state)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((ShardedService { shards }, state))
-    }
-
-    /// [`start`](Self::start) over [`LocalTopkSource`] backends: each
-    /// node's snapshot is acquired once, here, and shared by all
-    /// shards, so the whole sharded service answers from one consistent
-    /// per-node view.
-    ///
-    /// # Errors
-    ///
-    /// As [`start`](Self::start), plus [`ProtocolError::Domain`] if a
-    /// source cannot produce an exact top-`k` vector.
-    pub fn start_from_sources<S>(
-        sources: &[S],
-        k: usize,
-        network: NetworkKind,
-        depth: usize,
-        workers: usize,
-    ) -> Result<ShardedService, ProtocolError>
-    where
-        S: LocalTopkSource,
-    {
-        let locals = snapshot_sources(sources, k)?;
-        Self::start_traced(&locals, network, depth, workers, Recorder::disabled())
-    }
-
-    /// Installs one shared [`QueryObserver`] on every shard; each
-    /// shard's scheduler notifies it at submit time, so the observer
-    /// sees the whole workload regardless of slotting.
-    pub fn set_observer(&mut self, observer: Arc<dyn QueryObserver>) {
-        for shard in &mut self.shards {
-            shard.set_observer(Arc::clone(&observer));
-        }
-    }
-
-    /// Number of shards (independent standing rings).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pipeline depth of each shard.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.shards[0].depth()
-    }
-
-    /// Sums the shards' live wire counters into one snapshot (without
-    /// draining any of them).
-    #[must_use]
-    pub fn wire_totals(&self) -> MetricsSnapshot {
-        let mut total = MetricsSnapshot::default();
-        for shard in &self.shards {
-            let snap = shard.metrics().peek();
-            total.frames_sent += snap.frames_sent;
-            total.logical_messages += snap.logical_messages;
-            total.bytes_sent += snap.bytes_sent;
-            total.pooled_buffers_high_water += snap.pooled_buffers_high_water;
-            total.retransmissions += snap.retransmissions;
-            total.re_acks += snap.re_acks;
-        }
-        total
-    }
-
-    /// Per-shard service stats, indexed by shard.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ServiceStats> {
-        self.shards.iter().map(ServiceRuntime::stats).collect()
-    }
-
-    /// Runs a workload across the shards, returning outcomes in
-    /// workload order.
-    ///
-    /// One scheduler thread per shard submits and collects that shard's
-    /// slice of the workload; results land in their original positions.
-    ///
-    /// # Errors
-    ///
-    /// The first submission or per-query error from any shard.
-    pub fn run_workload(
-        &mut self,
-        queries: &[(ProtocolConfig, u64)],
-    ) -> Result<Vec<ServiceOutcome>, ProtocolError> {
-        let w = self.shards.len();
-        if w == 1 {
-            return self.shards[0].run_workload(queries);
-        }
-        let mut slots: Vec<Option<ServiceOutcome>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        let per_shard: Vec<Result<Vec<(usize, ServiceOutcome)>, ProtocolError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(s, shard)| {
-                        scope.spawn(move || {
-                            let mut tickets = Vec::new();
-                            for (i, (config, seed)) in queries.iter().enumerate() {
-                                if i % w == s {
-                                    tickets.push((i, shard.submit(config, *seed)?));
-                                }
-                            }
-                            tickets
-                                .into_iter()
-                                .map(|(i, ticket)| Ok((i, shard.collect(ticket)?)))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(position, handle)| {
-                        handle
-                            .join()
-                            .unwrap_or(Err(ProtocolError::WorkerFailed { position }))
-                    })
-                    .collect()
-            });
-        for shard_results in per_shard {
-            for (i, outcome) in shard_results? {
-                slots[i] = Some(outcome);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("slotting covers every workload index"))
-            .collect())
-    }
-
-    /// Shuts every shard down, draining in-flight queries and joining
-    /// all worker threads.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ProtocolError::WorkerFailed`] from any shard.
-    pub fn shutdown(self) -> Result<(), ProtocolError> {
-        let mut first_error = None;
-        for shard in self.shards {
-            if let Err(error) = shard.shutdown() {
-                first_error.get_or_insert(error);
-            }
-        }
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distributed::run_distributed;
-    use crate::{RoundPolicy, Schedule, StartPolicy, TokenMessage};
+    use crate::{RoundPolicy, Schedule, SlotMessage, StartPolicy, TokenMessage};
     use privtopk_domain::{Value, ValueDomain};
 
     fn locals(n: usize, k: usize, seed: u64) -> Vec<TopKVector> {
@@ -1399,31 +1243,6 @@ mod tests {
             ServiceRuntime::start_from_sources(&sources, 0, NetworkKind::InMemory, 1),
             Err(ProtocolError::Domain(_))
         ));
-    }
-
-    #[test]
-    fn sharded_service_from_sources_runs_workload() {
-        let locals = locals(4, 2, 5);
-        let sources: Vec<VecSource> = locals
-            .iter()
-            .map(|v| VecSource {
-                values: v.as_slice().to_vec(),
-                domain: ValueDomain::paper_default(),
-            })
-            .collect();
-        let cfg = config(2);
-        let workload: Vec<(ProtocolConfig, u64)> =
-            (0..6u64).map(|seed| (cfg.clone(), seed)).collect();
-        let mut sharded =
-            ShardedService::start_from_sources(&sources, 2, NetworkKind::InMemory, 2, 2).unwrap();
-        let outcomes = sharded.run_workload(&workload).unwrap();
-        let mut solo = ServiceRuntime::start(&locals, NetworkKind::InMemory, 1).unwrap();
-        for (i, (cfg, seed)) in workload.iter().enumerate() {
-            let expected = solo.run(cfg, *seed).unwrap();
-            assert_eq!(outcomes[i], expected, "query {i}");
-        }
-        solo.shutdown().unwrap();
-        sharded.shutdown().unwrap();
     }
 
     #[test]
@@ -1692,34 +1511,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_matches_solo_transcripts() {
-        // The multi-core identity gate: every query run through a
-        // two-shard service must produce the byte-for-byte transcript a
-        // solo depth-1 runtime produces for the same (locals, cfg, seed).
-        let locals = locals(5, 3, 33);
-        let cfg = config(3);
-        let workload: Vec<(ProtocolConfig, u64)> =
-            (0..6u64).map(|seed| (cfg.clone(), 100 + seed)).collect();
-        let mut sharded = ShardedService::start(&locals, NetworkKind::InMemory, 2, 2).unwrap();
-        assert_eq!(sharded.workers(), 2);
-        assert_eq!(sharded.depth(), 2);
-        let outcomes = sharded.run_workload(&workload).unwrap();
-        assert_eq!(outcomes.len(), workload.len());
-        let totals = sharded.wire_totals();
-        assert!(totals.frames_sent > 0);
-        assert_eq!(sharded.shard_stats().len(), 2);
-        sharded.shutdown().unwrap();
-
-        let mut solo = ServiceRuntime::start(&locals, NetworkKind::InMemory, 1).unwrap();
-        for (outcome, (config, seed)) in outcomes.iter().zip(&workload) {
-            let reference = solo.run(config, *seed).unwrap();
-            assert_eq!(outcome.transcript, reference.transcript);
-            assert_eq!(outcome.per_node_results, reference.per_node_results);
-        }
-        solo.shutdown().unwrap();
-    }
-
-    #[test]
     fn stale_frame_for_a_closed_query_does_not_stall_the_ring() {
         // A depth-1 service on n of the network's n + 1 endpoints; the
         // spare one injects a well-formed frame for query 0 after every
@@ -1768,14 +1559,5 @@ mod tests {
         );
         let cold = run_distributed(&cfg, &locals, NetworkKind::InMemory, 1).unwrap();
         assert_eq!(second.transcript, cold.transcript);
-    }
-
-    #[test]
-    fn sharded_service_rejects_zero_workers() {
-        let locals = locals(4, 2, 3);
-        assert!(matches!(
-            ShardedService::start(&locals, NetworkKind::InMemory, 1, 0),
-            Err(ProtocolError::InvalidService { .. })
-        ));
     }
 }

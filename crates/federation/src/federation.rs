@@ -276,8 +276,8 @@ impl Federation {
         Ok(self.finish_batch(batch, transcripts, &mirrors))
     }
 
-    /// Executes a query batch over a real transport, piggybacking all
-    /// queries' payloads in one wire frame per hop (per lock-step group).
+    /// Executes a query batch on one ring over a real transport, each
+    /// lock-step group's payloads piggybacked in one wire frame per hop.
     ///
     /// Produces the same outcomes as [`Federation::execute_batch`] with
     /// the same batch.

@@ -6,10 +6,9 @@
 # BENCH_throughput.json, asserting batch/solo transcript identity, the
 # B=1 parity floor, the compact-codec frame budget and the
 # monotone-through-256 throughput curve, and the persistent service
-# runtime (warm vs cold queries/sec at pipeline depths {1,4,16}, plus a
-# cores x depth sharded-service matrix) into BENCH_service.json,
-# asserting service/solo transcript identity plus the warm >= 2x cold
-# floor, and finally the persistent node store (local top-k latency vs
+# runtime (warm vs cold queries/sec at pipeline depths {1,4,16}) into
+# BENCH_service.json, asserting service/solo transcript identity plus the
+# warm >= 2x cold floor, and finally the persistent node store (local top-k latency vs
 # row count up to 10^6, cold opens, service under concurrent ingest)
 # into BENCH_store.json, asserting the sublinear-latency gate and
 # frozen-snapshot transcript identity, and the chaos observability run
@@ -144,8 +143,6 @@ grep -q '"grouped_max"' "$SERVICE_OUT" \
     || { echo "error: analyzer-measured grouped critical path missing from $SERVICE_OUT" >&2; exit 1; }
 grep -q '"machine"' "$SERVICE_OUT" \
     || { echo "error: machine block missing from $SERVICE_OUT" >&2; exit 1; }
-grep -q '"cores_by_depth"' "$SERVICE_OUT" \
-    || { echo "error: cores x depth matrix missing from $SERVICE_OUT" >&2; exit 1; }
 echo "wrote $SERVICE_OUT"
 
 # --- persistent node store -------------------------------------------

@@ -111,16 +111,35 @@ echo "$BATCH_OUT" | grep -q "1 passed" \
 # interleaved in one thread under 256 seeded delivery orders must each
 # equal the simulation engine's transcript at the paper's n*r + n - 1
 # frames; and a stale frame for a query a standing service has already
-# closed must be dropped instead of stalling the next query.
+# closed must be dropped instead of stalling the next query. A slot
+# given a batch of the wrong width, a token where a batch belongs or
+# members that fall out of lock-step must give typed errors too, and a
+# batch of one group of four and four one-member groups must run on one
+# ring over in-memory, TCP and lossy networks, every transcript equal
+# to its solo run and every group at n*r + n - 1 frames.
 for gate in bad_inputs_give_typed_errors_not_panics \
     interleaved_queries_match_the_simulation \
-    stale_frame_for_a_closed_query_does_not_stall_the_ring; do
+    stale_frame_for_a_closed_query_does_not_stall_the_ring \
+    slot_width_and_lockstep_mismatches_are_typed_errors \
+    heterogeneous_batch_runs_on_one_ring_over_every_network; do
     echo "==> cargo test -p privtopk-core --lib $gate"
     GATE_OUT=$(cargo test -p privtopk-core --lib "$gate" 2>&1)
     echo "$GATE_OUT"
     echo "$GATE_OUT" | grep -q "1 passed" \
         || { echo "error: node machine gate $gate matched no test (renamed?)" >&2; exit 1; }
 done
+
+# Batch over TCP through the CLI: the groups of a batch share one ring of
+# socket-connected workers, and the answers must match the simulated
+# batch line for line.
+echo "==> privtopk query --batch 8 --network tcp smoke"
+BATCH_DIR=$(mktemp -d)
+./target/release/privtopk query --kind topk --k 3 --nodes 5 --batch 8 > "$BATCH_DIR/sim.txt"
+./target/release/privtopk query --kind topk --k 3 --nodes 5 --batch 8 --network tcp > "$BATCH_DIR/tcp.txt"
+diff "$BATCH_DIR/sim.txt" "$BATCH_DIR/tcp.txt" \
+    || { echo "error: batch over TCP differs from the simulated batch" >&2; exit 1; }
+rm -rf "$BATCH_DIR"
+echo "    batch over TCP matches the simulated batch"
 
 # Crash recovery through the one-shot worker loop: a node dies in round
 # 3, the ring is rebuilt without it, and the example asserts the
