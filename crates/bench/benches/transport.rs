@@ -1,7 +1,6 @@
-//! Wire-codec and transport costs: encode/decode throughput, in-memory vs
-//! TCP token circulation, and the cipher layer's overhead.
+//! Wire-codec and transport costs: encode/decode throughput and in-memory
+//! vs TCP token circulation.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -11,7 +10,6 @@ use privtopk_bench::bench_locals;
 use privtopk_core::distributed::{run_distributed, NetworkKind};
 use privtopk_core::{ProtocolConfig, RoundPolicy, TokenMessage};
 use privtopk_domain::{NodeId, TopKVector, Value, ValueDomain};
-use privtopk_ring::cipher::{ChannelCipher, PlainCipher, XorKeystreamCipher};
 use privtopk_ring::transport::{InMemoryNetwork, Transport};
 use privtopk_ring::wire::{decode_from_bytes, encode_to_bytes};
 
@@ -40,16 +38,6 @@ fn bench_wire_codec(c: &mut Criterion) {
             b.iter(|| decode_from_bytes::<TokenMessage>(frame).expect("valid frame"));
         });
     }
-    group.finish();
-}
-
-fn bench_cipher(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cipher");
-    let payload = Bytes::from(vec![0xACu8; 4096]);
-    let plain = PlainCipher;
-    let xor = XorKeystreamCipher::new(0xFEED);
-    group.bench_function("plain_seal_4k", |b| b.iter(|| plain.seal(&payload)));
-    group.bench_function("xor_seal_4k", |b| b.iter(|| xor.seal(&payload)));
     group.finish();
 }
 
@@ -90,36 +78,10 @@ fn bench_distributed_run(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cipher_on_network(c: &mut Criterion) {
-    let mut group = c.benchmark_group("network_cipher_overhead");
-    let payload = Bytes::from(vec![1u8; 512]);
-    for (name, cipher) in [
-        ("plain", Arc::new(PlainCipher) as Arc<dyn ChannelCipher>),
-        (
-            "xor",
-            Arc::new(XorKeystreamCipher::new(7)) as Arc<dyn ChannelCipher>,
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            let net = InMemoryNetwork::new(2);
-            let mut eps = net.endpoints_with_cipher(cipher.clone());
-            b.iter(|| {
-                eps[0]
-                    .send(NodeId::new(1), payload.clone())
-                    .expect("send ok");
-                eps[1].recv().expect("recv ok")
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_wire_codec,
-    bench_cipher,
     bench_in_memory_ping,
-    bench_distributed_run,
-    bench_cipher_on_network
+    bench_distributed_run
 );
 criterion_main!(benches);

@@ -70,7 +70,7 @@ pub enum Command {
     /// `privtopk trace watch` — poll a live service metrics endpoint.
     TraceWatch,
     /// `privtopk trace dump` — run a standing service briefly and dump
-    /// its always-on flight recorder to JSONL.
+    /// its recorder's event ring to JSONL.
     TraceDump,
     /// `privtopk chaos run` — seeded chaos schedule against a standing
     /// service, with a bit-identity check and a healing-cost report.
@@ -331,8 +331,8 @@ pub fn usage() -> String {
      also dumps the flight recorder's recent spans as JSONL.\n\
      \n\
      trace dump runs a short standing-service workload and writes the\n\
-     recorder's always-on flight ring — the most recent spans, kept\n\
-     even when full tracing is off — to --out as JSONL, ready for\n\
+     recorder's event ring — the newest 4,096 spans, kept even when\n\
+     full tracing is off — to --out as JSONL, ready for\n\
      trace analyze. trace watch retries transient scrape failures with\n\
      bounded backoff, giving up after --max-misses consecutive misses\n\
      (default 3), and prints SLO burn-rate alert lines whenever the\n\

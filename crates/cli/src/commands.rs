@@ -628,8 +628,8 @@ fn run_chaos_run(args: &Arguments, out: &mut impl Write) -> Result<(), CliError>
 }
 
 /// `privtopk trace dump --out PATH` — run a short standing-service
-/// workload with full tracing off and dump the recorder's always-on
-/// flight ring (the most recent spans) to JSONL for `trace analyze`.
+/// workload under a stats-only recorder and dump its event ring (the
+/// most recent spans) to JSONL for `trace analyze`.
 fn run_trace_dump(args: &Arguments, out: &mut impl Write) -> Result<(), CliError> {
     let path = args.get("out").ok_or(CliError::BadFlag {
         flag: "--out".into(),
@@ -645,8 +645,8 @@ fn run_trace_dump(args: &Arguments, out: &mut impl Write) -> Result<(), CliError
         .map_err(|e| CliError::Execution(e.to_string()))?;
     let federation = Federation::new(dbs).map_err(|e| CliError::Execution(e.to_string()))?;
     let spec = QuerySpec::top_k("value", k);
-    // stats_only: no full trace buffer — the dump proves the flight
-    // ring is always on regardless of the tracing mode.
+    // stats_only: even the cheapest enabled mode keeps its newest
+    // 4,096 events, so the dump needs no full tracing.
     let mut service = federation
         .serve_traced(&spec, NetworkKind::InMemory, 4, Recorder::stats_only())
         .map_err(|e| CliError::Execution(e.to_string()))?;

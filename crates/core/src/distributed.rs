@@ -10,13 +10,15 @@
 //! equivalence is asserted by integration tests and is what justifies
 //! running the large experiment sweeps in-process.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use privtopk_domain::{NodeId, TopKVector};
 use privtopk_observe::Recorder;
-use privtopk_ring::faults::{FaultyEndpoint, ReliableEndpoint};
-use privtopk_ring::transport::{InMemoryEndpoint, InMemoryNetwork, TcpNetwork, Transport};
-use privtopk_ring::TransportMetrics;
+use privtopk_ring::chaos::{ChaosEndpoint, ChaosEvent, ChaosPlan, ChaosState};
+use privtopk_ring::faults::ReliableEndpoint;
+use privtopk_ring::transport::{InMemoryNetwork, TcpNetwork, Transport};
+use privtopk_ring::{RingError, TransportMetrics};
 
 use crate::service::run_once;
 use crate::{BatchJob, ProtocolConfig, ProtocolError, Transcript};
@@ -32,8 +34,9 @@ pub enum NetworkKind {
     /// Real TCP sockets on loopback.
     Tcp,
     /// In-process channels that drop each frame with the given
-    /// probability, healed by a stop-and-wait reliability layer — the
-    /// protocol runs unmodified over a lossy network.
+    /// probability (one chaos loss window lasting the whole run), healed
+    /// by a stop-and-wait reliability layer — the protocol runs
+    /// unmodified over a lossy network.
     LossyInMemory {
         /// Per-frame drop probability in `[0, 1)`.
         drop_probability: f64,
@@ -61,7 +64,9 @@ pub struct DistributedOutcome {
 /// # Errors
 ///
 /// - Configuration errors, as for the simulation engine.
-/// - [`ProtocolError::Ring`] on transport failures or timeouts.
+/// - [`ProtocolError::Ring`] on transport failures or timeouts, and
+///   [`RingError::Config`] inside it for a lossy drop probability
+///   outside `[0, 1)`.
 /// - [`ProtocolError::WorkerFailed`] if a worker thread panics.
 ///
 /// Per-round ring remapping is a simulation-only extension; requesting it
@@ -150,6 +155,9 @@ pub(crate) struct RunFailure {
 
 /// Builds one endpoint per node over the requested substrate, plus the
 /// network's shared metrics.
+///
+/// A drop probability outside `[0, 1)` (NaN included) is
+/// [`RingError::Config`]: a link that drops everything never delivers.
 pub(crate) fn build_endpoints(
     network: NetworkKind,
     n: usize,
@@ -174,23 +182,29 @@ pub(crate) fn build_endpoints(
             (boxed(net.endpoints()?), metrics)
         }
         NetworkKind::LossyInMemory { drop_probability } => {
-            healed_endpoints(n, seed, recorder, |e, seed| {
-                FaultyEndpoint::new(e, drop_probability, seed)
-            })
+            if !(0.0..1.0).contains(&drop_probability) {
+                return Err(RingError::Config {
+                    reason: "lossy drop probability must be in [0, 1)",
+                }
+                .into());
+            }
+            let loss = ChaosEvent::LossWindow { drop_probability };
+            let plan = ChaosPlan::new().with_incident(Duration::ZERO, Duration::MAX, loss);
+            healed_endpoints(n, seed, recorder, &ChaosState::new(plan))
         }
     })
 }
 
-/// In-memory endpoints whose frames pass through `inject` (seeded per
-/// node) beneath the stop-and-wait reliability layer: the injector (a
-/// lossy link or a chaos schedule) drops frames, the layer heals them,
-/// and both the metrics and the recorder see every retransmission and
-/// re-ACK.
-pub(crate) fn healed_endpoints<T: Transport + 'static>(
+/// In-memory endpoints whose frames pass through a [`ChaosEndpoint`]
+/// (seeded per node) beneath the stop-and-wait reliability layer: the
+/// chaos state (a whole-run loss window or an incident schedule) drops
+/// frames, the layer heals them, and both the metrics and the recorder
+/// see every retransmission and re-ACK.
+pub(crate) fn healed_endpoints(
     n: usize,
     seed: u64,
     recorder: &Recorder,
-    inject: impl Fn(InMemoryEndpoint, u64) -> T,
+    state: &Arc<ChaosState>,
 ) -> (Vec<Box<dyn Transport>>, TransportMetrics) {
     let net = InMemoryNetwork::new(n);
     let metrics = net.metrics();
@@ -199,8 +213,9 @@ pub(crate) fn healed_endpoints<T: Transport + 'static>(
         .into_iter()
         .enumerate()
         .map(|(i, e)| {
-            let reliable = ReliableEndpoint::new(inject(e, seed ^ (i as u64) << 8))
-                .with_observer(metrics.clone(), recorder.clone());
+            let lossy = ChaosEndpoint::new(e, Arc::clone(state), seed ^ (i as u64) << 8);
+            let reliable =
+                ReliableEndpoint::new(lossy).with_observer(metrics.clone(), recorder.clone());
             Box::new(reliable) as Box<dyn Transport>
         })
         .collect();
@@ -510,6 +525,28 @@ mod tests {
         assert_eq!(clean.transcript.steps(), lossy.transcript.steps());
         // The healed run necessarily sent more frames (retransmits + acks).
         assert!(lossy.messages_sent > clean.messages_sent);
+    }
+
+    #[test]
+    fn lossy_network_rejects_impossible_drop_probabilities() {
+        // A link that drops every frame, or a probability that is not
+        // one, is a typed configuration error on both entry points, not a
+        // panic on the caller's thread.
+        let config = ProtocolConfig::max().with_rounds(RoundPolicy::Fixed(2));
+        let locals = locals_k(1, &[&[1], &[2], &[3]]);
+        for drop_probability in [1.0, 1.5, -0.1, f64::NAN] {
+            let network = NetworkKind::LossyInMemory { drop_probability };
+            let solo = run_distributed(&config, &locals, network, 7);
+            assert!(
+                matches!(solo, Err(ProtocolError::Ring(RingError::Config { .. }))),
+                "run_distributed at p = {drop_probability}: {solo:?}"
+            );
+            let service = crate::ServiceRuntime::start(&locals, network, 2);
+            assert!(
+                matches!(service, Err(ProtocolError::Ring(RingError::Config { .. }))),
+                "ServiceRuntime::start at p = {drop_probability}"
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use privtopk_ring::transport::{send_value, FramePool, Transport};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{RingError, TransportMetrics};
 
-use privtopk_ring::chaos::{ChaosEndpoint, ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
+use privtopk_ring::chaos::{ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
 
 use crate::distributed::{
     build_endpoints, drain_window, healed_endpoints, CrashSchedule, DistributedBatchOutcome,
@@ -743,6 +743,8 @@ impl ServiceRuntime {
     /// - [`ProtocolError::TooFewNodes`] for fewer than three snapshots.
     /// - [`ProtocolError::InconsistentK`] if the snapshots disagree on k.
     /// - [`ProtocolError::InvalidService`] for a zero `depth`.
+    /// - [`ProtocolError::Ring`] if the network cannot be built, e.g. a
+    ///   lossy drop probability outside `[0, 1)`.
     pub fn start(
         locals: &[TopKVector],
         network: NetworkKind,
@@ -797,9 +799,7 @@ impl ServiceRuntime {
         plan.validate(DEFAULT_HEAL_BUDGET)?;
         let state = ChaosState::new(plan.clone());
         let n = Self::validate(locals, depth)?;
-        let wire = healed_endpoints(n, FAULT_SEED, &recorder, |e, seed| {
-            ChaosEndpoint::new(e, Arc::clone(&state), seed)
-        });
+        let wire = healed_endpoints(n, FAULT_SEED, &recorder, &state);
         // Same shutdown drain as a lossy network: finished workers keep
         // re-ACKing retransmissions for a grace window.
         let runtime = Self::start_with_endpoints(

@@ -827,15 +827,15 @@ impl FederationService {
         self.slo.evaluate()
     }
 
-    /// Dumps the recorder's always-on flight ring — the most recent
-    /// span events, oldest first — as JSONL suitable for
+    /// Dumps the recorder's event ring — the most recent span events,
+    /// ordered by timestamp — as JSONL suitable for
     /// `privtopk trace analyze` or the [`privtopk_observe::analyze`]
-    /// healing-cost analyzer. Available in every enabled recorder mode,
-    /// including `stats_only` and sampled, because the flight ring is
-    /// fed before sampling.
+    /// healing-cost analyzer. Available in every enabled recorder mode:
+    /// `stats_only` and sampled recorders keep their newest 4,096
+    /// events.
     #[must_use]
     pub fn dump_flight_recorder(&self) -> String {
-        self.runtime.recorder().flight_jsonl()
+        self.runtime.recorder().trace_jsonl()
     }
 
     /// Starts a live metrics endpoint on `addr` (Prometheus text

@@ -1,4 +1,5 @@
-//! Log-bucketed latency histograms.
+//! Log-bucketed latency histograms: lock-free recording, snapshots that
+//! merge across nodes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -14,8 +15,8 @@ pub const BUCKETS: usize = 65;
 ///
 /// HDR-style: recording is a few relaxed atomic ops (no locks, no
 /// allocation), quantiles are answered from the bucket counts with at most
-/// 2x relative error, and histograms are mergeable across threads via
-/// [`merge_into`](Histogram::merge_into).
+/// 2x relative error, and snapshots merge across nodes via
+/// [`HistogramSnapshot::merge`].
 ///
 /// # Example
 ///
@@ -33,7 +34,6 @@ pub const BUCKETS: usize = 65;
 /// ```
 #[derive(Debug)]
 pub struct Histogram {
-    count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
@@ -165,7 +165,6 @@ impl Histogram {
     #[must_use]
     pub fn new() -> Self {
         Histogram {
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -174,7 +173,6 @@ impl Histogram {
 
     /// Records one sample of `nanos` nanoseconds.
     pub fn record(&self, nanos: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(nanos, Ordering::Relaxed);
         self.max_ns.fetch_max(nanos, Ordering::Relaxed);
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
@@ -183,26 +181,6 @@ impl Histogram {
     /// Records one sample from a [`Duration`] (saturating at `u64::MAX`).
     pub fn record_duration(&self, duration: Duration) {
         self.record(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Adds this histogram's counts into `target`.
-    ///
-    /// Used to merge per-thread histograms into one; merging concurrently
-    /// with writers is safe and never loses a sample that finished before
-    /// the merge began.
-    pub fn merge_into(&self, target: &Histogram) {
-        target
-            .count
-            .fetch_add(self.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        target
-            .sum_ns
-            .fetch_add(self.sum_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        target
-            .max_ns
-            .fetch_max(self.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (ours, theirs) in self.buckets.iter().zip(target.buckets.iter()) {
-            theirs.fetch_add(ours.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
     }
 
     /// Reads the current totals and quantile estimates.
@@ -289,20 +267,6 @@ mod tests {
         assert!(snap.p99_ns <= snap.max_ns);
         // Log buckets over-estimate by at most 2x.
         assert!(snap.p50_ns >= 50_000 && snap.p50_ns <= 100_000);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_max() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        a.record(20);
-        b.record(5000);
-        b.merge_into(&a);
-        let snap = a.snapshot();
-        assert_eq!(snap.count, 3);
-        assert_eq!(snap.sum_ns, 5030);
-        assert_eq!(snap.max_ns, 5000);
     }
 
     #[test]

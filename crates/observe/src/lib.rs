@@ -8,10 +8,11 @@
 //! - structured trace events carrying only protocol *coordinates*
 //!   (query id, slot, node, round, hop) and a [`Phase`] label,
 //! - log-bucketed latency [`Histogram`]s (HDR-style, p50/p90/p99/max,
-//!   mergeable across threads),
+//!   snapshots mergeable across nodes),
 //! - a counter/gauge registry that absorbs the transport-level figures
 //!   previously only reachable through `TransportMetrics`,
-//! - JSONL trace export plus a compact text [`Summary`] table.
+//! - one bounded ring of the newest trace events per recorder, exported
+//!   as JSONL, plus a compact text [`Summary`] table.
 //!
 //! # The no-leak constraint
 //!

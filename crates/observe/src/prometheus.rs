@@ -191,13 +191,13 @@ pub fn render_summary(summary: &Summary) -> String {
     write_counter(
         &mut out,
         "privtopk_trace_events_recorded_total",
-        "Trace events captured in the ring buffer.",
+        "Trace events held in the recorder's event ring.",
         summary.events_recorded,
     );
     write_counter(
         &mut out,
         "privtopk_trace_events_dropped_total",
-        "Trace events discarded at the buffer cap.",
+        "Trace events the recorder's event ring has overwritten.",
         summary.events_dropped,
     );
     out

@@ -1,8 +1,12 @@
 //! The [`Recorder`]: trace events, phase histograms, counters and gauges.
+//!
+//! Trace events live in one store per recorder, a bounded ring that keeps
+//! the newest events: [`DEFAULT_EVENT_CAPACITY`] for [`Recorder::new`] and
+//! [`DEFAULT_FLIGHT_CAPACITY`] for [`Recorder::stats_only`] and
+//! [`Recorder::sampled`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,19 +16,20 @@ use parking_lot::Mutex;
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::{Ctx, Phase};
 
-/// Default cap on buffered trace events (~20 MB of event storage).
+/// Events kept by [`Recorder::new`]: the newest 2^18 (~20 MB of event
+/// storage).
 ///
-/// Overflow is counted, never silent: see [`Recorder::events_dropped`].
+/// Older events are overwritten and counted, never silently lost: see
+/// [`Recorder::events_dropped`].
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 18;
 
-/// Default capacity of the always-on flight recorder (~160 KB).
+/// Events kept by [`Recorder::stats_only`] and [`Recorder::sampled`]: the
+/// newest 4,096 (~320 KB).
 ///
-/// The flight recorder keeps the *most recent* spans and ticks in a
-/// bounded ring, in every enabled mode — including
-/// [`Recorder::stats_only`] and [`Recorder::sampled`], which buffer no
-/// full trace. After an incident the last few thousand events are what
-/// an operator needs to reconstruct the degradation timeline; see
-/// [`Recorder::flight_events`].
+/// Every enabled mode keeps its most recent spans and ticks, so after an
+/// incident the moments leading up to it are always at hand for an
+/// operator reconstructing the degradation timeline; see
+/// [`Recorder::trace_jsonl`].
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1 << 12;
 
 /// One serialized trace record: a phase, protocol coordinates, timing.
@@ -139,59 +144,33 @@ impl GaugeF64Cell {
     }
 }
 
-/// The always-on bounded ring behind [`Recorder::flight_events`]: the
-/// newest event overwrites the oldest once `capacity` is reached, so
-/// memory stays fixed no matter how long the service runs.
-struct FlightRing {
+/// The recorder's one event store: the newest event overwrites the
+/// oldest once `capacity` is reached, so memory stays fixed no matter how
+/// long the service runs.
+struct EventRing {
     capacity: usize,
-    buf: Vec<TraceEvent>,
-    /// Next slot to overwrite once the ring is full.
-    next: usize,
-    total: u64,
+    /// The retained events, oldest first.
+    events: VecDeque<TraceEvent>,
+    /// Events overwritten so far.
+    overwritten: u64,
 }
 
-impl FlightRing {
-    fn new(capacity: usize) -> Self {
-        FlightRing {
-            capacity,
-            buf: Vec::new(),
-            next: 0,
-            total: 0,
-        }
-    }
-
+impl EventRing {
     fn push(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            return;
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.overwritten += 1;
         }
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.next] = event;
-            self.next = (self.next + 1) % self.capacity;
-        }
-        self.total += 1;
-    }
-
-    /// The retained events, oldest first.
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
+        self.events.push_back(event);
     }
 }
 
 struct Inner {
     epoch: Instant,
-    capture_events: bool,
     /// Keep a span when `seq & sample_mask == 0`; 0 keeps every span.
     sample_mask: u64,
-    max_events: usize,
     phases: [Histogram; Phase::ALL.len()],
-    events: Mutex<Vec<TraceEvent>>,
-    events_dropped: AtomicU64,
-    flight: Mutex<FlightRing>,
+    events: Mutex<EventRing>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
     gauges_f64: Mutex<BTreeMap<String, Arc<GaugeF64Cell>>>,
@@ -259,26 +238,19 @@ impl Recorder {
         }
     }
 
-    /// A full recorder: phase histograms, registries, and an event buffer
-    /// capped at [`DEFAULT_EVENT_CAPACITY`].
+    /// A full recorder: phase histograms, registries, and the newest
+    /// [`DEFAULT_EVENT_CAPACITY`] trace events.
     #[must_use]
     pub fn new() -> Self {
-        Recorder::with_event_capacity(DEFAULT_EVENT_CAPACITY)
+        Recorder::build(DEFAULT_EVENT_CAPACITY, 0)
     }
 
-    /// A recorder that aggregates histograms/counters/gauges but buffers
-    /// no per-event trace — the cheapest *enabled* mode that keeps every
-    /// span.
+    /// A recorder that aggregates histograms/counters/gauges and keeps
+    /// only the newest [`DEFAULT_FLIGHT_CAPACITY`] trace events — the
+    /// cheapest *enabled* mode that keeps every span.
     #[must_use]
     pub fn stats_only() -> Self {
-        Recorder::build(false, 0, 0, DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// A stats-only recorder with an explicit flight-recorder capacity
-    /// (events retained in the always-on ring; 0 disables the ring).
-    #[must_use]
-    pub fn with_flight_capacity(capacity: usize) -> Self {
-        Recorder::build(false, 0, 0, capacity)
+        Recorder::build(DEFAULT_FLIGHT_CAPACITY, 0)
     }
 
     /// A stats-only recorder that keeps one timed span out of every
@@ -293,37 +265,21 @@ impl Recorder {
     /// sampling keeps quantile estimates at well under 2% overhead.
     #[must_use]
     pub fn sampled(shift: u32) -> Self {
-        Recorder::build(
-            false,
-            0,
-            (1u64 << shift.min(63)) - 1,
-            DEFAULT_FLIGHT_CAPACITY,
-        )
+        Recorder::build(DEFAULT_FLIGHT_CAPACITY, (1u64 << shift.min(63)) - 1)
     }
 
-    /// A full recorder with an explicit event-buffer cap.
-    #[must_use]
-    pub fn with_event_capacity(max_events: usize) -> Self {
-        Recorder::build(true, max_events, 0, DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    fn build(
-        capture_events: bool,
-        max_events: usize,
-        sample_mask: u64,
-        flight_capacity: usize,
-    ) -> Self {
+    fn build(event_capacity: usize, sample_mask: u64) -> Self {
         Recorder {
             span_seq: AtomicU64::new(0),
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
-                capture_events,
                 sample_mask,
-                max_events,
                 phases: std::array::from_fn(|_| Histogram::new()),
-                events: Mutex::new(Vec::new()),
-                events_dropped: AtomicU64::new(0),
-                flight: Mutex::new(FlightRing::new(flight_capacity)),
+                events: Mutex::new(EventRing {
+                    capacity: event_capacity,
+                    events: VecDeque::new(),
+                    overwritten: 0,
+                }),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 gauges_f64: Mutex::new(BTreeMap::new()),
@@ -470,9 +426,7 @@ impl Recorder {
 
     /// Records an already-measured duration into the named histogram.
     ///
-    /// For figures measured outside the recorder's own clock — e.g. the
-    /// per-group queue waits of the batched executor, whose label is
-    /// built at runtime.
+    /// For figures measured outside the recorder's own clock.
     pub fn observe_named_duration(&self, name: &str, duration: Duration) {
         if let Some(inner) = self.inner.as_deref() {
             inner.named_histogram(name).record_duration(duration);
@@ -496,98 +450,46 @@ impl Recorder {
             .unwrap_or_default()
     }
 
-    /// How many trace events were discarded at the buffer cap.
+    /// How many trace events the ring has overwritten.
     #[must_use]
     pub fn events_dropped(&self) -> u64 {
         self.inner
             .as_deref()
-            .map(|inner| inner.events_dropped.load(Ordering::Relaxed))
+            .map(|inner| inner.events.lock().overwritten)
             .unwrap_or(0)
     }
 
-    /// How many trace events are buffered.
+    /// How many trace events the ring holds.
     #[must_use]
     pub fn events_recorded(&self) -> u64 {
         self.inner
             .as_deref()
-            .map(|inner| inner.events.lock().len() as u64)
+            .map(|inner| inner.events.lock().events.len() as u64)
             .unwrap_or(0)
     }
 
-    /// Writes the buffered trace as JSON Lines (one event per line,
-    /// ordered by timestamp).
-    pub fn write_trace<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        if let Some(inner) = self.inner.as_deref() {
-            let mut events = inner.events.lock().clone();
-            events.sort_by_key(|e| e.t_us);
-            for event in &events {
-                writer.write_all(event.to_json().as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The buffered trace as one JSONL string.
+    /// The retained trace as JSON Lines, one event per line, ordered by
+    /// timestamp — the input of the trace analyzer and collector.
     #[must_use]
     pub fn trace_jsonl(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_trace(&mut buf)
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8(buf).expect("trace is ASCII")
-    }
-
-    /// A copy of the buffered trace events, ordered by timestamp — the
-    /// live-ingestion surface for `crate::collector`.
-    #[must_use]
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_deref()
-            .map(|inner| {
-                let mut events = inner.events.lock().clone();
-                events.sort_by_key(|e| e.t_us);
-                events
-            })
-            .unwrap_or_default()
-    }
-
-    /// The flight recorder's retained events, oldest first.
-    ///
-    /// Unlike the full trace buffer this ring is populated in *every*
-    /// enabled mode (including [`stats_only`](Recorder::stats_only) and
-    /// [`sampled`](Recorder::sampled)), holding the most recent
-    /// [`DEFAULT_FLIGHT_CAPACITY`] events so a post-incident dump always
-    /// has the moments leading up to the incident. Same vocabulary as
-    /// every other recorder surface: coordinates and timings only.
-    #[must_use]
-    pub fn flight_events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_deref()
-            .map(|inner| inner.flight.lock().snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Lifetime count of events that passed through the flight ring
-    /// (retained or since overwritten).
-    #[must_use]
-    pub fn flight_total(&self) -> u64 {
-        self.inner
-            .as_deref()
-            .map(|inner| inner.flight.lock().total)
-            .unwrap_or(0)
-    }
-
-    /// The flight recorder's retained events as JSONL, oldest first —
-    /// the same schema as [`trace_jsonl`](Recorder::trace_jsonl), so a
-    /// dump feeds straight into the trace analyzer.
-    #[must_use]
-    pub fn flight_jsonl(&self) -> String {
         let mut out = String::new();
-        for event in self.flight_events() {
+        for event in self.events() {
             out.push_str(&event.to_json());
             out.push('\n');
         }
         out
+    }
+
+    /// A copy of the retained trace events, ordered by timestamp — the
+    /// live-ingestion surface for `crate::collector`.
+    #[must_use]
+    pub fn events(&self) -> Vec<TraceEvent> {
+        let Some(inner) = self.inner.as_deref() else {
+            return Vec::new();
+        };
+        let mut events: Vec<TraceEvent> = inner.events.lock().events.iter().copied().collect();
+        events.sort_by_key(|e| e.t_us);
+        events
     }
 
     /// Per-node phase digests: the summary each ring member ships back
@@ -684,30 +586,20 @@ impl Inner {
         }
         let t_us = u64::try_from(started.saturating_duration_since(self.epoch).as_micros())
             .unwrap_or(u64::MAX);
-        let event = TraceEvent {
+        // Every event that reaches the sink lands in the one ring, in
+        // every enabled mode: one short critical section that never
+        // allocates once the ring is full.
+        self.events.lock().push(TraceEvent {
             t_us,
             phase,
             ctx,
             dur_ns,
-        };
-        // The flight recorder sees every event that reaches the sink,
-        // in every enabled mode — a fixed-size ring, so the push is one
-        // short critical section and never allocates in steady state.
-        self.flight.lock().push(event);
-        if self.capture_events {
-            let mut events = self.events.lock();
-            if events.len() < self.max_events {
-                events.push(event);
-            } else {
-                drop(events);
-                self.events_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        });
     }
 
     // Registry keys are owned `String`s so labels can be built at
-    // runtime (per-group queue waits, per-node rollups); each helper
-    // looks up by `&str` first so the steady state allocates nothing.
+    // runtime; each helper looks up by `&str` first so the steady state
+    // allocates nothing.
 
     fn counter(&self, name: &str) -> Arc<AtomicU64> {
         let mut counters = self.counters.lock();
@@ -809,73 +701,10 @@ pub struct Summary {
     /// Floating-point gauges (e.g. live privacy estimates), sorted by
     /// name.
     pub gauges_f64: Vec<(String, GaugeF64Snapshot)>,
-    /// Trace events held in the buffer.
+    /// Trace events held in the recorder's ring.
     pub events_recorded: u64,
-    /// Trace events discarded at the buffer cap.
+    /// Trace events the ring has overwritten.
     pub events_dropped: u64,
-}
-
-impl Summary {
-    /// Merges two summaries into one, as if a single recorder had seen
-    /// both runs.
-    ///
-    /// Histograms merge bucket-wise via
-    /// [`HistogramSnapshot::merge`] (associative and commutative),
-    /// counters and event totals add, and gauges keep the larger value
-    /// and high-water mark (the only merge that is order-independent
-    /// for a "last value set" cell). Merging per-node summaries
-    /// therefore yields the same aggregate in any order or grouping.
-    #[must_use]
-    pub fn merge(&self, other: &Summary) -> Summary {
-        fn merge_by_key<K: Ord + Clone, V: Clone>(
-            a: &[(K, V)],
-            b: &[(K, V)],
-            combine: impl Fn(&V, &V) -> V,
-        ) -> Vec<(K, V)> {
-            let mut merged: BTreeMap<K, V> = a.iter().cloned().collect();
-            for (key, value) in b {
-                match merged.get(key) {
-                    Some(existing) => {
-                        let combined = combine(existing, value);
-                        merged.insert(key.clone(), combined);
-                    }
-                    None => {
-                        merged.insert(key.clone(), value.clone());
-                    }
-                }
-            }
-            merged.into_iter().collect()
-        }
-
-        let phases = {
-            // Phase has no Ord; key by display index to keep ALL order.
-            let mut merged: BTreeMap<usize, (Phase, HistogramSnapshot)> = BTreeMap::new();
-            for (phase, snap) in self.phases.iter().chain(&other.phases) {
-                merged
-                    .entry(phase.index())
-                    .and_modify(|(_, acc)| *acc = acc.merge(snap))
-                    .or_insert((*phase, *snap));
-            }
-            merged.into_values().collect()
-        };
-        Summary {
-            phases,
-            named: merge_by_key(&self.named, &other.named, |a, b| a.merge(b)),
-            counters: merge_by_key(&self.counters, &other.counters, |a, b| a.saturating_add(*b)),
-            gauges: merge_by_key(&self.gauges, &other.gauges, |a, b| GaugeSnapshot {
-                value: a.value.max(b.value),
-                high_water: a.high_water.max(b.high_water),
-            }),
-            gauges_f64: merge_by_key(&self.gauges_f64, &other.gauges_f64, |a, b| {
-                GaugeF64Snapshot {
-                    value: a.value.max(b.value),
-                    high_water: a.high_water.max(b.high_water),
-                }
-            }),
-            events_recorded: self.events_recorded.saturating_add(other.events_recorded),
-            events_dropped: self.events_dropped.saturating_add(other.events_dropped),
-        }
-    }
 }
 
 /// Renders nanoseconds with an adaptive unit (ASCII only).
@@ -986,13 +815,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_only_recorder_buffers_no_events() {
+    fn stats_only_recorder_keeps_histograms_and_recent_events() {
         let rec = Recorder::stats_only();
         rec.record(Phase::Step, Ctx::default(), rec.clock());
         assert_eq!(rec.phase(Phase::Step).count, 1);
-        assert_eq!(rec.events_recorded(), 0);
+        assert_eq!(rec.events_recorded(), 1);
         assert_eq!(rec.events_dropped(), 0);
-        assert_eq!(rec.trace_jsonl(), "");
+        assert!(rec.trace_jsonl().contains("\"phase\":\"step\""));
     }
 
     #[test]
@@ -1019,14 +848,17 @@ mod tests {
 
     #[test]
     fn event_cap_counts_drops_instead_of_growing() {
-        let rec = Recorder::with_event_capacity(2);
-        for _ in 0..5 {
+        let rec = Recorder::stats_only();
+        for _ in 0..DEFAULT_FLIGHT_CAPACITY + 3 {
             rec.tick(Phase::Idle, Ctx::default());
         }
-        assert_eq!(rec.events_recorded(), 2);
+        assert_eq!(rec.events_recorded(), DEFAULT_FLIGHT_CAPACITY as u64);
         assert_eq!(rec.events_dropped(), 3);
         // The histograms still saw every sample.
-        assert_eq!(rec.phase(Phase::Idle).count, 5);
+        assert_eq!(
+            rec.phase(Phase::Idle).count,
+            DEFAULT_FLIGHT_CAPACITY as u64 + 3
+        );
         let summary = rec.summary();
         assert_eq!(summary.events_dropped, 3);
     }
@@ -1067,12 +899,7 @@ mod tests {
         assert_eq!(rec.gauge_f64("privacy_lop").unwrap().value, 0.5);
         assert!(rec.gauge_f64("missing").is_none());
         assert!(Recorder::disabled().gauge_f64("privacy_lop").is_none());
-        // Summaries carry, merge and render the f64 registry.
-        let other = Recorder::stats_only();
-        other.gauge_set_f64("privacy_lop", 0.9);
-        let merged = rec.summary().merge(&other.summary());
-        assert_eq!(merged.gauges_f64[0].1.value, 0.9);
-        assert_eq!(merged.gauges_f64[0].1.high_water, 0.9);
+        // Summaries carry and render the f64 registry.
         let text = rec.summary().to_string();
         assert!(text.contains("privacy_lop = 0.5000 (high water 0.7500)"));
     }
@@ -1209,74 +1036,24 @@ mod tests {
 
     #[test]
     fn flight_ring_is_always_on_and_keeps_the_newest_events() {
-        // stats_only buffers no trace, yet the flight ring still fills.
+        // A stats_only recorder's ring holds the newest events, oldest
+        // first, and the trace and event surfaces both read it.
         let rec = Recorder::stats_only();
-        rec.tick(Phase::Retry, Ctx::default().with_node(1));
-        rec.record(Phase::Step, Ctx::default().with_node(0), rec.clock());
-        assert_eq!(rec.events_recorded(), 0);
-        assert_eq!(rec.flight_total(), 2);
-        let events = rec.flight_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].phase, Phase::Retry);
-        let jsonl = rec.flight_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains("\"phase\":\"retry\""));
-        assert!(Recorder::disabled().flight_events().is_empty());
-        assert_eq!(Recorder::disabled().flight_total(), 0);
-    }
-
-    #[test]
-    fn flight_ring_overwrites_oldest_at_capacity() {
-        let rec = Recorder::with_flight_capacity(4);
-        for round in 0..10u32 {
+        for round in 0..DEFAULT_FLIGHT_CAPACITY as u32 + 6 {
             rec.tick(Phase::Retry, Ctx::default().with_round(round));
         }
-        assert_eq!(rec.flight_total(), 10);
-        let events = rec.flight_events();
-        assert_eq!(events.len(), 4);
-        // Oldest-first order, holding exactly the last four rounds.
-        let rounds: Vec<u32> = events.iter().map(|e| e.ctx.round.unwrap()).collect();
-        assert_eq!(rounds, vec![6, 7, 8, 9]);
-        // A zero-capacity ring records nothing but stays counted-out.
-        let off = Recorder::with_flight_capacity(0);
-        off.tick(Phase::Retry, Ctx::default());
-        assert!(off.flight_events().is_empty());
-        assert_eq!(off.flight_total(), 0);
-    }
-
-    #[test]
-    fn summary_merge_combines_every_section() {
-        let a = Recorder::stats_only();
-        a.record(Phase::Step, Ctx::default(), a.clock());
-        a.add("frames_sent", 10);
-        a.gauge_set("pipeline_depth", 4);
-        a.observe_named("queue_wait", a.clock());
-        let b = Recorder::stats_only();
-        b.record(Phase::Step, Ctx::default(), b.clock());
-        b.record(Phase::Recv, Ctx::default(), b.clock());
-        b.add("frames_sent", 5);
-        b.add("re_acks", 1);
-        b.gauge_set("pipeline_depth", 7);
-
-        let merged = a.summary().merge(&b.summary());
-        let step = merged
-            .phases
-            .iter()
-            .find(|(p, _)| *p == Phase::Step)
-            .unwrap();
-        assert_eq!(step.1.count, 2);
-        assert!(merged.phases.iter().any(|(p, _)| *p == Phase::Recv));
+        let rounds: Vec<u32> = rec.events().iter().map(|e| e.ctx.round.unwrap()).collect();
         assert_eq!(
-            merged.counters,
-            vec![("frames_sent".to_string(), 15), ("re_acks".to_string(), 1)]
+            rounds,
+            (6..DEFAULT_FLIGHT_CAPACITY as u32 + 6).collect::<Vec<_>>()
         );
-        let depth = &merged.gauges[0];
-        assert_eq!(depth.1.high_water, 7);
-        assert_eq!(merged.named.len(), 1);
-
-        // Merge is commutative at the summary level too.
-        let flipped = b.summary().merge(&a.summary());
-        assert_eq!(merged.counters, flipped.counters);
-        assert_eq!(merged.phases, flipped.phases);
+        assert_eq!(rec.events_dropped(), 6);
+        let jsonl = rec.trace_jsonl();
+        assert_eq!(jsonl.lines().count(), DEFAULT_FLIGHT_CAPACITY);
+        assert!(jsonl.starts_with("{\"t_us\":"));
+        assert!(jsonl.contains("\"phase\":\"retry\",\"round\":6,"));
+        assert!(!jsonl.contains("\"round\":5,"));
+        assert!(Recorder::disabled().events().is_empty());
+        assert_eq!(Recorder::disabled().events_dropped(), 0);
     }
 }

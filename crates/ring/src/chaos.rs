@@ -1,10 +1,12 @@
-//! Deterministic chaos scenarios over the fault-capable transports.
+//! Deterministic chaos scenarios: the one fault injector.
 //!
-//! [`super::faults::FaultyEndpoint`] models *uniform* loss; real outages
-//! are structured: a node crashes and the ring reconstructs around it, a
-//! link partitions the ring in two, loss spikes for a window and
-//! subsides. This module injects exactly those shapes, on a seeded
-//! schedule, through a transport wrapper:
+//! Real outages are structured: a node crashes and the ring reconstructs
+//! around it, a link partitions the ring in two, loss spikes for a
+//! window and subsides. This module injects exactly those shapes, on a
+//! seeded schedule, through a transport wrapper. Uniform loss is the
+//! degenerate schedule: one [`ChaosEvent::LossWindow`] that starts at
+//! `Duration::ZERO` and lasts `Duration::MAX`, which is how
+//! `privtopk-core` builds its lossy in-memory network.
 //!
 //! - [`ChaosPlan`]: a list of timed [`ChaosIncident`]s (offset +
 //!   duration + [`ChaosEvent`] kind), either hand-built or generated
@@ -489,5 +491,39 @@ mod tests {
             (60..=140).contains(&(dropped as usize)),
             "dropped {dropped}"
         );
+    }
+
+    #[test]
+    fn whole_run_loss_window_drops_what_faulty_endpoint_dropped() {
+        // A whole-run loss window flips one coin per send from the
+        // endpoint's seeded stream, exactly as the uniform-drop wrapper
+        // it replaced did: these are that wrapper's drop counts, so no
+        // lossy run's drop pattern moves. The last seed is the lossy
+        // service's node-1 seed.
+        for (seed, p, expected) in [(3, 0.5, 504), (11, 0.4, 391), (0x5EED_F517, 0.2, 210)] {
+            let loss = ChaosEvent::LossWindow {
+                drop_probability: p,
+            };
+            let plan = ChaosPlan::new().with_incident(Duration::ZERO, Duration::MAX, loss);
+            let net = InMemoryNetwork::new(2);
+            let mut eps = net.endpoints().into_iter();
+            let mut a = ChaosEndpoint::new(eps.next().unwrap(), ChaosState::new(plan), seed);
+            let mut b = eps.next().unwrap();
+            let mut decisions = String::new();
+            for _ in 0..1000 {
+                let before = a.dropped();
+                a.send(NodeId::new(1), Bytes::from_static(b"x")).unwrap();
+                decisions.push(if a.dropped() > before { 'D' } else { '.' });
+            }
+            assert_eq!(a.dropped(), expected, "seed {seed:#x} at p = {p}");
+            if seed == 3 {
+                assert_eq!(&decisions[..32], "D....DD..D.DDDDDD...DDDD....DD.D");
+            }
+            let mut delivered = 0;
+            while b.recv_timeout(Duration::from_millis(5)).is_ok() {
+                delivered += 1;
+            }
+            assert_eq!(delivered + a.dropped(), 1000);
+        }
     }
 }

@@ -1,94 +1,25 @@
-//! Fault injection and a reliability layer.
+//! The reliability layer beneath the protocol.
 //!
 //! The paper assumes a lossless ring and handles only whole-node failure
-//! (by reconstruction). Real deployments also lose *messages*; this
-//! module makes that failure mode testable:
-//!
-//! - [`FaultyEndpoint`] wraps any [`Transport`] and drops outgoing frames
-//!   with a seeded probability — deterministic chaos.
-//! - [`ReliableEndpoint`] wraps any transport with sequence numbers,
-//!   positive ACKs, retransmission and duplicate suppression, restoring
-//!   exactly-once, in-order delivery per sender — so the unmodified
-//!   protocol runs correctly over a lossy substrate.
+//! (by reconstruction). Real deployments also lose *messages*.
+//! [`ReliableEndpoint`] wraps any [`Transport`] with sequence numbers,
+//! positive ACKs, retransmission and duplicate suppression, restoring
+//! exactly-once, in-order delivery per sender — so the unmodified
+//! protocol runs correctly over a lossy substrate. The losses it heals
+//! come from [`crate::chaos`], the one fault injector: a uniformly lossy
+//! link is a [`ChaosEndpoint`](crate::chaos::ChaosEndpoint) under a
+//! single loss window that lasts the whole run.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use rand::Rng;
 
-use privtopk_domain::rng::seeded_rng;
 use privtopk_domain::NodeId;
 use privtopk_observe::{Ctx, Phase, Recorder};
 
 use crate::transport::{FramePool, Transport};
 use crate::{RingError, TransportMetrics};
-
-/// A transport wrapper that silently drops outgoing frames with a fixed
-/// probability (deterministic under the seed).
-pub struct FaultyEndpoint<T> {
-    inner: T,
-    drop_probability: f64,
-    rng: rand::rngs::SmallRng,
-    dropped: u64,
-}
-
-impl<T: Transport> FaultyEndpoint<T> {
-    /// Wraps `inner`, dropping sends with probability `drop_probability`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probability is outside `[0, 1)` — a drop rate of 1
-    /// can never deliver anything.
-    pub fn new(inner: T, drop_probability: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&drop_probability),
-            "drop probability must be in [0, 1)"
-        );
-        FaultyEndpoint {
-            inner,
-            drop_probability,
-            rng: seeded_rng(seed),
-            dropped: 0,
-        }
-    }
-
-    /// Frames dropped so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl<T: Transport> Transport for FaultyEndpoint<T> {
-    fn node(&self) -> NodeId {
-        self.inner.node()
-    }
-
-    fn send(&mut self, to: NodeId, frame: Bytes) -> Result<(), RingError> {
-        self.send_many(to, frame, 1)
-    }
-
-    fn send_many(&mut self, to: NodeId, frame: Bytes, logical: u64) -> Result<(), RingError> {
-        if self.rng.gen_bool(self.drop_probability) {
-            self.dropped += 1;
-            return Ok(()); // the network ate it (the whole frame at once)
-        }
-        self.inner.send_many(to, frame, logical)
-    }
-
-    fn recv(&mut self) -> Result<(NodeId, Bytes), RingError> {
-        self.inner.recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, Bytes), RingError> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn pool(&self) -> FramePool {
-        self.inner.pool()
-    }
-}
 
 const FRAME_DATA: u8 = 1;
 const FRAME_ACK: u8 = 2;
@@ -120,16 +51,21 @@ fn decode_reliable(frame: &Bytes) -> Result<(u8, u64, Bytes), RingError> {
 /// # Example
 ///
 /// ```
-/// use privtopk_ring::faults::{FaultyEndpoint, ReliableEndpoint};
+/// use std::time::Duration;
+/// use privtopk_ring::chaos::{ChaosEndpoint, ChaosEvent, ChaosPlan, ChaosState};
+/// use privtopk_ring::faults::ReliableEndpoint;
 /// use privtopk_ring::transport::{InMemoryNetwork, Transport};
 /// use privtopk_domain::NodeId;
 /// use bytes::Bytes;
 ///
 /// let net = InMemoryNetwork::new(2);
 /// let mut eps = net.endpoints().into_iter();
-/// // 30% loss in both directions, healed by the reliability layer.
-/// let mut a = ReliableEndpoint::new(FaultyEndpoint::new(eps.next().unwrap(), 0.3, 1));
-/// let mut b = ReliableEndpoint::new(FaultyEndpoint::new(eps.next().unwrap(), 0.3, 2));
+/// // 30% loss in both directions for the whole run, healed by the
+/// // reliability layer.
+/// let loss = ChaosEvent::LossWindow { drop_probability: 0.3 };
+/// let state = ChaosState::new(ChaosPlan::new().with_incident(Duration::ZERO, Duration::MAX, loss));
+/// let mut a = ReliableEndpoint::new(ChaosEndpoint::new(eps.next().unwrap(), state.clone(), 1));
+/// let mut b = ReliableEndpoint::new(ChaosEndpoint::new(eps.next().unwrap(), state, 2));
 /// let handle = std::thread::spawn(move || {
 ///     let (_, frame) = b.recv()?;
 ///     Ok::<Bytes, privtopk_ring::RingError>(frame)
@@ -329,41 +265,27 @@ impl<T: Transport> Transport for ReliableEndpoint<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InMemoryNetwork;
+    use crate::chaos::{ChaosEndpoint, ChaosEvent, ChaosPlan, ChaosState};
+    use crate::transport::{InMemoryEndpoint, InMemoryNetwork};
 
+    /// Two reliable endpoints over links that drop each frame with
+    /// probability `p` for the whole run (seeds 11 and 22).
     fn lossy_pair(
         p: f64,
     ) -> (
-        ReliableEndpoint<FaultyEndpoint<crate::transport::InMemoryEndpoint>>,
-        ReliableEndpoint<FaultyEndpoint<crate::transport::InMemoryEndpoint>>,
+        ReliableEndpoint<ChaosEndpoint<InMemoryEndpoint>>,
+        ReliableEndpoint<ChaosEndpoint<InMemoryEndpoint>>,
     ) {
+        let loss = ChaosEvent::LossWindow {
+            drop_probability: p,
+        };
+        let state =
+            ChaosState::new(ChaosPlan::new().with_incident(Duration::ZERO, Duration::MAX, loss));
         let net = InMemoryNetwork::new(2);
         let mut eps = net.endpoints().into_iter();
-        let a = ReliableEndpoint::new(FaultyEndpoint::new(eps.next().unwrap(), p, 11));
-        let b = ReliableEndpoint::new(FaultyEndpoint::new(eps.next().unwrap(), p, 22));
+        let a = ReliableEndpoint::new(ChaosEndpoint::new(eps.next().unwrap(), state.clone(), 11));
+        let b = ReliableEndpoint::new(ChaosEndpoint::new(eps.next().unwrap(), state, 22));
         (a, b)
-    }
-
-    #[test]
-    fn faulty_endpoint_drops_roughly_at_rate() {
-        let net = InMemoryNetwork::new(2);
-        let mut eps = net.endpoints().into_iter();
-        let mut a = FaultyEndpoint::new(eps.next().unwrap(), 0.5, 3);
-        let mut b = eps.next().unwrap();
-        for _ in 0..1000 {
-            a.send(NodeId::new(1), Bytes::from_static(b"x")).unwrap();
-        }
-        let dropped = a.dropped();
-        assert!(
-            (350..=650).contains(&(dropped as usize)),
-            "dropped {dropped}"
-        );
-        // Delivered = sent - dropped.
-        let mut delivered = 0;
-        while b.recv_timeout(Duration::from_millis(5)).is_ok() {
-            delivered += 1;
-        }
-        assert_eq!(delivered as u64 + dropped, 1000);
     }
 
     #[test]
@@ -446,12 +368,9 @@ mod tests {
         // receiver suppressed after its ACK was lost).
         let metrics = TransportMetrics::new();
         let recorder = Recorder::new();
-        let net = InMemoryNetwork::new(2);
-        let mut eps = net.endpoints().into_iter();
-        let mut a = ReliableEndpoint::new(FaultyEndpoint::new(eps.next().unwrap(), 0.4, 11))
-            .with_observer(metrics.clone(), recorder.clone());
-        let mut b = ReliableEndpoint::new(FaultyEndpoint::new(eps.next().unwrap(), 0.4, 22))
-            .with_observer(metrics.clone(), recorder.clone());
+        let (a, b) = lossy_pair(0.4);
+        let mut a = a.with_observer(metrics.clone(), recorder.clone());
+        let mut b = b.with_observer(metrics.clone(), recorder.clone());
         let n = 50u8;
         let handle = std::thread::spawn(move || {
             for _ in 0..n {
@@ -492,13 +411,5 @@ mod tests {
             .send(NodeId::new(1), Bytes::from_static(b"x"))
             .unwrap_err();
         assert!(matches!(err, RingError::Timeout));
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability")]
-    fn full_loss_rejected() {
-        let net = InMemoryNetwork::new(1);
-        let ep = net.endpoints().into_iter().next().unwrap();
-        let _ = FaultyEndpoint::new(ep, 1.0, 0);
     }
 }

@@ -14,12 +14,16 @@
 //! - [`transport`]: a [`transport::Transport`] abstraction with an
 //!   in-memory crossbeam implementation and a real TCP-loopback
 //!   implementation.
-//! - [`cipher`]: a demonstrative channel-confidentiality layer. The paper
-//!   merely notes "encryption techniques can be used so that data are
-//!   protected on the communication channel"; the XOR keystream here marks
-//!   that hook without claiming real cryptography.
+//! - [`chaos`]: the one seeded fault injector (node outages, partitions,
+//!   loss windows; a whole-run loss window is a uniformly lossy link),
+//!   healed by [`faults::ReliableEndpoint`].
 //! - [`TransportMetrics`]: message/byte counters backing the efficiency
 //!   experiments.
+//!
+//! Channel confidentiality is out of scope. The paper only notes that
+//! "encryption techniques can be used so that data are protected on the
+//! communication channel", and its privacy analysis already treats the
+//! successor, who reads every frame, as the adversary.
 //!
 //! # Example
 //!
@@ -41,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod cipher;
 mod error;
 pub mod faults;
 mod metrics;

@@ -19,7 +19,6 @@ use parking_lot::Mutex;
 use privtopk_domain::NodeId;
 use privtopk_observe::{Ctx, Phase, Recorder};
 
-use crate::cipher::{ChannelCipher, PlainCipher};
 use crate::wire::{encode_into, WireEncode};
 use crate::{RingError, TransportMetrics};
 
@@ -250,17 +249,9 @@ impl InMemoryNetwork {
         self.pool.clone()
     }
 
-    /// Consumes the network and hands out one endpoint per node, with the
-    /// identity cipher.
+    /// Consumes the network and hands out one endpoint per node.
     #[must_use]
     pub fn endpoints(self) -> Vec<InMemoryEndpoint> {
-        self.endpoints_with_cipher(Arc::new(PlainCipher))
-    }
-
-    /// Like [`InMemoryNetwork::endpoints`], but every frame passes through
-    /// `cipher` on the way in and out.
-    #[must_use]
-    pub fn endpoints_with_cipher(self, cipher: Arc<dyn ChannelCipher>) -> Vec<InMemoryEndpoint> {
         let senders = Arc::new(self.senders);
         self.receivers
             .into_iter()
@@ -270,7 +261,6 @@ impl InMemoryNetwork {
                 senders: Arc::clone(&senders),
                 inbox: rx,
                 metrics: self.metrics.clone(),
-                cipher: Arc::clone(&cipher),
                 pool: self.pool.clone(),
             })
             .collect()
@@ -283,7 +273,6 @@ pub struct InMemoryEndpoint {
     senders: Arc<Vec<Sender<(NodeId, Bytes)>>>,
     inbox: Receiver<(NodeId, Bytes)>,
     metrics: TransportMetrics,
-    cipher: Arc<dyn ChannelCipher>,
     pool: FramePool,
 }
 
@@ -310,24 +299,21 @@ impl Transport for InMemoryEndpoint {
             .senders
             .get(to.get())
             .ok_or(RingError::UnknownNode { node: to })?;
-        let sealed = self.cipher.seal(&frame);
-        self.metrics.record_frame(sealed.len(), logical);
+        self.metrics.record_frame(frame.len(), logical);
         sender
-            .send((self.node, sealed))
+            .send((self.node, frame))
             .map_err(|_| RingError::Disconnected)
     }
 
     fn recv(&mut self) -> Result<(NodeId, Bytes), RingError> {
-        let (from, sealed) = self.inbox.recv().map_err(|_| RingError::Disconnected)?;
-        Ok((from, self.cipher.open(&sealed)))
+        self.inbox.recv().map_err(|_| RingError::Disconnected)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, Bytes), RingError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok((from, sealed)) => Ok((from, self.cipher.open(&sealed))),
-            Err(RecvTimeoutError::Timeout) => Err(RingError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RingError::Disconnected),
-        }
+        self.inbox.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RingError::Timeout,
+            RecvTimeoutError::Disconnected => RingError::Disconnected,
+        })
     }
 
     fn pool(&self) -> FramePool {
@@ -456,26 +442,12 @@ impl TcpNetwork {
         self.pool.clone()
     }
 
-    /// Consumes the network and hands out one endpoint per node (identity
-    /// cipher).
+    /// Consumes the network and hands out one endpoint per node.
     ///
     /// # Errors
     ///
     /// Returns [`RingError::Io`] if acceptor threads cannot be set up.
     pub fn endpoints(self) -> Result<Vec<TcpEndpoint>, RingError> {
-        self.endpoints_with_cipher(Arc::new(PlainCipher))
-    }
-
-    /// Like [`TcpNetwork::endpoints`], with a channel cipher applied to
-    /// every frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RingError::Io`] if acceptor threads cannot be set up.
-    pub fn endpoints_with_cipher(
-        self,
-        cipher: Arc<dyn ChannelCipher>,
-    ) -> Result<Vec<TcpEndpoint>, RingError> {
         let addrs = Arc::new(self.addrs);
         let mut out = Vec::with_capacity(self.listeners.len());
         for (i, listener) in self.listeners.into_iter().enumerate() {
@@ -490,7 +462,6 @@ impl TcpNetwork {
                 inbox: rx,
                 shutdown,
                 metrics: self.metrics.clone(),
-                cipher: Arc::clone(&cipher),
                 pool: self.pool.clone(),
             });
         }
@@ -536,7 +507,6 @@ pub struct TcpEndpoint {
     inbox: Receiver<(NodeId, Bytes)>,
     shutdown: Arc<AtomicBool>,
     metrics: TransportMetrics,
-    cipher: Arc<dyn ChannelCipher>,
     pool: FramePool,
 }
 
@@ -563,20 +533,18 @@ impl Transport for TcpEndpoint {
             .addrs
             .get(to.get())
             .ok_or(RingError::UnknownNode { node: to })?;
-        let sealed = self.cipher.seal(&frame);
         let mut outgoing = self.outgoing.lock();
         if let std::collections::hash_map::Entry::Vacant(e) = outgoing.entry(to) {
             e.insert(TcpStream::connect(addr)?);
         }
         let stream = outgoing.get_mut(&to).expect("just inserted");
-        self.metrics.record_frame(sealed.len(), logical);
-        let result = write_frame(stream, self.node, &sealed);
+        self.metrics.record_frame(frame.len(), logical);
+        let result = write_frame(stream, self.node, &frame);
         match result {
             Ok(()) => {
-                // The sealed frame's storage is local to this process;
-                // reclaim it for the next send.
-                drop(frame);
-                self.pool.recycle(sealed);
+                // The frame's storage is local to this process; reclaim it
+                // for the next send.
+                self.pool.recycle(frame);
                 Ok(())
             }
             Err(e) => {
@@ -589,16 +557,14 @@ impl Transport for TcpEndpoint {
     }
 
     fn recv(&mut self) -> Result<(NodeId, Bytes), RingError> {
-        let (from, sealed) = self.inbox.recv().map_err(|_| RingError::Disconnected)?;
-        Ok((from, self.cipher.open(&sealed)))
+        self.inbox.recv().map_err(|_| RingError::Disconnected)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, Bytes), RingError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok((from, sealed)) => Ok((from, self.cipher.open(&sealed))),
-            Err(RecvTimeoutError::Timeout) => Err(RingError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RingError::Disconnected),
-        }
+        self.inbox.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RingError::Timeout,
+            RecvTimeoutError::Disconnected => RingError::Disconnected,
+        })
     }
 
     fn pool(&self) -> FramePool {
@@ -617,7 +583,6 @@ impl Drop for TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cipher::XorKeystreamCipher;
     use crate::wire::decode_from_bytes;
 
     /// Sends `value` as one untraced unbatched frame.
@@ -701,17 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_cipher_roundtrips_transparently() {
-        let net = InMemoryNetwork::new(2);
-        let mut eps = net.endpoints_with_cipher(Arc::new(XorKeystreamCipher::new(0xFEED)));
-        eps[0]
-            .send(NodeId::new(1), Bytes::from_static(b"secret"))
-            .unwrap();
-        let (_, frame) = eps[1].recv().unwrap();
-        assert_eq!(&frame[..], b"secret");
-    }
-
-    #[test]
     fn typed_send_recv_helpers() {
         let net = InMemoryNetwork::new(2);
         let mut eps = net.endpoints();
@@ -779,19 +733,6 @@ mod tests {
             }
         }
         assert_eq!(finished, 1, "exactly one node should observe the final hop");
-    }
-
-    #[test]
-    fn tcp_cipher_roundtrip() {
-        let net = TcpNetwork::bind(2).unwrap();
-        let mut eps = net
-            .endpoints_with_cipher(Arc::new(XorKeystreamCipher::new(99)))
-            .unwrap();
-        eps[1]
-            .send(NodeId::new(0), Bytes::from_static(b"ciphered"))
-            .unwrap();
-        let (_, frame) = eps[0].recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(&frame[..], b"ciphered");
     }
 
     #[test]

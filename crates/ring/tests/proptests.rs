@@ -1,9 +1,8 @@
 //! Property-based tests for the ring substrate.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use privtopk_domain::rng::seeded_rng;
 use privtopk_domain::{NodeId, TopKVector, Value, ValueDomain};
-use privtopk_ring::cipher::{ChannelCipher, XorKeystreamCipher};
 use privtopk_ring::trust::{coverage, trust_aware_arrangement, TrustGraph};
 use privtopk_ring::wire::{decode_from_bytes, encode_to_bytes, get_topk_compact, put_topk_compact};
 use privtopk_ring::RingTopology;
@@ -103,17 +102,6 @@ proptest! {
         // trailing elements AND the length prefix were intact — impossible
         // here since the prefix counts them) an error.
         prop_assert!(decode_from_bytes::<Vec<u64>>(&short).is_err());
-    }
-
-    /// The XOR keystream cipher is a length-preserving involution for
-    /// arbitrary payloads and keys.
-    #[test]
-    fn cipher_involution(key in any::<u64>(), payload in prop::collection::vec(any::<u8>(), 0..300)) {
-        let cipher = XorKeystreamCipher::new(key);
-        let data = Bytes::from(payload.clone());
-        let sealed = cipher.seal(&data);
-        prop_assert_eq!(sealed.len(), data.len());
-        prop_assert_eq!(cipher.open(&sealed), data);
     }
 
     /// Trust-aware arrangements are permutations whose coverage never

@@ -62,6 +62,23 @@ cargo test --test store_index_equivalence
 echo "==> cargo test --test store_snapshot_isolation"
 cargo test --test store_snapshot_isolation
 
+# Fault-injection gates, run by name with the same rename guard: a
+# whole-run chaos loss window must drop exactly the frames the retired
+# uniform-drop wrapper dropped (504, 391 and 210 of 1,000 at three
+# seeds), and an impossible lossy drop probability must be a typed
+# configuration error on both entry points, not a panic.
+echo "==> cargo test -p privtopk-ring --lib whole_run_loss_window_drops_what_faulty_endpoint_dropped"
+LOSS_OUT=$(cargo test -p privtopk-ring --lib whole_run_loss_window_drops_what_faulty_endpoint_dropped 2>&1)
+echo "$LOSS_OUT"
+echo "$LOSS_OUT" | grep -q "1 passed" \
+    || { echo "error: loss-window gate matched no test (renamed?)" >&2; exit 1; }
+
+echo "==> cargo test -p privtopk-core --lib lossy_network_rejects_impossible_drop_probabilities"
+DROP_OUT=$(cargo test -p privtopk-core --lib lossy_network_rejects_impossible_drop_probabilities 2>&1)
+echo "$DROP_OUT"
+echo "$DROP_OUT" | grep -q "1 passed" \
+    || { echo "error: drop-probability gate matched no test (renamed?)" >&2; exit 1; }
+
 echo "==> cargo test -p privtopk-store --lib replay_matches_record_at_a_time_reference"
 REPLAY_OUT=$(cargo test -p privtopk-store --lib replay_matches_record_at_a_time_reference 2>&1)
 echo "$REPLAY_OUT"
@@ -160,8 +177,8 @@ cargo test --test privacy_accounting privacy_accounting_no_leak
 # skipped: a seeded crash + partition + loss schedule against a standing
 # depth-16 service must answer every query bit-identical to the
 # fault-free run, with the analyzer attributing nonzero healing cost to
-# reconstructed incidents; and the always-on flight ring must feed the
-# analyzer even in stats-only mode.
+# reconstructed incidents; and a stats-only recorder's event ring must
+# feed the analyzer.
 echo "==> cargo test --test chaos_observability chaos_run_is_bit_identical_with_attributed_healing_cost"
 cargo test --test chaos_observability chaos_run_is_bit_identical_with_attributed_healing_cost
 echo "==> cargo test --test chaos_observability flight_recorder_feeds_the_analyzer_even_in_stats_only_mode"
@@ -197,6 +214,11 @@ grep -q "bit-identity: OK" "$TRACE_DIR/chaos.txt" \
 grep -q "incident 1:" "$TRACE_DIR/chaos.txt" \
     || { echo "error: chaos run reconstructed no incident" >&2; cat "$TRACE_DIR/chaos.txt" >&2; exit 1; }
 echo "    chaos run bit-identical with reconstructed incidents"
+
+# The paired A/B tool is only run by hand (it takes minutes per pair);
+# keep it at least parseable.
+echo "==> sh -n scripts/ab.sh"
+sh -n scripts/ab.sh
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
