@@ -139,7 +139,8 @@ impl HistogramSnapshot {
     }
 }
 
-fn bucket_index(nanos: u64) -> usize {
+/// The bucket `nanos` falls in (see [`BUCKETS`]).
+pub(crate) fn bucket_index(nanos: u64) -> usize {
     if nanos == 0 {
         0
     } else {
@@ -172,8 +173,16 @@ impl Histogram {
     }
 
     /// Records one sample of `nanos` nanoseconds.
+    ///
+    /// The sum saturates at `u64::MAX`, as [`HistogramSnapshot::merge`]
+    /// does, so a huge sample never wraps the mean below the maximum.
     pub fn record(&self, nanos: u64) {
-        self.sum_ns.fetch_add(nanos, Ordering::Relaxed);
+        // The closure always returns `Some`, so the update cannot fail.
+        let _ = self
+            .sum_ns
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |sum| {
+                Some(sum.saturating_add(nanos))
+            });
         self.max_ns.fetch_max(nanos, Ordering::Relaxed);
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
     }
@@ -277,6 +286,23 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 2);
         assert_eq!(snap.max_ns, u64::MAX);
+    }
+
+    #[test]
+    fn record_saturates_the_sum_like_merge() {
+        let h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(5);
+        let snap = h.snapshot();
+        assert_eq!(snap.sum_ns, u64::MAX);
+        assert_eq!(snap.max_ns, u64::MAX);
+        assert!(snap.mean_ns() >= u64::MAX as f64 / 2.0);
+        // One histogram fed both samples equals the merge of two fed one
+        // each.
+        let (a, b) = (Histogram::new(), Histogram::new());
+        a.record(u64::MAX);
+        b.record(5);
+        assert_eq!(a.snapshot().merge(&b.snapshot()), snap);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The paper's evaluation (Sections 4.2 and 5) reasons about per-hop
 //! communication cost; this crate makes that cost *observable at runtime*
 //! without weakening the protocol's privacy argument. It provides a
-//! lock-light [`Recorder`] with:
+//! [`Recorder`] whose clones record spans through write lanes of their
+//! own, with:
 //!
 //! - structured trace events carrying only protocol *coordinates*
 //!   (query id, slot, node, round, hop) and a [`Phase`] label,

@@ -4,16 +4,33 @@
 //! the newest events: [`DEFAULT_EVENT_CAPACITY`] for [`Recorder::new`] and
 //! [`DEFAULT_FLIGHT_CAPACITY`] for [`Recorder::stats_only`] and
 //! [`Recorder::sampled`].
+//!
+//! Spans and ticks go through per-handle write lanes. A recorder has 16
+//! (`LANES`), each on cache lines of its own behind a lock of its own;
+//! the handle that builds a recorder takes lane 0 and each clone the next
+//! lane round-robin, so the workers of a ring of up to 15 nodes record
+//! without sharing a lock or a cache line. A lane holds plain histogram
+//! counts per phase and per node and up to 64 pending events
+//! (`LANE_BATCH`); a full batch moves into the ring under the ring's
+//! lock. Every reader of spans first moves each lane's pending events
+//! into the ring, then merges the lane counts, so it sees the counts,
+//! buckets, maxima and quantiles one shared histogram fed every span
+//! would hold.
+//!
+//! Across handles the ring evicts in flush order, not timestamp order:
+//! once it has wrapped, its retained set can differ from the strict
+//! newest events by at most `LANES * LANE_BATCH` events. A single handle
+//! keeps exactly its newest events.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::histogram::{bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 use crate::{Ctx, Phase};
 
 /// Events kept by [`Recorder::new`]: the newest 2^18 (~20 MB of event
@@ -165,28 +182,102 @@ impl EventRing {
     }
 }
 
+/// Write lanes per recorder: the handle that built it plus up to 15
+/// clones each get a lane of their own.
+const LANES: usize = 16;
+
+/// Events a lane holds before it moves them into the ring.
+const LANE_BATCH: usize = 64;
+
+/// One phase's counts in one lane: a [`Histogram`] without atomics, since
+/// only the lane's lock holder writes it.
+struct LaneHistogram {
+    buckets: [u64; BUCKETS],
+    sum_ns: u64,
+    max_ns: u64,
+}
+
+impl LaneHistogram {
+    const EMPTY: LaneHistogram = LaneHistogram {
+        buckets: [0; BUCKETS],
+        sum_ns: 0,
+        max_ns: 0,
+    };
+
+    fn record(&mut self, nanos: u64) {
+        self.buckets[bucket_index(nanos)] += 1;
+        self.sum_ns = self.sum_ns.saturating_add(nanos);
+        self.max_ns = self.max_ns.max(nanos);
+    }
+}
+
+type PhaseCounts = [LaneHistogram; Phase::ALL.len()];
+type PhaseSnapshots = [HistogramSnapshot; Phase::ALL.len()];
+
+/// Folds one lane's per-phase counts into merged snapshots.
+fn merge_counts(into: &mut PhaseSnapshots, counts: &PhaseCounts) {
+    for (merged, lane) in into.iter_mut().zip(counts) {
+        *merged = merged.merge(&HistogramSnapshot::from_parts(
+            lane.buckets,
+            lane.sum_ns,
+            lane.max_ns,
+        ));
+    }
+}
+
+/// One lane, aligned so that no two lanes share a cache line or an
+/// adjacent-line prefetch pair.
+#[repr(align(128))]
+struct Lane(Mutex<LaneState>);
+
+struct LaneState {
+    phases: PhaseCounts,
+    /// Per-node phase counts, sorted by node id — the digests behind
+    /// [`Recorder::node_summaries`] (timings only, never values).
+    nodes: Vec<(u32, PhaseCounts)>,
+    /// Events not yet in the ring, oldest first; never more than
+    /// [`LANE_BATCH`].
+    pending: Vec<TraceEvent>,
+}
+
+impl LaneState {
+    fn node_counts(&mut self, node: u32) -> &mut PhaseCounts {
+        let at = match self.nodes.binary_search_by_key(&node, |(id, _)| *id) {
+            Ok(at) => at,
+            Err(at) => {
+                self.nodes
+                    .insert(at, (node, [LaneHistogram::EMPTY; Phase::ALL.len()]));
+                at
+            }
+        };
+        &mut self.nodes[at].1
+    }
+}
+
 struct Inner {
     epoch: Instant,
     /// Keep a span when `seq & sample_mask == 0`; 0 keeps every span.
     sample_mask: u64,
-    phases: [Histogram; Phase::ALL.len()],
+    lanes: [Lane; LANES],
+    /// The lane the next clone takes, modulo [`LANES`].
+    next_lane: AtomicUsize,
+    /// Lock order: a lane's lock, when held, is taken before this one.
     events: Mutex<EventRing>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
     gauges_f64: Mutex<BTreeMap<String, Arc<GaugeF64Cell>>>,
     named: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    /// Per-node phase digests, fed from every span that carries a node
-    /// coordinate — the "node summary" each member ships back to the
-    /// initiator (timings only, never values).
-    nodes: Mutex<BTreeMap<u32, Arc<[Histogram; Phase::ALL.len()]>>>,
 }
 
 /// The telemetry hub for one run or one standing service.
 ///
 /// Cloning is cheap and every clone feeds the same sink, so a recorder can
-/// be handed to each worker thread. A recorder is either *enabled*
-/// (allocated sink) or *disabled* (`None` inside — every call is a single
-/// branch and [`clock`](Recorder::clock) never touches the OS clock), so
+/// be handed to each worker thread. Each clone writes its spans through a
+/// lane of its own (see the module docs), so threads holding different
+/// clones do not contend while they record; readers see every clone's
+/// spans. A recorder is either *enabled* (allocated sink) or *disabled*
+/// (`None` inside — every call is a single branch and
+/// [`clock`](Recorder::clock) never touches the OS clock), so
 /// instrumentation can stay unconditionally in place on hot paths.
 ///
 /// # Example
@@ -205,6 +296,8 @@ struct Inner {
 #[derive(Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
+    /// This handle's write lane, an index into `Inner::lanes`.
+    lane: usize,
     /// Per-handle span sequence for sampling. Each clone counts its own
     /// spans, so sampling decisions never bounce a cache line between
     /// worker threads.
@@ -213,8 +306,12 @@ pub struct Recorder {
 
 impl Clone for Recorder {
     fn clone(&self) -> Self {
+        let lane = self.inner.as_deref().map_or(0, |inner| {
+            inner.next_lane.fetch_add(1, Ordering::Relaxed) % LANES
+        });
         Recorder {
             inner: self.inner.clone(),
+            lane,
             span_seq: AtomicU64::new(0),
         }
     }
@@ -232,10 +329,7 @@ impl Recorder {
     /// A recorder that records nothing, at near-zero cost.
     #[must_use]
     pub fn disabled() -> Self {
-        Recorder {
-            inner: None,
-            span_seq: AtomicU64::new(0),
-        }
+        Recorder::default()
     }
 
     /// A full recorder: phase histograms, registries, and the newest
@@ -268,13 +362,22 @@ impl Recorder {
         Recorder::build(DEFAULT_FLIGHT_CAPACITY, (1u64 << shift.min(63)) - 1)
     }
 
+    /// Builds an enabled recorder whose handle writes through lane 0.
     fn build(event_capacity: usize, sample_mask: u64) -> Self {
         Recorder {
             span_seq: AtomicU64::new(0),
+            lane: 0,
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
                 sample_mask,
-                phases: std::array::from_fn(|_| Histogram::new()),
+                lanes: std::array::from_fn(|_| {
+                    Lane(Mutex::new(LaneState {
+                        phases: [LaneHistogram::EMPTY; Phase::ALL.len()],
+                        nodes: Vec::new(),
+                        pending: Vec::new(),
+                    }))
+                }),
+                next_lane: AtomicUsize::new(1),
                 events: Mutex::new(EventRing {
                     capacity: event_capacity,
                     events: VecDeque::new(),
@@ -284,7 +387,6 @@ impl Recorder {
                 gauges: Mutex::new(BTreeMap::new()),
                 gauges_f64: Mutex::new(BTreeMap::new()),
                 named: Mutex::new(BTreeMap::new()),
-                nodes: Mutex::new(BTreeMap::new()),
             })),
         }
     }
@@ -329,14 +431,14 @@ impl Recorder {
     pub fn record(&self, phase: Phase, ctx: Ctx, started: Option<Instant>) {
         if let (Some(inner), Some(started)) = (self.inner.as_deref(), started) {
             let dur = started.elapsed();
-            inner.record_event(phase, ctx, started, dur);
+            inner.record_event(self.lane, phase, ctx, started, dur);
         }
     }
 
     /// Records an instantaneous event (zero duration, timestamped now).
     pub fn tick(&self, phase: Phase, ctx: Ctx) {
         if let Some(inner) = self.inner.as_deref() {
-            inner.record_event(phase, ctx, Instant::now(), Duration::ZERO);
+            inner.record_event(self.lane, phase, ctx, Instant::now(), Duration::ZERO);
         }
     }
 
@@ -446,7 +548,7 @@ impl Recorder {
     pub fn phase(&self, phase: Phase) -> HistogramSnapshot {
         self.inner
             .as_deref()
-            .map(|inner| inner.phases[phase.index()].snapshot())
+            .map(|inner| inner.phases()[phase.index()])
             .unwrap_or_default()
     }
 
@@ -455,7 +557,7 @@ impl Recorder {
     pub fn events_dropped(&self) -> u64 {
         self.inner
             .as_deref()
-            .map(|inner| inner.events.lock().overwritten)
+            .map(|inner| inner.ring(|ring| ring.overwritten))
             .unwrap_or(0)
     }
 
@@ -464,7 +566,7 @@ impl Recorder {
     pub fn events_recorded(&self) -> u64 {
         self.inner
             .as_deref()
-            .map(|inner| inner.events.lock().events.len() as u64)
+            .map(|inner| inner.ring(|ring| ring.events.len() as u64))
             .unwrap_or(0)
     }
 
@@ -487,7 +589,7 @@ impl Recorder {
         let Some(inner) = self.inner.as_deref() else {
             return Vec::new();
         };
-        let mut events: Vec<TraceEvent> = inner.events.lock().events.iter().copied().collect();
+        let mut events: Vec<TraceEvent> = inner.ring(|ring| ring.events.iter().copied().collect());
         events.sort_by_key(|e| e.t_us);
         events
     }
@@ -503,19 +605,19 @@ impl Recorder {
         let Some(inner) = self.inner.as_deref() else {
             return Vec::new();
         };
-        let nodes: Vec<(u32, Arc<[Histogram; Phase::ALL.len()]>)> = inner
-            .nodes
-            .lock()
-            .iter()
-            .map(|(node, cell)| (*node, cell.clone()))
-            .collect();
+        let mut nodes: BTreeMap<u32, PhaseSnapshots> = BTreeMap::new();
+        inner.read_lanes(|lane| {
+            for (node, counts) in &lane.nodes {
+                merge_counts(nodes.entry(*node).or_default(), counts);
+            }
+        });
         nodes
             .into_iter()
-            .map(|(node, cell)| NodeSummary {
+            .map(|(node, phases)| NodeSummary {
                 node,
                 phases: Phase::ALL
                     .iter()
-                    .map(|&p| (p, cell[p.index()].snapshot()))
+                    .map(|&p| (p, phases[p.index()]))
                     .filter(|(_, snap)| !snap.is_empty())
                     .collect(),
             })
@@ -528,11 +630,16 @@ impl Recorder {
         let Some(inner) = self.inner.as_deref() else {
             return Summary::default();
         };
+        let merged = inner.phases();
         let phases = Phase::ALL
             .iter()
-            .map(|&p| (p, inner.phases[p.index()].snapshot()))
+            .map(|&p| (p, merged[p.index()]))
             .filter(|(_, snap)| !snap.is_empty())
             .collect();
+        let (events_recorded, events_dropped) = {
+            let ring = inner.events.lock();
+            (ring.events.len() as u64, ring.overwritten)
+        };
         let named = inner
             .named
             .lock()
@@ -571,30 +678,67 @@ impl Recorder {
             counters,
             gauges,
             gauges_f64,
-            events_recorded: self.events_recorded(),
-            events_dropped: self.events_dropped(),
+            events_recorded,
+            events_dropped,
         }
     }
 }
 
 impl Inner {
-    fn record_event(&self, phase: Phase, ctx: Ctx, started: Instant, dur: Duration) {
+    fn record_event(&self, lane: usize, phase: Phase, ctx: Ctx, started: Instant, dur: Duration) {
         let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
-        self.phases[phase.index()].record(dur_ns);
-        if let Some(node) = ctx.node {
-            self.node_phases(node)[phase.index()].record(dur_ns);
-        }
         let t_us = u64::try_from(started.saturating_duration_since(self.epoch).as_micros())
             .unwrap_or(u64::MAX);
         // Every event that reaches the sink lands in the one ring, in
-        // every enabled mode: one short critical section that never
-        // allocates once the ring is full.
-        self.events.lock().push(TraceEvent {
+        // every enabled mode, a batch at a time: the span itself locks
+        // only its handle's lane.
+        let mut state = self.lanes[lane].0.lock();
+        state.phases[phase.index()].record(dur_ns);
+        if let Some(node) = ctx.node {
+            state.node_counts(node)[phase.index()].record(dur_ns);
+        }
+        state.pending.push(TraceEvent {
             t_us,
             phase,
             ctx,
             dur_ns,
         });
+        if state.pending.len() == LANE_BATCH {
+            self.flush(&mut state);
+        }
+    }
+
+    /// Moves a lane's pending events into the ring, oldest first. The
+    /// caller holds the lane's lock, so no reader can miss an event in
+    /// transit.
+    fn flush(&self, lane: &mut LaneState) {
+        let mut ring = self.events.lock();
+        for event in lane.pending.drain(..) {
+            ring.push(event);
+        }
+    }
+
+    /// Flushes every lane's pending events, handing each lane's counts to
+    /// `read` while its lock is held.
+    fn read_lanes(&self, mut read: impl FnMut(&LaneState)) {
+        for lane in &self.lanes {
+            let mut state = lane.0.lock();
+            self.flush(&mut state);
+            read(&state);
+        }
+    }
+
+    /// Every phase's counts, merged over the lanes.
+    fn phases(&self) -> PhaseSnapshots {
+        let mut phases = PhaseSnapshots::default();
+        self.read_lanes(|lane| merge_counts(&mut phases, &lane.phases));
+        phases
+    }
+
+    /// Reads the ring once every lane's pending events are in it.
+    fn ring<R>(&self, read: impl FnOnce(&EventRing) -> R) -> R {
+        self.read_lanes(|_| {});
+        read(&self.events.lock())
     }
 
     // Registry keys are owned `String`s so labels can be built at
@@ -645,17 +789,6 @@ impl Inner {
         let hist = Arc::new(Histogram::new());
         named.insert(name.to_string(), hist.clone());
         hist
-    }
-
-    fn node_phases(&self, node: u32) -> Arc<[Histogram; Phase::ALL.len()]> {
-        let mut nodes = self.nodes.lock();
-        if let Some(cell) = nodes.get(&node) {
-            return cell.clone();
-        }
-        let cell: Arc<[Histogram; Phase::ALL.len()]> =
-            Arc::new(std::array::from_fn(|_| Histogram::new()));
-        nodes.insert(node, cell.clone());
-        cell
     }
 }
 
@@ -1032,6 +1165,92 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
         assert!(Recorder::disabled().events().is_empty());
+    }
+
+    #[test]
+    fn lanes_merge_concurrent_handles_exactly() {
+        // Six clones on six threads, as a six-node ring's workers hold
+        // them: the merged counts are what one shared histogram fed every
+        // span would hold, and the ring keeps exactly its capacity.
+        let rec = Recorder::stats_only();
+        std::thread::scope(|s| {
+            for node in 0..6u32 {
+                let handle = rec.clone();
+                s.spawn(move || {
+                    let ctx = Ctx::default().with_node(node);
+                    for _ in 0..1000 {
+                        handle.record(Phase::Step, ctx, handle.clock());
+                        handle.tick(Phase::Retry, ctx);
+                    }
+                });
+            }
+        });
+        assert_eq!(rec.phase(Phase::Step).count, 6000);
+        assert_eq!(rec.phase(Phase::Retry).count, 6000);
+        let summaries = rec.node_summaries();
+        assert_eq!(
+            summaries.iter().map(|s| s.node).collect::<Vec<_>>(),
+            (0..6).collect::<Vec<_>>()
+        );
+        for summary in &summaries {
+            let counts: Vec<(Phase, u64)> = summary
+                .phases
+                .iter()
+                .map(|(p, snap)| (*p, snap.count))
+                .collect();
+            assert_eq!(counts, vec![(Phase::Step, 1000), (Phase::Retry, 1000)]);
+        }
+        for phase in [Phase::Step, Phase::Retry] {
+            let per_node: Vec<HistogramSnapshot> = summaries
+                .iter()
+                .flat_map(|s| &s.phases)
+                .filter(|(p, _)| *p == phase)
+                .map(|(_, snap)| *snap)
+                .collect();
+            let merged = rec.phase(phase);
+            assert_eq!(
+                merged.sum_ns,
+                per_node.iter().map(|snap| snap.sum_ns).sum::<u64>()
+            );
+            let folded = per_node
+                .iter()
+                .fold(HistogramSnapshot::default(), |acc, snap| acc.merge(snap));
+            assert_eq!(merged, folded);
+        }
+        assert_eq!(rec.events_recorded(), 4096);
+        assert_eq!(rec.events_dropped(), 7904);
+        let events = rec.events();
+        assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
+    }
+
+    #[test]
+    fn pending_lane_events_reach_every_reader() {
+        // Three ticks, fewer than a lane's batch, from a clone whose
+        // thread has exited. Each reader gets a fresh recorder, so each
+        // must move the pending events into the ring itself.
+        fn three_pending() -> Recorder {
+            let rec = Recorder::stats_only();
+            let handle = rec.clone();
+            std::thread::spawn(move || {
+                for _ in 0..3 {
+                    handle.tick(Phase::Retry, Ctx::default().with_node(2));
+                }
+            })
+            .join()
+            .expect("ticking thread panicked");
+            rec
+        }
+        assert_eq!(three_pending().events().len(), 3);
+        assert_eq!(three_pending().trace_jsonl().lines().count(), 3);
+        assert_eq!(three_pending().events_recorded(), 3);
+        assert_eq!(three_pending().summary().events_recorded, 3);
+        let summaries = three_pending().node_summaries();
+        assert_eq!(summaries.len(), 1);
+        assert_eq!(summaries[0].node, 2);
+        assert_eq!(summaries[0].phases[0].0, Phase::Retry);
+        assert_eq!(summaries[0].phases[0].1.count, 3);
+        let body = crate::render_summary(&three_pending().summary());
+        assert!(body.contains("privtopk_trace_events_recorded_total 3\n"));
     }
 
     #[test]

@@ -2,22 +2,27 @@
 # Paired A/B runs of the benchmark BENCHMARK.json declares: <rev> (the
 # parent) against the working tree (the change).
 #
-#   scripts/ab.sh <rev> [pairs] [seconds]
+#   scripts/ab.sh <rev> [pairs] [seconds] [seed_base] [workload...]
 #
-# Checks <rev> out as a detached git worktree under target/ab/ (removed
-# on exit) and builds the benchmark command there and in the working
-# tree. Pair i runs every workload on both sides with seed 24400 + i;
-# the parent runs first on odd pairs. Defaults: 6 pairs and
-# BENCHMARK.json's run_seconds. Workloads, end-to-end metrics and bounds
-# come from the working tree's BENCHMARK.json; nothing under perfbench/
-# is edited.
+# Extracts <rev> with `git archive` under target/ab/ (removed on exit)
+# and builds the benchmark command there and in the working tree. Pair i
+# runs each workload on both sides with seed seed_base + i, back to back;
+# the parent runs first on odd pairs. Defaults: 6 pairs, BENCHMARK.json's
+# run_seconds, seed_base 24400 and every BENCHMARK.json workload; name
+# workloads to confirm one claim on fresh seeds. End-to-end metrics and
+# bounds come from the working tree's BENCHMARK.json; nothing under
+# perfbench/ is edited.
 #
 # Each run's last stdout line is its JSON report. For every workload and
 # end-to-end metric the script prints both sides' median [q1, q3]
 # (quartiles as Python's statistics.quantiles computes them, like
 # perfbench/spread.py), the change/parent ratio of the medians, the
 # change's wins out of all pairs (ties count for neither; the metric's
-# `better` gives the direction) and the metric's bound. Then it prints
+# `better` gives the direction), the metric's bound and a verdict:
+# `gain` when the change won at least nine tenths of the pairs and its
+# median beats the parent's by more than the parent's q3 - q1, `worse`
+# when its median is worse than the parent's by more than the bound (a
+# share of the parent's median), `-` otherwise. Then it prints
 # failed/attempted operations per side. It exits non-zero if any run
 # exits non-zero or does not report "correct": true. Needs jq.
 set -eu
@@ -25,14 +30,26 @@ set -eu
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$REPO_ROOT"
 
-[ $# -ge 1 ] || { echo "usage: scripts/ab.sh <rev> [pairs] [seconds]" >&2; exit 2; }
+[ $# -ge 1 ] || {
+    echo "usage: scripts/ab.sh <rev> [pairs] [seconds] [seed_base] [workload...]" >&2
+    exit 2
+}
 REV=$(git rev-parse --verify "$1^{commit}")
 PAIRS=${2:-6}
 RUN_SECONDS=${3:-$(jq -r '.run_seconds' BENCHMARK.json)}
+SEED_BASE=${4:-24400}
 RUN=$(jq -r '.command | join(" ")' BENCHMARK.json)
 BUILD=$(jq -r '.command | .[:(index("--") // length)]
     | map(if . == "run" then "build" else . end) | join(" ")' BENCHMARK.json)
 WORKLOADS=$(jq -r '.workloads[].name' BENCHMARK.json)
+if [ $# -gt 4 ]; then
+    shift 4
+    for workload in "$@"; do
+        echo "$WORKLOADS" | grep -qx "$workload" \
+            || { echo "error: BENCHMARK.json has no workload $workload" >&2; exit 2; }
+    done
+    WORKLOADS=$*
+fi
 METRICS=$(jq -r '.end_to_end[] | "\(.name):\(.better):\(.bound)"' BENCHMARK.json)
 
 # Each tree builds into its own perfbench/target.
@@ -42,15 +59,13 @@ PARENT="$REPO_ROOT/target/ab/$(echo "$REV" | cut -c1-12)-$$"
 RESULTS="$PARENT.tsv"
 LOGS="$PARENT.logs"
 cleanup() {
-    git worktree remove --force "$PARENT" 2>/dev/null || rm -rf "$PARENT"
-    git worktree prune
-    rm -rf "$RESULTS" "$LOGS"
+    rm -rf "$PARENT" "$RESULTS" "$LOGS"
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
-mkdir -p "$LOGS"
+mkdir -p "$PARENT" "$LOGS"
 : > "$RESULTS"
-git worktree add --detach --quiet "$PARENT" "$REV"
+git archive "$REV" | tar -x -C "$PARENT"
 
 for tree in "$PARENT" "$REPO_ROOT"; do
     echo "==> build in $tree" >&2
@@ -83,7 +98,7 @@ run_side() {
 
 i=1
 while [ "$i" -le "$PAIRS" ]; do
-    seed=$((24400 + i))
+    seed=$((SEED_BASE + i))
     for workload in $WORKLOADS; do
         if [ $((i % 2)) -eq 1 ]; then
             run_side parent "$PARENT" "$workload" "$seed" "$i"
@@ -98,9 +113,9 @@ while [ "$i" -le "$PAIRS" ]; do
 done
 
 echo "ab: $(git rev-parse --short "$REV") (parent) vs working tree (change)," \
-    "$PAIRS pairs, $RUN_SECONDS s per run"
-printf '%-18s %-17s %-34s %-34s %7s %6s %6s\n' workload metric \
-    "parent median [q1, q3]" "change median [q1, q3]" ratio wins bound
+    "$PAIRS pairs, $RUN_SECONDS s per run, seeds $((SEED_BASE + 1))-$((SEED_BASE + PAIRS))"
+printf '%-18s %-17s %-34s %-34s %7s %6s %6s %7s\n' workload metric \
+    "parent median [q1, q3]" "change median [q1, q3]" ratio wins bound verdict
 for workload in $WORKLOADS; do
     for spec in $METRICS; do
         awk -F '\t' -v w="$workload" -v spec="$spec" -v pairs="$PAIRS" '
@@ -143,7 +158,15 @@ for workload in $WORKLOADS; do
                 cc = cell(c, nc)
                 cm = nc ? quart(c, nc, 2) : 0
                 ratio = (np && nc && pm != 0) ? sprintf("x%.3f", cm / pm) : "-"
-                printf "%-18s %-17s %-34s %-34s %7s %6s %6s\n", w, name, pc, cc, ratio, wins "/" pairs, bound
+                verdict = "-"
+                if (np && nc) {
+                    gap = (better == "lower") ? pm - cm : cm - pm
+                    if (wins * 10 >= pairs * 9 && gap > quart(p, np, 3) - quart(p, np, 1))
+                        verdict = "gain"
+                    else if (-gap > bound * pm)
+                        verdict = "worse"
+                }
+                printf "%-18s %-17s %-34s %-34s %7s %6s %6s %7s\n", w, name, pc, cc, ratio, wins "/" pairs, bound, verdict
             }' "$RESULTS"
     done
 done

@@ -100,6 +100,22 @@ echo "$SLO_OUT"
 echo "$SLO_OUT" | grep -q "1 passed" \
     || { echo "error: SLO window gate matched no test (renamed?)" >&2; exit 1; }
 
+# Recorder lane gates, run by name with the same rename guard. A
+# histogram sum must saturate on record as it does on merge, instead of
+# wrapping below the maximum; six clones recording on six threads must
+# merge into exact phase counts, per-node digests and ring counts; and
+# events still pending in a lane whose thread has exited must reach every
+# reader, the Prometheus body included.
+for gate in histogram::tests::record_saturates_the_sum_like_merge \
+    recorder::tests::lanes_merge_concurrent_handles_exactly \
+    recorder::tests::pending_lane_events_reach_every_reader; do
+    echo "==> cargo test -p privtopk-observe --lib $gate"
+    GATE_OUT=$(cargo test -p privtopk-observe --lib "$gate" 2>&1)
+    echo "$GATE_OUT"
+    echo "$GATE_OUT" | grep -q "1 passed" \
+        || { echo "error: recorder gate $gate matched no test (renamed?)" >&2; exit 1; }
+done
+
 echo "==> cargo test -p privtopk-core --lib compact_b64_mean_frame_under_budget"
 BUDGET_OUT=$(cargo test -p privtopk-core --lib compact_b64_mean_frame_under_budget 2>&1)
 echo "$BUDGET_OUT"
