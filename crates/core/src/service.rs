@@ -24,6 +24,14 @@
 //! regardless of how traversals interleave. Pipelining changes only
 //! *scheduling*, never per-query randomness.
 //!
+//! A worker blocks only on its endpoint. The scheduler queues each
+//! query's assignment on every worker's control channel, the starting
+//! node's last, and wakes only the starting node through its endpoint's
+//! [`Waker`]. Every other node reads its assignment when the query's first
+//! frame reaches it, and that frame cannot exist before the starting node
+//! has read its own. Shutdown hangs up the control channels and wakes
+//! every worker.
+//!
 //! This worker loop is the only driver of the node machine. One-shot
 //! queries and batches run on it too: `run_distributed` and
 //! `run_distributed_batch` start one ring of n workers with every slot
@@ -36,10 +44,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use privtopk_domain::{LocalTopkSource, NodeId, TopKVector};
 use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Phase, Recorder};
-use privtopk_ring::transport::{send_value, FramePool, Transport};
+use privtopk_ring::transport::{send_value, FramePool, Transport, Waker};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{RingError, TransportMetrics};
 
@@ -55,11 +63,6 @@ use crate::node::{
     assemble, check_query, k_mismatch, NodeMachine, Slot, SlotHop, SlotInit, WorkerReport,
 };
 use crate::{BatchJob, ProtocolConfig, ProtocolError, StepRecord, Transcript};
-
-/// How often an active worker interrupts its endpoint wait to pick up
-/// new slot assignments (or a shutdown) from the scheduler. Frames wake
-/// the worker immediately; this only bounds control-plane latency.
-const ACTIVE_POLL: Duration = Duration::from_millis(1);
 
 /// Seed for the fault-injection RNGs of a lossy service network. Drop
 /// decisions are transport-level and never reach a transcript, so a
@@ -99,11 +102,6 @@ impl QueryTicket {
     }
 }
 
-enum WorkerControl {
-    Assign(Arc<SlotInit>),
-    Shutdown,
-}
-
 /// One node's verdict on one query: its step log and learned result, or
 /// the first error that killed the slot. `query` names the member query
 /// of a result and the slot of an error (the same on a standing service).
@@ -115,7 +113,12 @@ struct SlotReport {
 
 /// The long-lived per-node worker: owns the node's ring endpoint and, on a
 /// standing service, its database snapshot, and multiplexes any number of
-/// open [`Slot`]s over them until told to shut down.
+/// open [`Slot`]s over them until the scheduler hangs up.
+///
+/// The endpoint is the worker's only blocking point. Assignments queue on
+/// its control channel, which it reads at three points only: when it has
+/// no slot open, on a wake (a frame from its own node, see [`Waker`]),
+/// and when a frame names a slot it has not opened.
 struct ServiceWorker {
     me: NodeId,
     /// The snapshot a standing service's assignments open machines on. A
@@ -124,17 +127,16 @@ struct ServiceWorker {
     local: Option<TopKVector>,
     endpoint: Box<dyn Transport>,
     pool: FramePool,
-    control: Receiver<WorkerControl>,
+    control: Receiver<Arc<SlotInit>>,
     reports: Sender<SlotReport>,
     drain_on_exit: Option<Duration>,
     recv_timeout: Duration,
     /// One-shot runs only: the round before which this node dies.
     crash_at: Option<u32>,
     slots: HashMap<u64, Slot>,
-    /// The highest slot id opened so far. Slots open in increasing id
-    /// order, so a frame at or below it with no open slot belongs to a
-    /// slot this worker has already closed.
-    highest_opened: Option<u64>,
+    /// Set once the scheduler has hung up, the transport broke or the
+    /// node crashed: no more assignments are read, and the worker exits
+    /// once its open slots close.
     draining: bool,
     recorder: Recorder,
     /// Hop-kernel working memory, shared across every in-flight slot:
@@ -148,7 +150,7 @@ impl ServiceWorker {
         me: NodeId,
         local: Option<TopKVector>,
         endpoint: Box<dyn Transport>,
-        control: Receiver<WorkerControl>,
+        control: Receiver<Arc<SlotInit>>,
         reports: Sender<SlotReport>,
         drain_on_exit: Option<Duration>,
         recorder: Recorder,
@@ -164,7 +166,6 @@ impl ServiceWorker {
             recv_timeout: RECV_TIMEOUT,
             crash_at: None,
             slots: HashMap::new(),
-            highest_opened: None,
             draining: false,
             recorder,
             scratch: TopkScratch::new(),
@@ -173,29 +174,11 @@ impl ServiceWorker {
 
     fn run(mut self) {
         loop {
-            self.pump_control();
             if self.slots.is_empty() {
-                if self.draining {
+                self.read_control();
+                if self.slots.is_empty() && self.draining {
                     break;
                 }
-                if self.drain_on_exit.is_none() {
-                    // Idle: block until the scheduler speaks again — no
-                    // polling, so a depth-1 workload pays no poll latency.
-                    let idle_started = self.recorder.clock();
-                    match self.control.recv() {
-                        Ok(msg) => {
-                            let ctx = Ctx::default().with_node(self.me.get() as u32);
-                            self.recorder.record(Phase::Idle, ctx, idle_started);
-                            self.handle_control(msg);
-                        }
-                        Err(_) => break,
-                    }
-                    continue;
-                }
-                // Lossy transport: a peer may be retransmitting a frame
-                // we already consumed whose ACK was dropped, and only a
-                // recv re-acknowledges it — so an idle worker stays on
-                // the wire below, not deaf on the control channel.
             }
             match self.recv_frame() {
                 Ok(Some((from, frame, started))) => self.dispatch(from, frame, started),
@@ -231,23 +214,15 @@ impl ServiceWorker {
         }
     }
 
-    /// Drains pending control messages, and starts draining once the
-    /// scheduler has hung up. A draining worker expects no more control
-    /// messages, so it no longer looks.
-    fn pump_control(&mut self) {
+    /// Opens every queued assignment, and starts draining once the
+    /// scheduler has hung up. A draining worker reads no more.
+    fn read_control(&mut self) {
         while !self.draining {
             match self.control.try_recv() {
-                Ok(msg) => self.handle_control(msg),
+                Ok(init) => self.assign(&init),
                 Err(TryRecvError::Empty) => return,
                 Err(TryRecvError::Disconnected) => self.draining = true,
             }
-        }
-    }
-
-    fn handle_control(&mut self, msg: WorkerControl) {
-        match msg {
-            WorkerControl::Assign(init) => self.assign(&init),
-            WorkerControl::Shutdown => self.draining = true,
         }
     }
 
@@ -256,16 +231,12 @@ impl ServiceWorker {
         let local = self.local.clone().expect("only a standing service assigns");
         match NodeMachine::open(self.me, local, init) {
             Ok(machine) => self.open(init.query, Slot::new(vec![machine])),
-            Err(e) => {
-                self.highest_opened = Some(init.query);
-                self.report(init.query, Err(e));
-            }
+            Err(e) => self.report(init.query, Err(e)),
         }
     }
 
     /// Opens slot `id`; a starting node kicks off round 1 at once.
     fn open(&mut self, id: u64, mut slot: Slot) {
-        self.highest_opened = Some(id);
         if self.crash_due(&slot) {
             return self.crash(id);
         }
@@ -273,36 +244,34 @@ impl ServiceWorker {
         self.settle(id, slot, hop);
     }
 
-    /// Waits for a frame, its sender, and when the wait began. While the
-    /// scheduler can still assign, the wait wakes every [`ACTIVE_POLL`] to
-    /// pick up control messages, and an idle worker returns `None` to the
-    /// loop; once the scheduler has hung up (or sent its shutdown),
-    /// nothing more can arrive there, so the wait blocks on the endpoint
-    /// for the whole deadline.
+    /// Waits on the endpoint for a peer's frame; returns it with its
+    /// sender and the start of its `Recv` span. A wake (a frame from this
+    /// node) makes the worker read its control channel.
+    ///
+    /// With no slot open the wait has no deadline. It is one
+    /// [`Phase::Idle`] span, up to the frame or wake that ends it; a wake
+    /// returns `None` to the loop, which reads the control channel since
+    /// no slot is open, and the frame's `Recv` span starts at its arrival,
+    /// so every dispatched frame has exactly one `Recv` span whether or
+    /// not the worker was idle. With slots open the wait keeps going
+    /// through wakes until a frame arrives or the deadline fixed when it
+    /// began passes, and it is the `Recv` span of the frame that ends it.
     fn recv_frame(&mut self) -> Result<Option<(NodeId, Bytes, Option<Instant>)>, ProtocolError> {
-        let recv_started = self.recorder.clock();
+        let started = self.recorder.clock();
+        if self.slots.is_empty() {
+            let (from, frame) = self.endpoint.recv()?;
+            let ctx = Ctx::default().with_node(self.me.get() as u32);
+            self.recorder.record(Phase::Idle, ctx, started);
+            return Ok((from != self.me).then(|| (from, frame, self.recorder.clock())));
+        }
         let deadline = Instant::now() + self.recv_timeout;
-        let mut remaining = self.recv_timeout;
         loop {
-            let wait = if self.draining {
-                remaining
-            } else {
-                ACTIVE_POLL
-            };
-            match self.endpoint.recv_timeout(wait) {
-                Ok((from, frame)) => return Ok(Some((from, frame, recv_started))),
-                Err(RingError::Timeout) => {
-                    self.pump_control();
-                    if self.slots.is_empty() {
-                        return Ok(None);
-                    }
-                    remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(ProtocolError::Ring(RingError::Timeout));
-                    }
-                }
-                Err(e) => return Err(e.into()),
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let (from, frame) = self.endpoint.recv_timeout(remaining)?;
+            if from != self.me {
+                return Ok(Some((from, frame, started)));
             }
+            self.read_control();
         }
     }
 
@@ -319,46 +288,22 @@ impl ServiceWorker {
         };
         self.pool.recycle(frame);
         let id = msg.slot;
-        if !self.await_assignment(id) {
-            self.report(id, Err(ProtocolError::Ring(RingError::Timeout)));
-            return;
-        }
-        // No open slot for an assigned id: it is already closed here (it
-        // failed at this node while upstream kept forwarding, or a peer
-        // injected the frame), so the frame is dropped.
-        let Some(mut slot) = self.slots.remove(&id) else {
+        // A query's first frame here finds its assignment still queued:
+        // the scheduler wakes only the starting node.
+        let slot = self.slots.remove(&id).or_else(|| {
+            self.read_control();
+            self.slots.remove(&id)
+        });
+        // Still no open slot: the query is over here (it failed at this
+        // node while upstream kept forwarding) or was never assigned (a
+        // peer injected the frame), so the frame is dropped.
+        let Some(mut slot) = slot else {
             return;
         };
         self.recorder
             .record(Phase::Recv, slot.span_ctx(&msg.payload), recv_started);
         let hop = slot.advance(Some((from, msg.payload)), &mut self.scratch, &self.recorder);
         self.settle(id, slot, hop);
-    }
-
-    /// A frame can outrun its own `Assign`: the starting node kicks off
-    /// the moment it is assigned, while the scheduler is still fanning
-    /// the control message out to the other workers. Block on the
-    /// control channel until `query` has been assigned here.
-    fn await_assignment(&mut self, query: u64) -> bool {
-        if self.highest_opened.is_some_and(|highest| highest >= query) {
-            return true;
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        while self.highest_opened.is_none_or(|highest| highest < query) {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return false;
-            }
-            match self.control.recv_timeout(remaining) {
-                Ok(msg) => self.handle_control(msg),
-                Err(RecvTimeoutError::Timeout) => return false,
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.draining = true;
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Acts on one slot's hop: sends what it forwards, then reports each
@@ -434,9 +379,9 @@ impl ServiceWorker {
 /// Runs `jobs` on one one-shot ring of service workers. Jobs that agree
 /// on round count and ring order form a lock-step group, and each group is
 /// one slot whose id is its group index. Every worker starts with every
-/// slot open and its control plane hung up, so every group is in flight at
-/// once, no `Assign` or `Shutdown` ever crosses a channel, and a waiting
-/// worker blocks on its endpoint for the whole deadline. Every node
+/// slot open and its control channel hung up, so every group is in flight
+/// at once, no assignment ever crosses a channel, and a worker exits once
+/// its last slot closes. Every node
 /// reports each member query or an error, so a failure names every node
 /// that crashed. The transport counters are published into `recorder`
 /// once every query completes.
@@ -617,7 +562,8 @@ pub trait QueryObserver: Send + Sync {
 ///
 /// Created by [`start`](ServiceRuntime::start); torn down by
 /// [`shutdown`](ServiceRuntime::shutdown) (which drains in-flight
-/// queries and joins every worker thread). [`submit`](Self::submit)
+/// queries and joins every worker thread) or by a drop (which drains
+/// them without waiting). [`submit`](Self::submit)
 /// admits a query as soon as a pipeline slot frees up and returns a
 /// [`QueryTicket`]; [`collect`](Self::collect) redeems it.
 pub struct ServiceRuntime {
@@ -626,7 +572,10 @@ pub struct ServiceRuntime {
     depth: usize,
     next_query: u64,
     in_flight: usize,
-    controls: Vec<Sender<WorkerControl>>,
+    /// Each worker's assignment queue. A worker woken to find its queue
+    /// hung up exits once its open slots close.
+    controls: Vec<Sender<Arc<SlotInit>>>,
+    wakers: Vec<Waker>,
     reports: Receiver<SlotReport>,
     /// Each in-flight query's ring coordinates and the node reports
     /// gathered so far.
@@ -839,9 +788,11 @@ impl ServiceRuntime {
         let n = locals.len();
         let (report_tx, report_rx) = unbounded();
         let mut controls = Vec::with_capacity(n);
+        let mut wakers = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for (i, endpoint) in endpoints.into_iter().enumerate() {
             let (control_tx, control_rx) = unbounded();
+            wakers.push(endpoint.waker());
             let worker = ServiceWorker::new(
                 NodeId::new(i),
                 Some(locals[i].clone()),
@@ -865,6 +816,7 @@ impl ServiceRuntime {
             next_query: 0,
             in_flight: 0,
             controls,
+            wakers,
             reports: report_rx,
             open: HashMap::new(),
             done: HashMap::new(),
@@ -1015,11 +967,16 @@ impl ServiceRuntime {
         self.next_query += 1;
         self.open
             .insert(query, (Arc::clone(&init), Vec::with_capacity(self.n)));
-        for (position, control) in self.controls.iter().enumerate() {
-            control
-                .send(WorkerControl::Assign(Arc::clone(&init)))
+        // The starting node's assignment goes last and only it is woken:
+        // every other node reads its own when the query's first frame,
+        // which only the starting node sends, reaches it.
+        let start = init.topology.node_at_start().get();
+        for position in (0..self.n).filter(|&i| i != start).chain([start]) {
+            self.controls[position]
+                .send(Arc::clone(&init))
                 .map_err(|_| ProtocolError::WorkerFailed { position })?;
         }
+        self.wakers[start].wake();
         self.in_flight += 1;
         self.shared.queries_submitted.fetch_add(1, Ordering::AcqRel);
         self.shared.set_in_flight(self.in_flight);
@@ -1123,9 +1080,9 @@ impl ServiceRuntime {
             .gauge_set("pipeline_depth", self.in_flight as u64);
     }
 
-    /// Shuts the service down: in-flight queries are drained to
-    /// completion (their uncollected results are discarded), then every
-    /// worker thread is joined.
+    /// Shuts the service down: drops the runtime, which ends every worker
+    /// once it has finished its in-flight queries (their uncollected
+    /// results are discarded), and joins the worker threads.
     ///
     /// # Errors
     ///
@@ -1134,13 +1091,10 @@ impl ServiceRuntime {
         // Publish the lifetime wire counters into the recorder's
         // registry so a final summary carries them.
         self.metrics.peek().publish(&self.recorder);
-        for control in &self.controls {
-            let _ = control.send(WorkerControl::Shutdown);
-        }
-        // Hang up the control plane so no worker can block on it.
-        self.controls.clear();
+        let handles = std::mem::take(&mut self.handles);
+        drop(self);
         let mut first_error = None;
-        for (position, handle) in self.handles.drain(..).enumerate() {
+        for (position, handle) in handles.into_iter().enumerate() {
             if handle.join().is_err() {
                 first_error.get_or_insert(ProtocolError::WorkerFailed { position });
             }
@@ -1148,6 +1102,17 @@ impl ServiceRuntime {
         match first_error {
             Some(error) => Err(error),
             None => Ok(()),
+        }
+    }
+}
+
+impl Drop for ServiceRuntime {
+    /// Hangs up every worker's assignment queue, then wakes the worker to
+    /// read the hang-up.
+    fn drop(&mut self) {
+        self.controls.clear();
+        for waker in &self.wakers {
+            waker.wake();
         }
     }
 }
@@ -1510,13 +1475,11 @@ mod tests {
         service.shutdown().unwrap();
     }
 
-    #[test]
-    fn stale_frame_for_a_closed_query_does_not_stall_the_ring() {
-        // A depth-1 service on n of the network's n + 1 endpoints; the
-        // spare one injects a well-formed frame for query 0 after every
-        // worker has closed it. Node 1 meets that frame right after query
-        // 1's Assign: waiting for query 0's Assign would hold query 1 for
-        // the whole 30 s receive deadline, so it must be dropped instead.
+    /// Runs query 0 on a depth-1 service over n of the network's n + 1
+    /// endpoints, has the spare endpoint send node 1 a well-formed frame
+    /// for query `injected`, then times query 1. Returns that time, query
+    /// 1's transcript and its cold run's.
+    fn run_after_injecting(injected: u64) -> (Duration, Transcript, Transcript) {
         use privtopk_ring::transport::InMemoryNetwork;
         use privtopk_ring::wire::encode_to_bytes;
         let n = 4;
@@ -1539,25 +1502,46 @@ mod tests {
         )
         .unwrap();
         let first = service.run(&cfg, 0).unwrap();
-        let stale = SlotMessage {
-            query: 0,
+        let frame = SlotMessage {
+            query: injected,
             inner: TokenMessage::Token {
                 round: 1,
                 vector: first.transcript.result().clone(),
             },
         };
         injector
-            .send(NodeId::new(1), encode_to_bytes(&stale))
+            .send(NodeId::new(1), encode_to_bytes(&frame))
             .unwrap();
         let started = Instant::now();
         let second = service.run(&cfg, 1).unwrap();
         let elapsed = started.elapsed();
         service.shutdown().unwrap();
+        let cold = run_distributed(&cfg, &locals, NetworkKind::InMemory, 1).unwrap();
+        (elapsed, second.transcript, cold.transcript)
+    }
+
+    #[test]
+    fn stale_frame_for_a_closed_query_does_not_stall_the_ring() {
+        // Every worker has closed query 0 when its frame reaches node 1.
+        // Holding the frame would stall query 1 for the whole 30 s
+        // receive deadline, so it must be dropped instead.
+        let (elapsed, second, cold) = run_after_injecting(0);
         assert!(
             elapsed < Duration::from_secs(5),
             "query 1 stalled behind the stale frame for {elapsed:?}"
         );
-        let cold = run_distributed(&cfg, &locals, NetworkKind::InMemory, 1).unwrap();
-        assert_eq!(second.transcript, cold.transcript);
+        assert_eq!(second, cold);
+    }
+
+    #[test]
+    fn frame_for_an_unassigned_query_does_not_stall_the_ring() {
+        // Query 1,000 is never assigned: node 1 must drop its frame once
+        // its queued assignments are read, not wait for one to come.
+        let (elapsed, second, cold) = run_after_injecting(1_000);
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "query 1 stalled behind the unassigned frame for {elapsed:?}"
+        );
+        assert_eq!(second, cold);
     }
 }

@@ -68,8 +68,8 @@ pub use prometheus::{
     MetricsServer, SCRAPE_TIMEOUT,
 };
 pub use recorder::{
-    GaugeF64Snapshot, GaugeSnapshot, NodeSummary, Recorder, Summary, TraceEvent,
-    DEFAULT_EVENT_CAPACITY, DEFAULT_FLIGHT_CAPACITY,
+    GaugeSnapshot, NodeSummary, Recorder, Summary, TraceEvent, DEFAULT_EVENT_CAPACITY,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 pub use slo::{BurnRate, SloConfig, SloEngine, SloReport, SloStatus, WindowReport};
 

@@ -120,47 +120,6 @@ struct GaugeCell {
     high_water: AtomicU64,
 }
 
-/// A point-in-time read of one floating-point gauge.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GaugeF64Snapshot {
-    /// Last value set.
-    pub value: f64,
-    /// Largest value ever set.
-    pub high_water: f64,
-}
-
-/// An f64 gauge stored as IEEE-754 bits in atomics, so reads and writes
-/// stay lock-free like the u64 registry.
-struct GaugeF64Cell {
-    value_bits: AtomicU64,
-    high_water_bits: AtomicU64,
-}
-
-impl GaugeF64Cell {
-    fn set(&self, value: f64) {
-        self.value_bits.store(value.to_bits(), Ordering::Relaxed);
-        let mut current = self.high_water_bits.load(Ordering::Relaxed);
-        while value > f64::from_bits(current) {
-            match self.high_water_bits.compare_exchange_weak(
-                current,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    fn snapshot(&self) -> GaugeF64Snapshot {
-        GaugeF64Snapshot {
-            value: f64::from_bits(self.value_bits.load(Ordering::Relaxed)),
-            high_water: f64::from_bits(self.high_water_bits.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 /// The recorder's one event store: the newest event overwrites the
 /// oldest once `capacity` is reached, so memory stays fixed no matter how
 /// long the service runs.
@@ -265,7 +224,6 @@ struct Inner {
     events: Mutex<EventRing>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
-    gauges_f64: Mutex<BTreeMap<String, Arc<GaugeF64Cell>>>,
     named: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -385,7 +343,6 @@ impl Recorder {
                 }),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
-                gauges_f64: Mutex::new(BTreeMap::new()),
                 named: Mutex::new(BTreeMap::new()),
             })),
         }
@@ -492,26 +449,6 @@ impl Recorder {
             value: cell.value.load(Ordering::Relaxed),
             high_water: cell.high_water.load(Ordering::Relaxed),
         })
-    }
-
-    /// Sets the named floating-point gauge, tracking its high-water
-    /// mark. `NaN` values are ignored — a gauge can only hold a real
-    /// observation.
-    pub fn gauge_set_f64(&self, name: &str, value: f64) {
-        if value.is_nan() {
-            return;
-        }
-        if let Some(inner) = self.inner.as_deref() {
-            inner.gauge_f64(name).set(value);
-        }
-    }
-
-    /// Reads a floating-point gauge (`None` when absent or disabled).
-    #[must_use]
-    pub fn gauge_f64(&self, name: &str) -> Option<GaugeF64Snapshot> {
-        let inner = self.inner.as_deref()?;
-        let cell = inner.gauges_f64.lock().get(name).cloned()?;
-        Some(cell.snapshot())
     }
 
     /// Closes a span into the named histogram (no trace event).
@@ -666,18 +603,11 @@ impl Recorder {
                 )
             })
             .collect();
-        let gauges_f64 = inner
-            .gauges_f64
-            .lock()
-            .iter()
-            .map(|(name, cell)| (name.to_string(), cell.snapshot()))
-            .collect();
         Summary {
             phases,
             named,
             counters,
             gauges,
-            gauges_f64,
             events_recorded,
             events_dropped,
         }
@@ -768,19 +698,6 @@ impl Inner {
         cell
     }
 
-    fn gauge_f64(&self, name: &str) -> Arc<GaugeF64Cell> {
-        let mut gauges = self.gauges_f64.lock();
-        if let Some(cell) = gauges.get(name) {
-            return cell.clone();
-        }
-        let cell = Arc::new(GaugeF64Cell {
-            value_bits: AtomicU64::new(0f64.to_bits()),
-            high_water_bits: AtomicU64::new(0f64.to_bits()),
-        });
-        gauges.insert(name.to_string(), cell.clone());
-        cell
-    }
-
     fn named_histogram(&self, name: &str) -> Arc<Histogram> {
         let mut named = self.named.lock();
         if let Some(hist) = named.get(name) {
@@ -831,9 +748,6 @@ pub struct Summary {
     pub counters: Vec<(String, u64)>,
     /// Gauges, sorted by name.
     pub gauges: Vec<(String, GaugeSnapshot)>,
-    /// Floating-point gauges (e.g. live privacy estimates), sorted by
-    /// name.
-    pub gauges_f64: Vec<(String, GaugeF64Snapshot)>,
     /// Trace events held in the recorder's ring.
     pub events_recorded: u64,
     /// Trace events the ring has overwritten.
@@ -885,19 +799,12 @@ impl fmt::Display for Summary {
                 writeln!(f, "  {name} = {value}")?;
             }
         }
-        if !self.gauges.is_empty() || !self.gauges_f64.is_empty() {
+        if !self.gauges.is_empty() {
             writeln!(f, "gauges:")?;
             for (name, gauge) in &self.gauges {
                 writeln!(
                     f,
                     "  {name} = {} (high water {})",
-                    gauge.value, gauge.high_water
-                )?;
-            }
-            for (name, gauge) in &self.gauges_f64 {
-                writeln!(
-                    f,
-                    "  {name} = {:.4} (high water {:.4})",
                     gauge.value, gauge.high_water
                 )?;
             }
@@ -1016,25 +923,6 @@ mod tests {
             })
         );
         assert_eq!(rec.named("queue_wait").unwrap().count, 1);
-    }
-
-    #[test]
-    fn f64_gauges_register_and_track_high_water() {
-        let rec = Recorder::stats_only();
-        rec.gauge_set_f64("privacy_lop", 0.25);
-        rec.gauge_set_f64("privacy_lop", 0.75);
-        rec.gauge_set_f64("privacy_lop", 0.5);
-        let snap = rec.gauge_f64("privacy_lop").unwrap();
-        assert_eq!(snap.value, 0.5);
-        assert_eq!(snap.high_water, 0.75);
-        // NaN sets are dropped; the gauge keeps its last real value.
-        rec.gauge_set_f64("privacy_lop", f64::NAN);
-        assert_eq!(rec.gauge_f64("privacy_lop").unwrap().value, 0.5);
-        assert!(rec.gauge_f64("missing").is_none());
-        assert!(Recorder::disabled().gauge_f64("privacy_lop").is_none());
-        // Summaries carry and render the f64 registry.
-        let text = rec.summary().to_string();
-        assert!(text.contains("privacy_lop = 0.5000 (high water 0.7500)"));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use rand::Rng;
 use privtopk_domain::rng::seeded_rng;
 use privtopk_domain::NodeId;
 
-use crate::transport::{FramePool, Transport};
+use crate::transport::{FramePool, Transport, Waker};
 use crate::RingError;
 
 /// The reliability layer's default healing budget:
@@ -337,6 +337,10 @@ impl<T: Transport> Transport for ChaosEndpoint<T> {
 
     fn pool(&self) -> FramePool {
         self.inner.pool()
+    }
+
+    fn waker(&self) -> Waker {
+        self.inner.waker()
     }
 }
 

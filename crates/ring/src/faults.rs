@@ -18,7 +18,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use privtopk_domain::NodeId;
 use privtopk_observe::{Ctx, Phase, Recorder};
 
-use crate::transport::{FramePool, Transport};
+use crate::transport::{FramePool, Transport, Waker};
 use crate::{RingError, TransportMetrics};
 
 const FRAME_DATA: u8 = 1;
@@ -141,6 +141,12 @@ impl<T: Transport> ReliableEndpoint<T> {
         from: NodeId,
         frame: &Bytes,
     ) -> Result<Option<(NodeId, Bytes)>, RingError> {
+        // A frame from this endpoint's own node is a wake (see `Waker`):
+        // it never crossed a link, so it carries no sequence number and
+        // passes through untouched.
+        if from == self.inner.node() {
+            return Ok(Some((from, frame.clone())));
+        }
         let (kind, seq, payload) = decode_reliable(frame)?;
         match kind {
             FRAME_DATA => {
@@ -212,8 +218,9 @@ impl<T: Transport> Transport for ReliableEndpoint<T> {
                 }
                 match self.inner.recv_timeout(remaining) {
                     Ok((from, raw)) => {
-                        let (kind, got_seq, _) = decode_reliable(&raw)?;
-                        if kind == FRAME_ACK && from == to && got_seq == seq {
+                        if from == to
+                            && matches!(decode_reliable(&raw)?, (FRAME_ACK, got, _) if got == seq)
+                        {
                             return Ok(());
                         }
                         if let Some(delivery) = self.handle_incoming(from, &raw)? {
@@ -259,6 +266,10 @@ impl<T: Transport> Transport for ReliableEndpoint<T> {
 
     fn pool(&self) -> FramePool {
         self.inner.pool()
+    }
+
+    fn waker(&self) -> Waker {
+        self.inner.waker()
     }
 }
 
@@ -397,6 +408,22 @@ mod tests {
         let snap = metrics.take();
         assert_eq!(snap.retransmissions, local_retries);
         assert!(snap.re_acks > 0);
+    }
+
+    #[test]
+    fn a_wake_passes_through_recv_and_the_ack_wait() {
+        let (mut a, mut b) = lossy_pair(0.0);
+        let waker = a.waker();
+        let handle = std::thread::spawn(move || b.recv_timeout(Duration::from_secs(5)).unwrap());
+        // Queued before the send, the wake meets its ACK wait first.
+        waker.wake();
+        a.send(NodeId::new(1), Bytes::from_static(b"data")).unwrap();
+        assert_eq!(&handle.join().unwrap().1[..], b"data");
+        let (from, frame) = a.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((from, frame.len()), (NodeId::new(0), 0));
+        waker.wake();
+        let (from, frame) = a.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((from, frame.len()), (NodeId::new(0), 0));
     }
 
     #[test]

@@ -149,6 +149,29 @@ pub trait Transport: Send {
     fn pool(&self) -> FramePool {
         FramePool::new()
     }
+
+    /// A handle that ends this endpoint's blocked receive from any
+    /// thread; see [`Waker`].
+    fn waker(&self) -> Waker;
+}
+
+/// Wakes one endpoint from any thread, in the self-pipe pattern:
+/// [`wake`](Waker::wake) queues an empty frame "from" the endpoint's own
+/// node straight into that endpoint's inbox. No ring node ever sends
+/// itself a frame, so a receiver reads a frame from its own node as a
+/// wake. The wake never touches a socket, and [`TransportMetrics`] does
+/// not count it.
+#[derive(Debug, Clone)]
+pub struct Waker {
+    node: NodeId,
+    inbox: Sender<(NodeId, Bytes)>,
+}
+
+impl Waker {
+    /// Queues the wake; waking an endpoint that is gone does nothing.
+    pub fn wake(&self) {
+        let _ = self.inbox.send((self.node, Bytes::new()));
+    }
 }
 
 /// Encodes `value` into a buffer from `pool` and sends it to `to` as one
@@ -319,6 +342,13 @@ impl Transport for InMemoryEndpoint {
     fn pool(&self) -> FramePool {
         self.pool.clone()
     }
+
+    fn waker(&self) -> Waker {
+        Waker {
+            node: self.node,
+            inbox: self.senders[self.node.get()].clone(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -453,6 +483,10 @@ impl TcpNetwork {
         for (i, listener) in self.listeners.into_iter().enumerate() {
             let (tx, rx) = unbounded();
             let shutdown = Arc::new(AtomicBool::new(false));
+            let waker = Waker {
+                node: NodeId::new(i),
+                inbox: tx.clone(),
+            };
             spawn_acceptor(listener, tx, Arc::clone(&shutdown), self.pool.clone());
             out.push(TcpEndpoint {
                 node: NodeId::new(i),
@@ -460,6 +494,7 @@ impl TcpNetwork {
                 my_addr: addrs[i],
                 outgoing: Mutex::new(HashMap::new()),
                 inbox: rx,
+                waker,
                 shutdown,
                 metrics: self.metrics.clone(),
                 pool: self.pool.clone(),
@@ -505,6 +540,7 @@ pub struct TcpEndpoint {
     my_addr: SocketAddr,
     outgoing: Mutex<HashMap<NodeId, TcpStream>>,
     inbox: Receiver<(NodeId, Bytes)>,
+    waker: Waker,
     shutdown: Arc<AtomicBool>,
     metrics: TransportMetrics,
     pool: FramePool,
@@ -569,6 +605,10 @@ impl Transport for TcpEndpoint {
 
     fn pool(&self) -> FramePool {
         self.pool.clone()
+    }
+
+    fn waker(&self) -> Waker {
+        self.waker.clone()
     }
 }
 
@@ -753,6 +793,23 @@ mod tests {
         eps[0].send(NodeId::new(1), big.clone()).unwrap();
         let (_, frame) = eps[1].recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(frame, big);
+    }
+
+    #[test]
+    fn a_wake_is_an_uncounted_empty_frame_from_the_endpoint_itself() {
+        fn check(mut ep: impl Transport, metrics: &TransportMetrics) {
+            ep.waker().wake();
+            let (from, frame) = ep.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(from, ep.node());
+            assert!(frame.is_empty());
+            assert_eq!(metrics.frames_sent(), 0);
+        }
+        let net = InMemoryNetwork::new(2);
+        let metrics = net.metrics();
+        check(net.endpoints().pop().unwrap(), &metrics);
+        let net = TcpNetwork::bind(2).unwrap();
+        let metrics = net.metrics();
+        check(net.endpoints().unwrap().pop().unwrap(), &metrics);
     }
 
     #[test]

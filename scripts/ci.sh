@@ -143,8 +143,9 @@ echo "$BATCH_OUT" | grep -q "1 passed" \
 # label and a premature termination into typed errors; eight queries
 # interleaved in one thread under 256 seeded delivery orders must each
 # equal the simulation engine's transcript at the paper's n*r + n - 1
-# frames; and a stale frame for a query a standing service has already
-# closed must be dropped instead of stalling the next query. A slot
+# frames; and a frame for a query a standing service has already closed,
+# or has never assigned, must be dropped instead of stalling the next
+# query. A slot
 # given a batch of the wrong width, a token where a batch belongs or
 # members that fall out of lock-step must give typed errors too, and a
 # batch of one group of four and four one-member groups must run on one
@@ -153,6 +154,7 @@ echo "$BATCH_OUT" | grep -q "1 passed" \
 for gate in bad_inputs_give_typed_errors_not_panics \
     interleaved_queries_match_the_simulation \
     stale_frame_for_a_closed_query_does_not_stall_the_ring \
+    frame_for_an_unassigned_query_does_not_stall_the_ring \
     slot_width_and_lockstep_mismatches_are_typed_errors \
     heterogeneous_batch_runs_on_one_ring_over_every_network; do
     echo "==> cargo test -p privtopk-core --lib $gate"
@@ -173,6 +175,31 @@ diff "$BATCH_DIR/sim.txt" "$BATCH_DIR/tcp.txt" \
     || { echo "error: batch over TCP differs from the simulated batch" >&2; exit 1; }
 rm -rf "$BATCH_DIR"
 echo "    batch over TCP matches the simulated batch"
+
+# Wake gates, run by name with the same rename guard. A service worker
+# blocks only on its endpoint, and the scheduler wakes it there. A wake
+# must arrive as an empty frame from the endpoint's own node, in memory
+# and over TCP, and no frame counter may see it.
+echo "==> cargo test -p privtopk-ring --lib a_wake_is_an_uncounted_empty_frame_from_the_endpoint_itself"
+WAKE_OUT=$(cargo test -p privtopk-ring --lib a_wake_is_an_uncounted_empty_frame_from_the_endpoint_itself 2>&1)
+echo "$WAKE_OUT"
+echo "$WAKE_OUT" | grep -q "1 passed" \
+    || { echo "error: wake gate matched no test (renamed?)" >&2; exit 1; }
+
+# The reliability layer must pass a wake through untouched, both in a
+# receive and while a send waits for its ACK, instead of failing to
+# decode it as a sequenced frame.
+echo "==> cargo test -p privtopk-ring --lib a_wake_passes_through_recv_and_the_ack_wait"
+PASS_OUT=$(cargo test -p privtopk-ring --lib a_wake_passes_through_recv_and_the_ack_wait 2>&1)
+echo "$PASS_OUT"
+echo "$PASS_OUT" | grep -q "1 passed" \
+    || { echo "error: wake passthrough gate matched no test (renamed?)" >&2; exit 1; }
+
+# A service dropped without `shutdown()` must still end every worker it
+# started, in memory and over TCP. Its own binary, so no sibling test
+# moves the thread count it reads.
+echo "==> cargo test --test service_drop"
+cargo test --test service_drop
 
 # Crash recovery through the one-shot worker loop: a node dies in round
 # 3, the ring is rebuilt without it, and the example asserts the
