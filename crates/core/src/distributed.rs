@@ -81,11 +81,12 @@ pub fn run_distributed(
 }
 
 /// [`run_distributed`] with telemetry: every worker times its receive
-/// waits, hop computations and sends as [`Phase`] spans, the lossy
-/// reliability layer reports retransmissions and re-ACKs, and the
-/// transport counters are absorbed into the recorder's registry when the
-/// run completes. Recording never touches the seeded RNG streams or the
-/// wire content, so the transcript is bit-identical to the untraced run.
+/// waits, hop computations and sends as
+/// [`Phase`](privtopk_observe::Phase) spans, the lossy reliability layer
+/// reports retransmissions and re-ACKs, and the transport counters are
+/// absorbed into the recorder's registry when the run completes.
+/// Recording never touches the seeded RNG streams or the wire content, so
+/// the transcript is bit-identical to the untraced run.
 ///
 /// # Errors
 ///

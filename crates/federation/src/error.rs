@@ -30,13 +30,13 @@ pub enum FederationError {
     },
     /// `k` was zero.
     ZeroK,
-    /// A value could not be negated into the mirror domain (min queries).
-    NegationOverflow,
     /// Aggregate queries (sum/mean) require non-negative values.
     NegativeAggregate {
         /// The offending value.
         value: privtopk_domain::Value,
     },
+    /// An aggregate's true total does not fit in `u64`.
+    AggregateOverflow,
     /// The underlying protocol failed.
     Protocol(ProtocolError),
     /// A table-level failure.
@@ -58,14 +58,14 @@ impl fmt::Display for FederationError {
                 write!(f, "member {member} has no attribute `{attribute}`")
             }
             FederationError::ZeroK => write!(f, "k must be at least 1"),
-            FederationError::NegationOverflow => {
-                write!(f, "value cannot be mirrored for a min query")
-            }
             FederationError::NegativeAggregate { value } => {
                 write!(
                     f,
                     "aggregate queries require non-negative values, got {value}"
                 )
+            }
+            FederationError::AggregateOverflow => {
+                write!(f, "aggregate total exceeds u64::MAX")
             }
             FederationError::Protocol(e) => write!(f, "protocol error: {e}"),
             FederationError::Datagen(e) => write!(f, "table error: {e}"),
@@ -117,7 +117,6 @@ mod tests {
                 member: 2,
             },
             FederationError::ZeroK,
-            FederationError::NegationOverflow,
             FederationError::NegativeAggregate {
                 value: privtopk_domain::Value::new(-3),
             },

@@ -481,6 +481,8 @@ impl Federation {
     ///   attribute.
     /// - [`FederationError::NegativeAggregate`] if a value is negative
     ///   (sums are defined over non-negative attributes).
+    /// - [`FederationError::AggregateOverflow`] if a member's total or the
+    ///   federation's total exceeds `u64::MAX`.
     pub fn sum(&self, attribute: &str, seed: u64) -> Result<u64, FederationError> {
         self.validate_attribute(attribute)?;
         let per_member: Vec<u64> = self
@@ -494,11 +496,19 @@ impl Federation {
                     if raw < 0 {
                         return Err(FederationError::NegativeAggregate { value: v });
                     }
-                    total += raw as u64;
+                    total = total
+                        .checked_add(raw as u64)
+                        .ok_or(FederationError::AggregateOverflow)?;
                 }
                 Ok(total)
             })
             .collect::<Result<_, FederationError>>()?;
+        // The masked ring sum wraps by design, so it cannot tell a total
+        // past u64::MAX from a small one; the in-process totals can.
+        per_member
+            .iter()
+            .try_fold(0u64, |acc, &total| acc.checked_add(total))
+            .ok_or(FederationError::AggregateOverflow)?;
         Ok(privtopk_knn::secure_sum::secure_sum(&per_member, seed)
             .map_err(|_| FederationError::TooFewMembers {
                 got: self.members.len(),
@@ -809,14 +819,6 @@ impl FederationService {
     #[must_use]
     pub fn recorder(&self) -> &Recorder {
         self.runtime.recorder()
-    }
-
-    /// Replaces the SLO objectives this service evaluates. Call before
-    /// [`metrics_endpoint`](Self::metrics_endpoint): the endpoint
-    /// captures the engine at bind time, so a later swap needs a
-    /// rebind to show up in scrapes.
-    pub fn set_slo(&mut self, config: SloConfig) {
-        self.slo = Arc::new(SloEngine::new(config));
     }
 
     /// Evaluates the service's SLOs right now: burn rates for the
@@ -1241,6 +1243,42 @@ mod tests {
             f.sum("profit", 0),
             Err(FederationError::SchemaMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn aggregate_sum_rejects_totals_past_u64() {
+        // Only the sensitive column is domain-checked, so `extra` can hold
+        // i64::MAX. Three rows overflow each member's own total; two rows
+        // fit per member, but the three members' totals do not.
+        let domain = ValueDomain::paper_default();
+        let federation_of = |rows: usize| {
+            let members = (0..3)
+                .map(|i| {
+                    let mut t = Table::new(["value", "extra"]).unwrap();
+                    for _ in 0..rows {
+                        t.push_row(vec![Value::new(7), Value::new(i64::MAX)])
+                            .unwrap();
+                    }
+                    PrivateDatabase::new(NodeId::new(i), domain, t, "value").unwrap()
+                })
+                .collect();
+            Federation::new(members).unwrap()
+        };
+        for rows in [3, 2] {
+            let f = federation_of(rows);
+            assert!(
+                matches!(f.sum("extra", 1), Err(FederationError::AggregateOverflow)),
+                "{rows} rows per member"
+            );
+            assert!(matches!(
+                f.mean("extra", 3),
+                Err(FederationError::AggregateOverflow)
+            ));
+        }
+        assert_eq!(
+            FederationError::AggregateOverflow.to_string(),
+            "aggregate total exceeds u64::MAX"
+        );
     }
 
     fn spec_for_case(case: u64) -> QuerySpec {

@@ -158,7 +158,6 @@ pub struct TraceCollector {
     spans: Vec<CollectedSpan>,
     node_summaries: Vec<NodeSummary>,
     diagnostics: Vec<Diagnostic>,
-    privacy: Option<PrivacyLedger>,
 }
 
 impl TraceCollector {
@@ -219,16 +218,6 @@ impl TraceCollector {
         accepted
     }
 
-    /// Attaches a privacy-accounting ledger to the collection. With
-    /// several attachments the per-node figures merge conservatively
-    /// (element-wise maximum) and the query counts add.
-    pub fn attach_privacy(&mut self, ledger: PrivacyLedger) {
-        self.privacy = Some(match self.privacy.take() {
-            None => ledger,
-            Some(existing) => merge_ledgers(existing, ledger),
-        });
-    }
-
     /// Merges everything ingested so far into one causally ordered
     /// trace: spans sorted by `(query, slot, round, hop)` then
     /// timestamp, duplicate steps collapsed (earliest kept) with a
@@ -265,7 +254,7 @@ impl TraceCollector {
             spans: deduped,
             node_summaries: self.node_summaries,
             diagnostics: self.diagnostics,
-            privacy: self.privacy,
+            privacy: None,
         }
     }
 
@@ -288,9 +277,10 @@ pub struct CollectedTrace {
     pub node_summaries: Vec<NodeSummary>,
     /// Everything the collector had to skip or could not reconcile.
     pub diagnostics: Vec<Diagnostic>,
-    /// Privacy-accounting figures attached out of band, when a live
-    /// accountant was available at collection time. Never derived from
-    /// (or written into) the trace lines themselves.
+    /// Privacy-accounting figures, set out of band by the caller after
+    /// [`TraceCollector::finish`] (which leaves it `None`) when an
+    /// accountant ran over the trace. Never derived from (or written
+    /// into) the trace lines themselves.
     pub privacy: Option<PrivacyLedger>,
 }
 
@@ -474,49 +464,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceEvent, String> {
         ctx,
         dur_ns: dur_ns.ok_or("missing dur_ns")?,
     })
-}
-
-/// Conservative rank of a spectrum class label: later (worse) classes
-/// rank higher, unknown labels rank worst.
-fn class_rank(label: &str) -> usize {
-    match label {
-        "" | "absolute privacy" => 0,
-        "beyond suspicion" => 1,
-        "probable innocence" => 2,
-        "possible innocence" => 3,
-        _ => 4,
-    }
-}
-
-/// Merges two privacy ledgers conservatively: per-node maxima, added
-/// query counts, the worse of the two summary classes.
-fn merge_ledgers(mut a: PrivacyLedger, b: PrivacyLedger) -> PrivacyLedger {
-    let nodes = a.per_node_lop.len().max(b.per_node_lop.len());
-    a.per_node_lop.resize(nodes, 0.0);
-    a.per_node_ci95.resize(nodes, 0.0);
-    a.per_node_class.resize(nodes, String::new());
-    for node in 0..nodes {
-        if let Some(&lop) = b.per_node_lop.get(node) {
-            if lop > a.per_node_lop[node] {
-                a.per_node_lop[node] = lop;
-                a.per_node_ci95[node] = b.per_node_ci95.get(node).copied().unwrap_or(0.0);
-            }
-        }
-        if let Some(class) = b.per_node_class.get(node) {
-            if class_rank(class) > class_rank(&a.per_node_class[node])
-                || a.per_node_class[node].is_empty()
-            {
-                a.per_node_class[node] = class.clone();
-            }
-        }
-    }
-    a.queries_accounted += b.queries_accounted;
-    a.average_lop = a.average_lop.max(b.average_lop);
-    a.worst_lop = a.worst_lop.max(b.worst_lop);
-    if class_rank(&b.worst_class) > class_rank(&a.worst_class) || a.worst_class.is_empty() {
-        a.worst_class = b.worst_class;
-    }
-    a
 }
 
 fn merge_node_summaries(a: Vec<NodeSummary>, b: Vec<NodeSummary>) -> Vec<NodeSummary> {
@@ -727,49 +674,6 @@ mod tests {
         let trace = collector.finish();
         assert!(trace.diagnostics.is_empty());
         assert_eq!(trace.to_jsonl(), jsonl);
-    }
-
-    #[test]
-    fn privacy_ledgers_attach_out_of_band_and_merge_conservatively() {
-        let mut collector = TraceCollector::new();
-        collector.ingest_jsonl("a", &full_chain(0, 3, 1));
-        collector.attach_privacy(PrivacyLedger {
-            queries_accounted: 2,
-            per_node_lop: vec![0.1, 0.3, 0.2],
-            per_node_ci95: vec![0.01, 0.03, 0.02],
-            per_node_class: vec!["beyond suspicion".into(); 3],
-            average_lop: 0.2,
-            worst_lop: 0.3,
-            worst_class: "beyond suspicion".into(),
-        });
-        collector.attach_privacy(PrivacyLedger {
-            queries_accounted: 1,
-            per_node_lop: vec![0.4, 0.1, 0.2],
-            per_node_ci95: vec![0.04, 0.01, 0.02],
-            per_node_class: vec![
-                "probable innocence".into(),
-                "beyond suspicion".into(),
-                "beyond suspicion".into(),
-            ],
-            average_lop: 0.25,
-            worst_lop: 0.4,
-            worst_class: "probable innocence".into(),
-        });
-        let trace = collector.finish();
-        // The trace lines themselves are untouched by the attachment.
-        assert_eq!(trace.to_jsonl().lines().count(), 3);
-        let ledger = trace.privacy.expect("ledger attached");
-        assert_eq!(ledger.queries_accounted, 3);
-        assert_eq!(ledger.per_node_lop, vec![0.4, 0.3, 0.2]);
-        assert_eq!(ledger.per_node_ci95, vec![0.04, 0.03, 0.02]);
-        assert_eq!(ledger.worst_lop, 0.4);
-        assert_eq!(ledger.worst_class, "probable innocence");
-        assert_eq!(ledger.per_node_class[0], "probable innocence");
-
-        // Without an attachment there is no ledger at all.
-        let mut bare = TraceCollector::new();
-        bare.ingest_jsonl("a", &full_chain(0, 3, 1));
-        assert_eq!(bare.finish().privacy, None);
     }
 
     #[test]

@@ -119,26 +119,6 @@ pub struct SloReport {
 }
 
 impl SloReport {
-    /// Human-readable alert lines, one per firing objective (empty when
-    /// healthy) — what `trace watch` prints next to its polling rows.
-    #[must_use]
-    pub fn alert_lines(&self) -> Vec<String> {
-        let mut lines = Vec::new();
-        if self.latency.alerting {
-            lines.push(format!(
-                "SLO ALERT latency: burn {:.2}x short / {:.2}x long",
-                self.latency.short, self.latency.long
-            ));
-        }
-        if self.availability.alerting {
-            lines.push(format!(
-                "SLO ALERT availability: burn {:.2}x short / {:.2}x long",
-                self.availability.short, self.availability.long
-            ));
-        }
-        lines
-    }
-
     /// The `/healthz` body: first line `ok` or `alerting`, then one
     /// line per objective with both window burn rates.
     #[must_use]
@@ -404,7 +384,6 @@ mod tests {
         assert_eq!(report.status, SloStatus::Healthy);
         assert_eq!(report.latency.short, 0.0);
         assert_eq!(report.availability.long, 0.0);
-        assert!(report.alert_lines().is_empty());
         assert!(report.health_body().starts_with("ok\n"));
     }
 
@@ -434,7 +413,6 @@ mod tests {
         assert!(report.latency.alerting);
         assert!(!report.availability.alerting); // all succeeded
         assert_eq!(report.status, SloStatus::Alerting);
-        assert_eq!(report.alert_lines().len(), 1);
         assert!(report.health_body().starts_with("alerting\n"));
     }
 

@@ -9,8 +9,9 @@
 //! - [`RingTopology`]: the random mapping of nodes onto ring positions,
 //!   per-round remapping (the Section 4.3 collusion mitigation), and ring
 //!   reconstruction after node failure.
-//! - [`wire`]: a small self-contained binary codec (the offline dependency
-//!   set has no serde *format* crate, so frames are encoded by hand).
+//! - [`wire`]: the frame codec's traits and field codecs (tag byte, LEB128
+//!   varints, compact sorted top-k vectors); the frame types live in
+//!   `privtopk_core::messages`.
 //! - [`transport`]: a [`transport::Transport`] abstraction with an
 //!   in-memory crossbeam implementation and a real TCP-loopback
 //!   implementation.

@@ -14,9 +14,10 @@ use privtopk_observe::Recorder;
 /// Batched execution splits the notion of "message" in two: a *frame* is
 /// one physical send on the wire, while a *logical message* is one query's
 /// payload inside it. An unbatched send is one frame carrying one logical
-/// message; a batched hop is one frame carrying B. [`messages_sent`]
-/// reports logical messages so the paper's cost model (`n · r` messages
-/// per query) keeps holding per query regardless of batching.
+/// message; a batched hop is one frame carrying B.
+/// [`messages_sent`](TransportMetrics::messages_sent) reports logical
+/// messages so the paper's cost model (`n · r` messages per query) keeps
+/// holding per query regardless of batching.
 ///
 /// Cloning is cheap (the counters are shared).
 ///

@@ -623,7 +623,26 @@ impl Drop for TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::decode_from_bytes;
+    use crate::wire::{decode_from_bytes, WireDecode};
+
+    /// A frame holding one little-endian `u64`: 8 bytes on the wire.
+    struct U64Frame(u64);
+
+    impl WireEncode for U64Frame {
+        fn encode(&self, buf: &mut BytesMut) {
+            buf.extend_from_slice(&self.0.to_le_bytes());
+        }
+    }
+
+    impl WireDecode for U64Frame {
+        fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
+            let (head, rest) = buf.split_first_chunk().ok_or(RingError::Decode {
+                reason: "unexpected end of frame",
+            })?;
+            *buf = rest;
+            Ok(U64Frame(u64::from_le_bytes(*head)))
+        }
+    }
 
     /// Sends `value` as one untraced unbatched frame.
     fn send_u64(ep: &mut dyn Transport, to: usize, value: u64) {
@@ -632,7 +651,7 @@ mod tests {
             ep,
             &pool,
             NodeId::new(to),
-            &value,
+            &U64Frame(value),
             1,
             &Recorder::disabled(),
             Ctx::default(),
@@ -643,7 +662,7 @@ mod tests {
     /// Receives and decodes one `u64` frame, recycling its storage.
     fn recv_u64(ep: &mut dyn Transport) -> (NodeId, u64) {
         let (from, frame) = ep.recv_timeout(Duration::from_secs(5)).unwrap();
-        let value = decode_from_bytes(&frame).unwrap();
+        let U64Frame(value) = decode_from_bytes(&frame).unwrap();
         ep.pool().recycle(frame);
         (from, value)
     }
@@ -900,7 +919,7 @@ mod tests {
             &mut eps[0],
             &pool,
             NodeId::new(1),
-            &42u64,
+            &U64Frame(42),
             3,
             &recorder,
             Ctx::default(),

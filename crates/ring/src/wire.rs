@@ -1,31 +1,36 @@
-//! A small self-contained binary wire codec.
+//! The ring's frame codec.
 //!
-//! The offline dependency set contains `serde` but no serde *format* crate
-//! (no bincode / serde_json), so frames on the ring are encoded with this
-//! hand-rolled, length-checked little-endian codec instead. The protocol
-//! messages are tiny and flat, which keeps this entirely mechanical.
-//!
-//! Layout conventions:
-//!
-//! - fixed-width integers are little-endian;
-//! - `bool` is one byte (`0`/`1`, anything else is a decode error);
-//! - collections are a `u32` length followed by the elements;
-//! - `Option<T>` is a presence byte followed by the value if present.
+//! A frame is a tag byte followed by LEB128 varints ([`put_uvarint`],
+//! zigzag-mapped with [`zigzag`] where a value can be negative) and
+//! compact sorted top-k vectors ([`put_topk_compact`]). The frame types
+//! themselves, and the table of their tags and layouts, live in
+//! `privtopk_core::messages`; this module holds the traits they
+//! implement, the whole-frame entry points and the field codecs they are
+//! built from. Every decoder treats its input as hostile: truncation,
+//! varint overflow, `k = 0`, a `k` beyond the payload, a non-descending
+//! vector and trailing bytes are all [`RingError::Decode`], never a
+//! panic.
 //!
 //! # Example
 //!
 //! ```
-//! use privtopk_ring::wire::{decode_from_bytes, encode_to_bytes, WireDecode, WireEncode};
+//! use bytes::BytesMut;
+//! use privtopk_domain::{TopKVector, Value};
+//! use privtopk_ring::wire::{get_topk_compact, put_topk_compact};
 //!
-//! let frame = encode_to_bytes(&(42u64, String::from("hi")));
-//! let back: (u64, String) = decode_from_bytes(&frame)?;
-//! assert_eq!(back, (42, "hi".to_string()));
+//! let vector = TopKVector::from_sorted(vec![Value::new(900), Value::new(812)]).unwrap();
+//! let mut buf = BytesMut::new();
+//! put_topk_compact(&mut buf, &vector);
+//! assert_eq!(buf.as_ref(), &[2, 136, 14, 88]);
+//! let mut cursor = buf.as_ref();
+//! assert_eq!(get_topk_compact(&mut cursor)?, vector);
+//! assert!(cursor.is_empty());
 //! # Ok::<(), privtopk_ring::RingError>(())
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use privtopk_domain::{NodeId, RingPosition, TopKVector, Value};
+use privtopk_domain::{TopKVector, Value};
 
 use crate::RingError;
 
@@ -80,8 +85,8 @@ pub fn decode_from_bytes<T: WireDecode>(frame: &Bytes) -> Result<T, RingError> {
 /// Decodes a value from a byte slice, requiring it to be fully consumed.
 ///
 /// This is the zero-copy fast path: the cursor borrows the frame, so no
-/// intermediate frame copy is made and variable-length fields (strings,
-/// vectors) are read straight out of the borrowed storage.
+/// intermediate frame copy is made and compact vectors are read straight
+/// out of the borrowed storage.
 ///
 /// # Errors
 ///
@@ -108,190 +113,11 @@ fn need(buf: &[u8], n: usize) -> Result<(), RingError> {
     }
 }
 
-macro_rules! impl_wire_int {
-    ($ty:ty, $put:ident, $get:ident, $bytes:expr) => {
-        impl WireEncode for $ty {
-            fn encode(&self, buf: &mut BytesMut) {
-                buf.$put(*self);
-            }
-        }
-        impl WireDecode for $ty {
-            fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-                need(buf, $bytes)?;
-                Ok(buf.$get())
-            }
-        }
-    };
-}
-
-impl_wire_int!(u8, put_u8, get_u8, 1);
-impl_wire_int!(u16, put_u16_le, get_u16_le, 2);
-impl_wire_int!(u32, put_u32_le, get_u32_le, 4);
-impl_wire_int!(u64, put_u64_le, get_u64_le, 8);
-impl_wire_int!(i64, put_i64_le, get_i64_le, 8);
-impl_wire_int!(f64, put_f64_le, get_f64_le, 8);
-
-impl WireEncode for bool {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(u8::from(*self));
-    }
-}
-
-impl WireDecode for bool {
+/// Reads a frame's one-byte tag. Encoders write tags with `put_u8`.
+impl WireDecode for u8 {
     fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
         need(buf, 1)?;
-        match buf.get_u8() {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(RingError::Decode {
-                reason: "invalid boolean byte",
-            }),
-        }
-    }
-}
-
-impl WireEncode for usize {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self as u64);
-    }
-}
-
-impl WireDecode for usize {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        need(buf, 8)?;
-        let raw = buf.get_u64_le();
-        usize::try_from(raw).map_err(|_| RingError::Decode {
-            reason: "usize overflow",
-        })
-    }
-}
-
-impl WireEncode for String {
-    fn encode(&self, buf: &mut BytesMut) {
-        let bytes = self.as_bytes();
-        buf.put_u32_le(bytes.len() as u32);
-        buf.put_slice(bytes);
-    }
-}
-
-impl WireDecode for String {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        need(buf, 4)?;
-        let len = buf.get_u32_le() as usize;
-        need(buf, len)?;
-        // Validate in place on the borrowed frame; the only copy is the
-        // one that materializes the owned `String` itself.
-        let (raw, rest) = buf.split_at(len);
-        let text = std::str::from_utf8(raw).map_err(|_| RingError::Decode {
-            reason: "invalid utf-8 string",
-        })?;
-        *buf = rest;
-        Ok(text.to_owned())
-    }
-}
-
-impl<T: WireEncode> WireEncode for Vec<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        for item in self {
-            item.encode(buf);
-        }
-    }
-}
-
-impl<T: WireDecode> WireDecode for Vec<T> {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        need(buf, 4)?;
-        let len = buf.get_u32_le() as usize;
-        // Defensive cap: an adversarial length prefix must not trigger a
-        // huge allocation before the data is even present.
-        if len > buf.remaining() {
-            return Err(RingError::Decode {
-                reason: "collection length exceeds frame",
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: WireEncode> WireEncode for Option<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            None => buf.put_u8(0),
-            Some(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-        }
-    }
-}
-
-impl<T: WireDecode> WireDecode for Option<T> {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        need(buf, 1)?;
-        match buf.get_u8() {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            _ => Err(RingError::Decode {
-                reason: "invalid option tag",
-            }),
-        }
-    }
-}
-
-impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-}
-
-impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        Ok((A::decode(buf)?, B::decode(buf)?))
-    }
-}
-
-impl WireEncode for Value {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_i64_le(self.get());
-    }
-}
-
-impl WireDecode for Value {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        need(buf, 8)?;
-        Ok(Value::new(buf.get_i64_le()))
-    }
-}
-
-impl WireEncode for NodeId {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.get() as u64);
-    }
-}
-
-impl WireDecode for NodeId {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        let raw = usize::decode(buf)?;
-        Ok(NodeId::new(raw))
-    }
-}
-
-impl WireEncode for RingPosition {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.get() as u64);
-    }
-}
-
-impl WireDecode for RingPosition {
-    fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
-        let raw = usize::decode(buf)?;
-        Ok(RingPosition::new(raw))
+        Ok(buf.get_u8())
     }
 }
 
@@ -407,134 +233,80 @@ pub fn get_topk_compact(buf: &mut &[u8]) -> Result<TopKVector, RingError> {
     })
 }
 
-/// Bytes [`put_topk_compact`] will emit for `v` — used by batch senders
-/// to reserve frame capacity up front.
-#[must_use]
-pub fn topk_compact_len(v: &TopKVector) -> usize {
-    let values = v.as_slice();
-    let mut len = uvarint_len(values.len() as u64) + uvarint_len(zigzag(values[0].get()));
-    for pair in values.windows(2) {
-        len += uvarint_len(pair[0].get().wrapping_sub(pair[1].get()) as u64);
-    }
-    len
-}
-
-/// Bytes [`put_uvarint`] will emit for `v`.
-#[must_use]
-pub fn uvarint_len(v: u64) -> usize {
-    // 1 byte per started 7-bit group; v = 0 still takes one byte.
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(v: T) {
-        let frame = encode_to_bytes(&v);
-        let back: T = decode_from_bytes(&frame).unwrap();
-        assert_eq!(back, v);
+    fn topk(vals: &[i64]) -> TopKVector {
+        TopKVector::from_sorted(vals.iter().copied().map(Value::new).collect()).unwrap()
+    }
+
+    /// A frame holding one compact vector and nothing else.
+    #[derive(Debug, PartialEq)]
+    struct VectorFrame(TopKVector);
+
+    impl WireEncode for VectorFrame {
+        fn encode(&self, buf: &mut BytesMut) {
+            put_topk_compact(buf, &self.0);
+        }
+    }
+
+    impl WireDecode for VectorFrame {
+        fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
+            get_topk_compact(buf).map(VectorFrame)
+        }
+    }
+
+    fn vector_frame() -> VectorFrame {
+        VectorFrame(topk(&[9000, 812, 811, 4]))
     }
 
     #[test]
-    fn primitive_roundtrips() {
-        roundtrip(0u8);
-        roundtrip(255u8);
-        roundtrip(9999u16);
-        roundtrip(123_456u32);
-        roundtrip(u64::MAX);
-        roundtrip(i64::MIN);
-        roundtrip(3.5f64);
-        roundtrip(true);
-        roundtrip(false);
-        roundtrip(usize::MAX);
-        roundtrip(String::from("hello ring"));
-        roundtrip(String::new());
-    }
-
-    #[test]
-    fn composite_roundtrips() {
-        roundtrip(vec![1u64, 2, 3]);
-        roundtrip(Vec::<u64>::new());
-        roundtrip(Some(7i64));
-        roundtrip(Option::<i64>::None);
-        roundtrip((42u64, String::from("pair")));
-    }
-
-    #[test]
-    fn domain_type_roundtrips() {
-        roundtrip(Value::new(-12345));
-        roundtrip(NodeId::new(7));
-        roundtrip(RingPosition::new(3));
-    }
-
-    #[test]
-    fn truncated_frames_error() {
-        let frame = encode_to_bytes(&12345u64);
-        let short = frame.slice(0..4);
-        assert!(decode_from_bytes::<u64>(&short).is_err());
+    fn decoders_agree_and_reject_truncated_frames() {
+        let frame = encode_to_bytes(&vector_frame());
+        assert_eq!(
+            decode_from_bytes::<VectorFrame>(&frame).unwrap(),
+            vector_frame()
+        );
+        assert_eq!(
+            decode_from_slice::<VectorFrame>(frame.as_ref()).unwrap(),
+            vector_frame()
+        );
+        for len in 0..frame.len() {
+            assert!(decode_from_bytes::<VectorFrame>(&frame.slice(0..len)).is_err());
+            assert!(decode_from_slice::<VectorFrame>(&frame[..len]).is_err());
+        }
     }
 
     #[test]
     fn trailing_bytes_error() {
         let mut buf = BytesMut::new();
-        7u64.encode(&mut buf);
+        vector_frame().encode(&mut buf);
         buf.put_u8(0xFF);
         assert!(matches!(
-            decode_from_bytes::<u64>(&buf.freeze()),
+            decode_from_bytes::<VectorFrame>(&buf.freeze()),
             Err(RingError::Decode { .. })
         ));
     }
 
     #[test]
-    fn invalid_bool_and_option_tags_error() {
-        let frame = Bytes::from_static(&[2]);
-        assert!(decode_from_bytes::<bool>(&frame).is_err());
-        assert!(decode_from_bytes::<Option<u8>>(&frame).is_err());
-    }
-
-    #[test]
-    fn adversarial_length_prefix_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(u32::MAX); // claims 4 billion elements
-        assert!(decode_from_bytes::<Vec<u64>>(&buf.freeze()).is_err());
-    }
-
-    #[test]
-    fn invalid_utf8_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(2);
-        buf.put_slice(&[0xFF, 0xFE]);
-        assert!(decode_from_bytes::<String>(&buf.freeze()).is_err());
-    }
-
-    #[test]
     fn encode_into_reuses_allocation() {
         let mut buf = BytesMut::with_capacity(64);
-        encode_into(&(7u64, String::from("first")), &mut buf);
+        encode_into(&vector_frame(), &mut buf);
         let first = buf.as_ref().to_vec();
         let cap = buf.capacity();
-        encode_into(&(7u64, String::from("first")), &mut buf);
+        encode_into(&vector_frame(), &mut buf);
         assert_eq!(buf.as_ref(), first.as_slice());
         assert_eq!(buf.capacity(), cap, "re-encode must not reallocate");
-    }
-
-    #[test]
-    fn decode_from_slice_matches_decode_from_bytes() {
-        let frame = encode_to_bytes(&(9u32, String::from("slice path")));
-        let a: (u32, String) = decode_from_bytes(&frame).unwrap();
-        let b: (u32, String) = decode_from_slice(frame.as_ref()).unwrap();
-        assert_eq!(a, b);
-        assert!(decode_from_slice::<u64>(&frame[..3]).is_err());
     }
 
     #[test]
     fn decode_leaves_frame_untouched() {
         // The borrowing decoder must not advance or mutate the frame
         // handle, so callers can recycle the storage afterwards.
-        let frame = encode_to_bytes(&String::from("recyclable"));
+        let frame = encode_to_bytes(&vector_frame());
         let before = frame.to_vec();
-        let _: String = decode_from_bytes(&frame).unwrap();
+        let _: VectorFrame = decode_from_bytes(&frame).unwrap();
         assert_eq!(frame.len(), before.len());
         assert_eq!(frame.as_ref(), before.as_slice());
     }
@@ -554,7 +326,6 @@ mod tests {
         ] {
             let mut buf = BytesMut::new();
             put_uvarint(&mut buf, v);
-            assert_eq!(buf.len(), uvarint_len(v), "length model for {v}");
             let mut cursor = buf.as_ref();
             assert_eq!(get_uvarint(&mut cursor).unwrap(), v);
             assert!(cursor.is_empty());
@@ -589,10 +360,6 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
-    fn topk(vals: &[i64]) -> TopKVector {
-        TopKVector::from_sorted(vals.iter().copied().map(Value::new).collect()).unwrap()
-    }
-
     #[test]
     fn compact_topk_roundtrips_and_undercuts_legacy() {
         for vals in [
@@ -604,7 +371,6 @@ mod tests {
             let v = topk(vals);
             let mut buf = BytesMut::new();
             put_topk_compact(&mut buf, &v);
-            assert_eq!(buf.len(), topk_compact_len(&v), "length model");
             let mut cursor = buf.as_ref();
             assert_eq!(get_topk_compact(&mut cursor).unwrap(), v);
             assert!(cursor.is_empty());
@@ -612,7 +378,9 @@ mod tests {
         // Small paper-domain values: the compact form is a fraction of the
         // 4 + 8k legacy layout.
         let v = topk(&[9000, 812, 811, 4]);
-        assert!(topk_compact_len(&v) < 4 + 8 * v.k());
+        let mut buf = BytesMut::new();
+        put_topk_compact(&mut buf, &v);
+        assert!(buf.len() < 4 + 8 * v.k());
     }
 
     #[test]

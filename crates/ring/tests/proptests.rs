@@ -4,7 +4,7 @@ use bytes::BytesMut;
 use privtopk_domain::rng::seeded_rng;
 use privtopk_domain::{NodeId, TopKVector, Value, ValueDomain};
 use privtopk_ring::trust::{coverage, trust_aware_arrangement, TrustGraph};
-use privtopk_ring::wire::{decode_from_bytes, encode_to_bytes, get_topk_compact, put_topk_compact};
+use privtopk_ring::wire::{get_topk_compact, put_topk_compact};
 use privtopk_ring::RingTopology;
 use proptest::prelude::*;
 
@@ -58,21 +58,6 @@ proptest! {
         prop_assert!(max - min <= 1, "balanced split");
     }
 
-    /// Wire roundtrips hold for arbitrary payload shapes.
-    #[test]
-    fn wire_roundtrips(
-        xs in prop::collection::vec(any::<i64>(), 0..50),
-        s in "[a-zA-Z0-9 ]{0,40}",
-        opt in prop::option::of(any::<u64>()),
-    ) {
-        let vec_frame = encode_to_bytes(&xs);
-        prop_assert_eq!(decode_from_bytes::<Vec<i64>>(&vec_frame).unwrap(), xs);
-        let s_frame = encode_to_bytes(&s);
-        prop_assert_eq!(decode_from_bytes::<String>(&s_frame).unwrap(), s);
-        let o_frame = encode_to_bytes(&opt);
-        prop_assert_eq!(decode_from_bytes::<Option<u64>>(&o_frame).unwrap(), opt);
-    }
-
     /// TopKVector compact-codec roundtrip for arbitrary vectors.
     #[test]
     fn topk_vector_wire_roundtrip(
@@ -86,22 +71,6 @@ proptest! {
         let mut cursor = buf.as_ref();
         prop_assert_eq!(get_topk_compact(&mut cursor).unwrap(), v);
         prop_assert!(cursor.is_empty(), "decoder must consume the whole vector");
-    }
-
-    /// Truncating any valid frame produces an error, never a panic or a
-    /// bogus value.
-    #[test]
-    fn truncation_is_detected(
-        xs in prop::collection::vec(any::<u64>(), 1..20),
-        cut in 1usize..8,
-    ) {
-        let frame = encode_to_bytes(&xs);
-        prop_assume!(frame.len() >= cut);
-        let short = frame.slice(0..frame.len() - cut);
-        // Either a clean decode error, or (if the cut removed whole
-        // trailing elements AND the length prefix were intact — impossible
-        // here since the prefix counts them) an error.
-        prop_assert!(decode_from_bytes::<Vec<u64>>(&short).is_err());
     }
 
     /// Trust-aware arrangements are permutations whose coverage never

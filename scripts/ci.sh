@@ -25,10 +25,11 @@ echo "==> cargo test --test trace_no_leak"
 cargo test --test trace_no_leak
 
 # Wire-codec gates, also run by name. The proptest file checks the
-# compact codec (roundtrips, varint and truncation rejection) and that
-# every tag outside 6-10, the reserved fixed-width tags 1-5 included, is
-# refused; the frame-budget smoke asserts a compact B=64 batch hop stays
-# under half the 2312.6 B mean frame of the retired fixed-width codec.
+# compact codec (roundtrips; varint, truncation and stray-trailing-byte
+# rejection) and that every tag outside 6-10, the reserved fixed-width
+# tags 1-5 included, is refused; the frame-budget smoke asserts a
+# compact B=64 batch hop stays under half the 2312.6 B mean frame of the
+# retired fixed-width codec.
 echo "==> cargo test -p privtopk-core --test codec_proptests"
 cargo test -p privtopk-core --test codec_proptests
 
@@ -137,6 +138,16 @@ BATCH_OUT=$(cargo test -p privtopk-federation --lib batch_compile_shares_columns
 echo "$BATCH_OUT"
 echo "$BATCH_OUT" | grep -q "1 passed" \
     || { echo "error: shared batch compile gate matched no test (renamed?)" >&2; exit 1; }
+
+# Aggregate overflow gate, run by name with the same rename guard: a sum
+# whose true total does not fit in u64, within one member or across
+# members, must be a typed error from `sum` and `mean`, never a panic or
+# a wrapped answer.
+echo "==> cargo test -p privtopk-federation --lib aggregate_sum_rejects_totals_past_u64"
+SUM_OUT=$(cargo test -p privtopk-federation --lib aggregate_sum_rejects_totals_past_u64 2>&1)
+echo "$SUM_OUT"
+echo "$SUM_OUT" | grep -q "1 passed" \
+    || { echo "error: aggregate overflow gate matched no test (renamed?)" >&2; exit 1; }
 
 # Node machine gates, run by name with the same rename guard. The one
 # per-node protocol machine must turn a wrong sender, a wrong round
@@ -268,5 +279,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Rustdoc with warnings denied: a doc link left pointing at a renamed or
+# deleted item fails here instead of rendering as plain text.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "ci: all gates passed"

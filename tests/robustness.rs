@@ -137,7 +137,5 @@ proptest! {
         let _ = decode_from_bytes::<privtopk::core::SlotMessage>(&frame);
         let mut buf: &[u8] = frame.as_ref();
         let _ = get_topk_compact(&mut buf);
-        let _ = decode_from_bytes::<String>(&frame);
-        let _ = decode_from_bytes::<Vec<u64>>(&frame);
     }
 }
