@@ -38,7 +38,6 @@ struct Point {
     warm_ms: f64,
     warm_qps: f64,
     mean_query_latency_ms: f64,
-    pooled_high_water: u64,
 }
 
 fn main() {
@@ -103,8 +102,8 @@ fn main() {
     eprintln!("  cold: {cold_ms:>8.2} ms ({cold_qps:>8.0} q/s)");
 
     // Warm path: one standing service per depth; the first pass warms
-    // the frame pool and connections, then best of REPS timed passes
-    // over the same ring.
+    // the workers and connections, then best of REPS timed passes over
+    // the same ring.
     let mut points = Vec::with_capacity(DEPTHS.len());
     for depth in DEPTHS {
         let mut service =
@@ -118,20 +117,17 @@ fn main() {
             warm_ms = warm_ms.min(start.elapsed().as_secs_f64() * 1e3);
             std::hint::black_box(out);
         }
-        let pooled_high_water = service.metrics().pooled_buffers_high_water();
         service.shutdown().expect("service shutdown");
         let point = Point {
             depth,
             warm_ms,
             warm_qps: queries as f64 / (warm_ms / 1e3),
             mean_query_latency_ms: warm_ms / queries as f64,
-            pooled_high_water,
         };
         eprintln!(
-            "  depth={depth:>2}: {warm_ms:>8.2} ms ({:>8.0} q/s, {:.2}x cold)  pool high water {}",
+            "  depth={depth:>2}: {warm_ms:>8.2} ms ({:>8.0} q/s, {:.2}x cold)",
             point.warm_qps,
             point.warm_qps / cold_qps,
-            point.pooled_high_water
         );
         points.push(point);
     }
@@ -317,13 +313,12 @@ fn main() {
     for (i, p) in points.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"pipeline_depth\": {}, \"total_ms\": {:.3}, \"queries_per_sec\": {:.1}, \"mean_query_latency_ms\": {:.4}, \"speedup_vs_cold\": {:.3}, \"pooled_buffers_high_water\": {}}}{}",
+            "    {{\"pipeline_depth\": {}, \"total_ms\": {:.3}, \"queries_per_sec\": {:.1}, \"mean_query_latency_ms\": {:.4}, \"speedup_vs_cold\": {:.3}}}{}",
             p.depth,
             p.warm_ms,
             p.warm_qps,
             p.mean_query_latency_ms,
             p.warm_qps / cold_qps,
-            p.pooled_high_water,
             if i + 1 < points.len() { "," } else { "" }
         );
     }

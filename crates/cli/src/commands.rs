@@ -845,7 +845,7 @@ fn emit_telemetry(
                     "service stats: depth {} | in flight {} | high water {} | submitted {} | completed {}\n\
                      queue wait: count {} p50 {}ns p99 {}ns max {}ns\n\
                      wire: {} frames, {} logical messages, {} bytes, \
-                     pool high water {}, {} retransmissions, {} re-acks\n",
+                     {} retransmissions, {} re-acks\n",
                     s.depth,
                     s.in_flight,
                     s.pipeline_high_water,
@@ -858,7 +858,6 @@ fn emit_telemetry(
                     s.frames_sent,
                     s.logical_messages,
                     s.bytes_sent,
-                    s.pooled_buffers_high_water,
                     s.retransmissions,
                     s.re_acks,
                 ),
@@ -1111,13 +1110,10 @@ fn run_query(args: &Arguments, audit: bool, out: &mut impl Write) -> Result<(), 
                 outcome.messages(),
             ));
         }
-        // The pool high-water mark is scheduling-dependent, so only the
-        // deterministic wire counters go to stdout (the bench JSON
-        // reports the pool; `privtopk query ... | diff` must be stable).
+        let wire = metrics.peek();
         text.push_str(&format!(
             "service totals: {} frames, {} bytes\n",
-            metrics.frames_sent(),
-            metrics.bytes_sent(),
+            wire.frames_sent, wire.bytes_sent,
         ));
         write_out(out, &text)?;
         return emit_telemetry(

@@ -47,7 +47,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use privtopk_domain::{LocalTopkSource, NodeId, TopKVector};
 use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Phase, Recorder};
-use privtopk_ring::transport::{send_value, FramePool, Transport, Waker};
+use privtopk_ring::transport::{send_value, Transport, Waker};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{RingError, TransportMetrics};
 
@@ -126,7 +126,6 @@ struct ServiceWorker {
     /// standing service assigns, so `assign` finds it set.
     local: Option<TopKVector>,
     endpoint: Box<dyn Transport>,
-    pool: FramePool,
     control: Receiver<Arc<SlotInit>>,
     reports: Sender<SlotReport>,
     drain_on_exit: Option<Duration>,
@@ -158,7 +157,6 @@ impl ServiceWorker {
         ServiceWorker {
             me,
             local,
-            pool: endpoint.pool(),
             endpoint,
             control,
             reports,
@@ -286,7 +284,6 @@ impl ServiceWorker {
                 return;
             }
         };
-        self.pool.recycle(frame);
         let id = msg.slot;
         // A query's first frame here finds its assignment still queued:
         // the scheduler wakes only the starting node.
@@ -316,7 +313,6 @@ impl ServiceWorker {
                 let ctx = slot.span_ctx(&payload);
                 send_value(
                     self.endpoint.as_mut(),
-                    &self.pool,
                     slot.successor(),
                     &SlotFrame { slot: id, payload },
                     slot.width() as u64,
@@ -638,7 +634,6 @@ impl ServiceStatsHandle {
             frames_sent: wire.frames_sent,
             logical_messages: wire.logical_messages,
             bytes_sent: wire.bytes_sent,
-            pooled_buffers_high_water: wire.pooled_buffers_high_water,
             retransmissions: wire.retransmissions,
             re_acks: wire.re_acks,
         }
@@ -672,8 +667,6 @@ pub struct ServiceStats {
     pub logical_messages: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
-    /// Lifetime frame-pool high-water mark.
-    pub pooled_buffers_high_water: u64,
     /// Frames retransmitted by the reliability layer (lossy networks).
     pub retransmissions: u64,
     /// Duplicate frames re-acknowledged by the reliability layer.
@@ -893,8 +886,7 @@ impl ServiceRuntime {
     }
 
     /// Cumulative wire counters for the service's lifetime (shared by
-    /// all in-flight queries), including the frame pool's high-water
-    /// mark under pipelining.
+    /// all in-flight queries).
     #[must_use]
     pub fn metrics(&self) -> TransportMetrics {
         self.metrics.clone()

@@ -37,6 +37,8 @@ pub enum FederationError {
     },
     /// An aggregate's true total does not fit in `u64`.
     AggregateOverflow,
+    /// A mean was asked of a federation that holds no rows.
+    NoRows,
     /// The underlying protocol failed.
     Protocol(ProtocolError),
     /// A table-level failure.
@@ -67,6 +69,7 @@ impl fmt::Display for FederationError {
             FederationError::AggregateOverflow => {
                 write!(f, "aggregate total exceeds u64::MAX")
             }
+            FederationError::NoRows => write!(f, "the federation holds no rows"),
             FederationError::Protocol(e) => write!(f, "protocol error: {e}"),
             FederationError::Datagen(e) => write!(f, "table error: {e}"),
             FederationError::Domain(e) => write!(f, "domain error: {e}"),
@@ -120,6 +123,7 @@ mod tests {
             FederationError::NegativeAggregate {
                 value: privtopk_domain::Value::new(-3),
             },
+            FederationError::NoRows,
             FederationError::Domain(DomainError::ZeroK),
         ];
         for v in variants {

@@ -540,13 +540,13 @@ impl Federation {
     ///
     /// # Errors
     ///
-    /// As [`Federation::sum`]; additionally errors if the federation
-    /// holds no rows.
+    /// As [`Federation::sum`]; additionally
+    /// [`FederationError::NoRows`] if the federation holds no rows.
     pub fn mean(&self, attribute: &str, seed: u64) -> Result<f64, FederationError> {
         let total = self.sum(attribute, seed)?;
         let count = self.count(attribute, seed.wrapping_add(1))?;
         if count == 0 {
-            return Err(FederationError::ZeroK);
+            return Err(FederationError::NoRows);
         }
         Ok(total as f64 / count as f64)
     }
@@ -694,12 +694,6 @@ fn render_service_metrics(
         "Payload bytes sent (wire size).",
         stats.bytes_sent,
     );
-    write_gauge(
-        &mut body,
-        "privtopk_service_pooled_buffers_high_water",
-        "Lifetime frame-pool high-water mark.",
-        stats.pooled_buffers_high_water,
-    );
     write_counter(
         &mut body,
         "privtopk_service_retransmissions_total",
@@ -788,8 +782,7 @@ impl FederationService {
         self.runtime.depth()
     }
 
-    /// Cumulative wire counters for the service's lifetime, including
-    /// the frame pool's high-water mark under pipelining.
+    /// Cumulative wire counters for the service's lifetime.
     #[must_use]
     pub fn metrics(&self) -> TransportMetrics {
         self.runtime.metrics()
@@ -1243,6 +1236,24 @@ mod tests {
             f.sum("profit", 0),
             Err(FederationError::SchemaMismatch { .. })
         ));
+        // Three members whose tables have the column but no rows: the
+        // sums are zero and the mean is undefined.
+        let domain = ValueDomain::paper_default();
+        let empty = Federation::new(
+            (0..3)
+                .map(|i| {
+                    let t = Table::new(["value"]).unwrap();
+                    PrivateDatabase::new(NodeId::new(i), domain, t, "value").unwrap()
+                })
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(empty.sum("value", 1).unwrap(), 0);
+        assert_eq!(empty.count("value", 2).unwrap(), 0);
+        assert!(matches!(
+            empty.mean("value", 3),
+            Err(FederationError::NoRows)
+        ));
     }
 
     #[test]
@@ -1500,7 +1511,7 @@ mod tests {
         assert_eq!(service.depth(), 2);
         assert_eq!(service.spec().attribute(), "value");
         service.query(0).unwrap();
-        assert!(service.metrics().frames_sent() > 0);
+        assert!(service.metrics().peek().frames_sent > 0);
         service.shutdown().unwrap();
     }
 
@@ -1559,7 +1570,6 @@ mod tests {
         assert_eq!(stats.queries_completed, 5);
         assert_eq!(stats.queue_wait.count, 5);
         assert!(stats.frames_sent > 0);
-        assert!(stats.pooled_buffers_high_water > 0);
         assert!(service.recorder().is_enabled());
         service.shutdown().unwrap();
 

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use crate::collector::{CollectedTrace, Diagnostic, PrivacyLedger};
+use crate::recorder::fmt_ns;
 use crate::Phase;
 
 /// Tunables for [`analyze`].
@@ -489,19 +490,6 @@ fn analyze_query(trace: &CollectedTrace, query: Option<u64>, config: &AnalyzerCo
         }),
         stalls,
         complete,
-    }
-}
-
-/// Renders nanoseconds with an adaptive unit (ASCII only).
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
     }
 }
 

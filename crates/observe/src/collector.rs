@@ -3,7 +3,7 @@
 //!
 //! In distributed and service mode every process records its own trace
 //! island; this module reassembles a whole ring traversal from them.
-//! Spans are keyed by `(query, slot, round, hop)` and ordered causally
+//! Spans are keyed by `(query, round, hop)` and ordered causally
 //! (round-major along the ring, matching Algorithm 1/2's token path), so
 //! a complete traversal reads top to bottom. Collection is forgiving by
 //! design: malformed lines, duplicate spans, gaps in the hop chain and
@@ -46,7 +46,7 @@ pub enum Diagnostic {
         /// Why the line was rejected.
         reason: String,
     },
-    /// The same `(query, slot, round, hop)` step appeared more than
+    /// The same `(query, round, hop)` step appeared more than
     /// once (e.g. the same trace ingested twice); only the earliest
     /// occurrence is kept.
     DuplicateStep {
@@ -219,24 +219,24 @@ impl TraceCollector {
     }
 
     /// Merges everything ingested so far into one causally ordered
-    /// trace: spans sorted by `(query, slot, round, hop)` then
+    /// trace: spans sorted by `(query, round, hop)` then
     /// timestamp, duplicate steps collapsed (earliest kept) with a
     /// [`Diagnostic::DuplicateStep`] each.
     #[must_use]
     pub fn finish(mut self) -> CollectedTrace {
         self.spans.sort_by_key(|s| causal_key(&s.event));
-        // Collapse duplicate steps: identical (query, slot, round, hop)
+        // Collapse duplicate steps: identical (query, round, hop)
         // step spans can only come from overlapping ingestion (the same
         // run's file and live recorder, say), never from the protocol —
         // a retransmitted frame re-delivers a token, it does not rerun
         // the hop.
-        let mut seen_steps: std::collections::BTreeSet<(Option<u64>, Option<u64>, u32, u32)> =
+        let mut seen_steps: std::collections::BTreeSet<(Option<u64>, u32, u32)> =
             std::collections::BTreeSet::new();
         let mut deduped: Vec<CollectedSpan> = Vec::with_capacity(self.spans.len());
         for span in self.spans {
             if span.event.phase == Phase::Step {
                 if let (Some(round), Some(hop)) = (span.event.ctx.round, span.event.ctx.hop) {
-                    let key = (span.event.ctx.query, span.event.ctx.slot, round, hop);
+                    let key = (span.event.ctx.query, round, hop);
                     if !seen_steps.insert(key) {
                         self.diagnostics.push(Diagnostic::DuplicateStep {
                             query: span.event.ctx.query,
@@ -269,7 +269,7 @@ impl TraceCollector {
 pub struct CollectedTrace {
     /// Labels of the ingested sources, in ingestion order.
     pub sources: Vec<String>,
-    /// Every accepted span, ordered by `(query, slot, round, hop)` and
+    /// Every accepted span, ordered by `(query, round, hop)` and
     /// then timestamp; duplicate steps already collapsed.
     pub spans: Vec<CollectedSpan>,
     /// Per-node phase digests shipped by live recorders (empty for
@@ -384,23 +384,13 @@ impl CollectedTrace {
     }
 }
 
-/// Causal sort key: query-major, then slot, then round-major hop order
+/// Causal sort key: query-major, then round-major hop order
 /// along the ring, then timestamp. Spans missing a coordinate sort
 /// before spans that have it, keeping per-node context lines (recv
 /// waits, retries) adjacent to their chain.
-fn causal_key(
-    event: &TraceEvent,
-) -> (
-    Option<u64>,
-    Option<u64>,
-    Option<u32>,
-    Option<u32>,
-    u64,
-    usize,
-) {
+fn causal_key(event: &TraceEvent) -> (Option<u64>, Option<u32>, Option<u32>, u64, usize) {
     (
         event.ctx.query,
-        event.ctx.slot,
         event.ctx.round,
         event.ctx.hop,
         event.t_us,
@@ -445,7 +435,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceEvent, String> {
             "t_us" => t_us = Some(number),
             "dur_ns" => dur_ns = Some(number),
             "query" => ctx.query = Some(number),
-            "slot" => ctx.slot = Some(number),
             "node" => {
                 ctx.node = Some(u32::try_from(number).map_err(|_| "node out of range")?);
             }
@@ -662,7 +651,6 @@ mod tests {
                 Phase::Step,
                 Ctx::default()
                     .with_query(3)
-                    .with_slot(1)
                     .with_node(hop)
                     .with_round(round)
                     .with_hop(hop),

@@ -7,7 +7,7 @@
 //! own, with:
 //!
 //! - structured trace events carrying only protocol *coordinates*
-//!   (query id, slot, node, round, hop) and a [`Phase`] label,
+//!   (query id, node, round, hop) and a [`Phase`] label,
 //! - log-bucketed latency [`Histogram`]s (HDR-style, p50/p90/p99/max,
 //!   snapshots mergeable across nodes),
 //! - a counter/gauge registry that absorbs the transport-level figures
@@ -144,14 +144,12 @@ impl Phase {
 /// Protocol coordinates attached to a trace event.
 ///
 /// Every field is an *identifier*, never a data value: which query, which
-/// pipeline slot, which node, which round, which hop position. Fields left
-/// `None` are omitted from the serialized trace.
+/// node, which round, which hop position. Fields left `None` are omitted
+/// from the serialized trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Ctx {
     /// Scheduler-assigned query id (service/batch runs).
     pub query: Option<u64>,
-    /// Pipeline slot the event belongs to (service runs).
-    pub slot: Option<u64>,
     /// Node index in `0..n`.
     pub node: Option<u32>,
     /// Protocol round, counted from 1.
@@ -164,7 +162,6 @@ impl Ctx {
     /// A context with every field unset.
     pub const EMPTY: Ctx = Ctx {
         query: None,
-        slot: None,
         node: None,
         round: None,
         hop: None,
@@ -174,13 +171,6 @@ impl Ctx {
     #[must_use]
     pub fn with_query(mut self, query: u64) -> Self {
         self.query = Some(query);
-        self
-    }
-
-    /// Sets the pipeline slot.
-    #[must_use]
-    pub fn with_slot(mut self, slot: u64) -> Self {
-        self.slot = Some(slot);
         self
     }
 
@@ -232,12 +222,10 @@ mod tests {
     fn ctx_builder_sets_fields() {
         let ctx = Ctx::default()
             .with_query(9)
-            .with_slot(2)
             .with_node(3)
             .with_round(4)
             .with_hop(5);
         assert_eq!(ctx.query, Some(9));
-        assert_eq!(ctx.slot, Some(2));
         assert_eq!(ctx.node, Some(3));
         assert_eq!(ctx.round, Some(4));
         assert_eq!(ctx.hop, Some(5));

@@ -59,7 +59,7 @@ pub struct TraceEvent {
     pub t_us: u64,
     /// What kind of work this span covered.
     pub phase: Phase,
-    /// Protocol coordinates (query/slot/node/round/hop).
+    /// Protocol coordinates (query/node/round/hop).
     pub ctx: Ctx,
     /// Span duration in nanoseconds (0 for instantaneous markers).
     pub dur_ns: u64,
@@ -82,10 +82,6 @@ impl TraceEvent {
         if let Some(query) = self.ctx.query {
             line.push_str(",\"query\":");
             line.push_str(&query.to_string());
-        }
-        if let Some(slot) = self.ctx.slot {
-            line.push_str(",\"slot\":");
-            line.push_str(&slot.to_string());
         }
         if let Some(node) = self.ctx.node {
             line.push_str(",\"node\":");
@@ -755,7 +751,7 @@ pub struct Summary {
 }
 
 /// Renders nanoseconds with an adaptive unit (ASCII only).
-fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -942,7 +938,6 @@ mod tests {
             Phase::Step,
             Ctx::default()
                 .with_query(7)
-                .with_slot(7)
                 .with_node(0)
                 .with_round(1)
                 .with_hop(4),
@@ -950,9 +945,7 @@ mod tests {
         let line = rec.trace_jsonl();
         let line = line.trim();
         assert!(line.starts_with('{') && line.ends_with('}'));
-        for key in [
-            "t_us", "phase", "query", "slot", "node", "round", "hop", "dur_ns",
-        ] {
+        for key in ["t_us", "phase", "query", "node", "round", "hop", "dur_ns"] {
             assert!(
                 line.contains(&format!("\"{key}\":")),
                 "missing {key} in {line}"

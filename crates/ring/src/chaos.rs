@@ -34,7 +34,7 @@ use rand::Rng;
 use privtopk_domain::rng::seeded_rng;
 use privtopk_domain::NodeId;
 
-use crate::transport::{FramePool, Transport, Waker};
+use crate::transport::{Transport, Waker};
 use crate::RingError;
 
 /// The reliability layer's default healing budget:
@@ -333,10 +333,6 @@ impl<T: Transport> Transport for ChaosEndpoint<T> {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, Bytes), RingError> {
         self.inner.recv_timeout(timeout)
-    }
-
-    fn pool(&self) -> FramePool {
-        self.inner.pool()
     }
 
     fn waker(&self) -> Waker {

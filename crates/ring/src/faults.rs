@@ -18,7 +18,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use privtopk_domain::NodeId;
 use privtopk_observe::{Ctx, Phase, Recorder};
 
-use crate::transport::{FramePool, Transport, Waker};
+use crate::transport::{Transport, Waker};
 use crate::{RingError, TransportMetrics};
 
 const FRAME_DATA: u8 = 1;
@@ -264,10 +264,6 @@ impl<T: Transport> Transport for ReliableEndpoint<T> {
         }
     }
 
-    fn pool(&self) -> FramePool {
-        self.inner.pool()
-    }
-
     fn waker(&self) -> Waker {
         self.inner.waker()
     }
@@ -395,16 +391,15 @@ mod tests {
         let local_retries = a.retransmissions();
         handle.join().unwrap();
         assert!(local_retries > 0, "40% loss must force retries");
-        assert_eq!(metrics.retransmissions(), local_retries);
+        assert_eq!(metrics.peek().retransmissions, local_retries);
         assert!(
-            metrics.re_acks() > 0,
+            metrics.peek().re_acks > 0,
             "dropped ACKs must surface as counted re-ACKs"
         );
         // The recorder saw the same activity as trace events.
         assert_eq!(recorder.phase(Phase::Retry).count, local_retries);
-        assert_eq!(recorder.phase(Phase::Ack).count, metrics.re_acks());
-        // And the drained snapshot carries both figures (satellite: they
-        // must not be dropped the way pooled_buffers_high_water was).
+        assert_eq!(recorder.phase(Phase::Ack).count, metrics.peek().re_acks);
+        // And the drained snapshot carries both figures.
         let snap = metrics.take();
         assert_eq!(snap.retransmissions, local_retries);
         assert!(snap.re_acks > 0);

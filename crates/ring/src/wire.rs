@@ -63,9 +63,9 @@ pub fn encode_to_bytes<T: WireEncode>(value: &T) -> Bytes {
 /// Encodes a value into a caller-provided buffer, reusing its allocation.
 ///
 /// The buffer is cleared first; after the call it holds exactly the frame
-/// for `value`. Pairs with frame pooling in the transport layer: acquire a
-/// pooled buffer, `encode_into`, freeze, send, and the receiver recycles
-/// the storage.
+/// for `value`. A caller encoding many values in a loop can keep one
+/// buffer this way; the transport encodes each sent frame into its own
+/// allocation with [`encode_to_bytes`].
 pub fn encode_into<T: WireEncode>(value: &T, buf: &mut BytesMut) {
     buf.clear();
     value.encode(buf);

@@ -47,6 +47,19 @@ echo "$FRAME_OUT"
 echo "$FRAME_OUT" | grep -q "1 passed" \
     || { echo "error: TCP lying-length gate matched no test (renamed?)" >&2; exit 1; }
 
+# `read_frame` allocates each payload buffer itself, so its other checks
+# are gates too: an oversized length or a header cut short is a typed
+# error, and payloads of 0, 1, 64 KiB and 64 KiB + 1 bytes come back
+# whole with nothing left unread.
+for gate in read_frame_rejects_oversized_and_truncated_headers \
+    frames_round_trip_across_read_step_boundaries; do
+    echo "==> cargo test -p privtopk-ring --lib $gate"
+    GATE_OUT=$(cargo test -p privtopk-ring --lib "$gate" 2>&1)
+    echo "$GATE_OUT"
+    echo "$GATE_OUT" | grep -q "1 passed" \
+        || { echo "error: TCP framing gate $gate matched no test (renamed?)" >&2; exit 1; }
+done
+
 # Storage gates, run by name: the incremental candidate index must
 # agree with a full re-sort over randomized insert/delete/query
 # interleavings, and a standing service racing a writer thread must
@@ -148,6 +161,15 @@ SUM_OUT=$(cargo test -p privtopk-federation --lib aggregate_sum_rejects_totals_p
 echo "$SUM_OUT"
 echo "$SUM_OUT" | grep -q "1 passed" \
     || { echo "error: aggregate overflow gate matched no test (renamed?)" >&2; exit 1; }
+
+# Aggregate answers, run by name with the same rename guard: sum, count
+# and mean must match the plaintext totals, and a federation holding no
+# rows must sum and count to zero and refuse a mean with a typed error.
+echo "==> cargo test -p privtopk-federation --lib aggregate_sum_count_mean"
+MEAN_OUT=$(cargo test -p privtopk-federation --lib aggregate_sum_count_mean 2>&1)
+echo "$MEAN_OUT"
+echo "$MEAN_OUT" | grep -q "1 passed" \
+    || { echo "error: aggregate answer gate matched no test (renamed?)" >&2; exit 1; }
 
 # Node machine gates, run by name with the same rename guard. The one
 # per-node protocol machine must turn a wrong sender, a wrong round
