@@ -24,7 +24,8 @@ use privtopk_bench::{bench_locals, machine_json};
 use privtopk_core::distributed::NetworkKind;
 use privtopk_core::service::ServiceRuntime;
 use privtopk_core::{
-    derive_batch_seed, ChaosPlan, ProtocolConfig, RoundPolicy, StartPolicy, DEFAULT_HEAL_BUDGET,
+    derive_batch_seed, ChaosPlan, ChaosState, ProtocolConfig, RoundPolicy, StartPolicy,
+    DEFAULT_HEAL_BUDGET,
 };
 use privtopk_observe::{analyze, AnalyzerConfig, Recorder, TraceCollector};
 
@@ -73,9 +74,14 @@ fn main() {
     // incident window has opened and closed, so the whole schedule hits
     // live traffic and the analyzer can reconstruct it.
     let recorder = Recorder::new();
-    let (mut chaotic, state) =
-        ServiceRuntime::start_chaos_traced(&locals, DEPTH, recorder.clone(), &plan)
-            .expect("chaos start");
+    let state = ChaosState::new(plan.clone());
+    let mut chaotic = ServiceRuntime::start_traced(
+        &locals,
+        NetworkKind::Chaos(state.clone()),
+        DEPTH,
+        recorder.clone(),
+    )
+    .expect("chaos start");
     state.arm();
     let mut wave_seeds: Vec<u64> = Vec::new();
     let mut wave_outcomes = Vec::new();
@@ -168,17 +174,20 @@ fn main() {
     let mut off_ms = f64::INFINITY;
     let mut on_ms = f64::INFINITY;
     for _ in 0..REPS {
-        let (mut off_service, off_state) =
-            ServiceRuntime::start_chaos_traced(&locals, DEPTH, Recorder::disabled(), &plan)
-                .expect("off start");
+        let off_state = ChaosState::new(plan.clone());
+        let off_network = NetworkKind::Chaos(off_state.clone());
+        let mut off_service =
+            ServiceRuntime::start(&locals, off_network, DEPTH).expect("off start");
         off_state.arm();
         let start = Instant::now();
         std::hint::black_box(off_service.run_workload(&timed).expect("off pass"));
         off_ms = off_ms.min(start.elapsed().as_secs_f64() * 1e3);
         off_service.shutdown().expect("off shutdown");
 
-        let (mut on_service, on_state) =
-            ServiceRuntime::start_chaos_traced(&locals, DEPTH, Recorder::sampled(10), &plan)
+        let on_state = ChaosState::new(plan.clone());
+        let on_network = NetworkKind::Chaos(on_state.clone());
+        let mut on_service =
+            ServiceRuntime::start_traced(&locals, on_network, DEPTH, Recorder::sampled(10))
                 .expect("on start");
         on_state.arm();
         let start = Instant::now();

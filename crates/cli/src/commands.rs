@@ -9,9 +9,7 @@ use privtopk_core::groups::grouped_max;
 use privtopk_core::{derive_batch_seed, ProtocolConfig, RoundPolicy, ServiceStats};
 use privtopk_datagen::{DataDistribution, DatasetBuilder, PrivateDatabase};
 use privtopk_domain::{NodeId, TopKVector, Value, ValueDomain};
-use privtopk_federation::{
-    ChaosPlan, Federation, QueryBatch, QueryKind, QuerySpec, DEFAULT_HEAL_BUDGET,
-};
+use privtopk_federation::{ChaosPlan, ChaosState, Federation, QueryBatch, QueryKind, QuerySpec};
 use privtopk_knn::{centralized_knn, KnnConfig, LabeledPoint, PrivateKnnClassifier};
 use privtopk_observe::{
     analyze, AnalyzerConfig, CollectedTrace, PrivacyLedger, Recorder, TraceCollector,
@@ -520,13 +518,13 @@ fn run_chaos_run(args: &Arguments, out: &mut impl Write) -> Result<(), CliError>
         .map_err(|e| CliError::Execution(e.to_string()))?;
     let federation = Federation::new(dbs).map_err(|e| CliError::Execution(e.to_string()))?;
     let spec = QuerySpec::top_k("value", k);
-    let plan = ChaosPlan::seeded(seed, nodes as u32, incidents);
-    plan.validate(DEFAULT_HEAL_BUDGET)
-        .map_err(|e| CliError::Execution(e.to_string()))?;
+    let state = ChaosState::new(ChaosPlan::seeded(seed, nodes as u32, incidents));
+    let plan = state.plan();
 
     let recorder = Recorder::new();
-    let (mut chaotic, state) = federation
-        .serve_chaos_traced(&spec, depth, recorder.clone(), &plan)
+    let network = NetworkKind::Chaos(state.clone());
+    let mut chaotic = federation
+        .serve_traced(&spec, network, depth, recorder.clone())
         .map_err(|e| CliError::Execution(e.to_string()))?;
     state.arm();
     // Waves of queries until every incident window has opened and

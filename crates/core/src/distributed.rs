@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use privtopk_domain::{NodeId, TopKVector};
 use privtopk_observe::Recorder;
-use privtopk_ring::chaos::{ChaosEndpoint, ChaosEvent, ChaosPlan, ChaosState};
+use privtopk_ring::chaos::{ChaosEndpoint, ChaosEvent, ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
 use privtopk_ring::faults::ReliableEndpoint;
 use privtopk_ring::transport::{InMemoryNetwork, TcpNetwork, Transport};
 use privtopk_ring::{RingError, TransportMetrics};
@@ -27,7 +27,7 @@ use crate::{BatchJob, ProtocolConfig, ProtocolError, Transcript};
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Which substrate carries the messages.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum NetworkKind {
     /// Crossbeam channels inside the current process.
     InMemory,
@@ -41,6 +41,12 @@ pub enum NetworkKind {
         /// Per-frame drop probability in `[0, 1)`.
         drop_probability: f64,
     },
+    /// In-process channels under the plan's chaos incidents (node
+    /// outages, ring partitions, loss windows), healed by the same
+    /// reliability layer. The caller keeps a clone of the state to arm
+    /// its clock and read drop counts. A window at or past
+    /// [`DEFAULT_HEAL_BUDGET`] is [`RingError::Config`].
+    Chaos(Arc<ChaosState>),
 }
 
 /// Result of a distributed execution.
@@ -66,7 +72,8 @@ pub struct DistributedOutcome {
 /// - Configuration errors, as for the simulation engine.
 /// - [`ProtocolError::Ring`] on transport failures or timeouts, and
 ///   [`RingError::Config`] inside it for a lossy drop probability
-///   outside `[0, 1)`.
+///   outside `[0, 1)` or a chaos window at or past
+///   [`DEFAULT_HEAL_BUDGET`].
 /// - [`ProtocolError::WorkerFailed`] if a worker thread panics.
 ///
 /// Per-round ring remapping is a simulation-only extension; requesting it
@@ -101,7 +108,7 @@ pub fn run_distributed_traced(
     let job = BatchJob::new(config.clone(), locals.to_vec(), seed);
     run_once(
         &[job],
-        network,
+        &network,
         &CrashSchedule::none(),
         RECV_TIMEOUT,
         recorder,
@@ -154,35 +161,48 @@ pub(crate) struct RunFailure {
     pub error: ProtocolError,
 }
 
+/// A ring's endpoints, their shared metrics and the workers' shutdown
+/// drain.
+pub(crate) type Wire = (Vec<Box<dyn Transport>>, TransportMetrics, Option<Duration>);
+
 /// Builds one endpoint per node over the requested substrate, plus the
-/// network's shared metrics.
+/// network's shared metrics and shutdown drain.
+///
+/// The lossy and chaos networks are healed: each node's frames pass
+/// through a [`ChaosEndpoint`] (seeded per node) beneath the stop-and-wait
+/// reliability layer, and both the metrics and the recorder see every
+/// retransmission and re-ACK. Their finished workers keep
+/// re-acknowledging retransmissions for a one-second drain, so a peer
+/// whose ACK was dropped does not retry into a closed endpoint.
 ///
 /// A drop probability outside `[0, 1)` (NaN included) is
-/// [`RingError::Config`]: a link that drops everything never delivers.
+/// [`RingError::Config`]: a link that drops everything never delivers. So
+/// is a chaos window at or past [`DEFAULT_HEAL_BUDGET`], which the
+/// reliability layer could not heal.
 pub(crate) fn build_endpoints(
-    network: NetworkKind,
+    network: &NetworkKind,
     n: usize,
     seed: u64,
     recorder: &Recorder,
-) -> Result<(Vec<Box<dyn Transport>>, TransportMetrics), ProtocolError> {
+) -> Result<Wire, ProtocolError> {
     fn boxed<T: Transport + 'static>(endpoints: Vec<T>) -> Vec<Box<dyn Transport>> {
         endpoints
             .into_iter()
             .map(|e| Box::new(e) as Box<dyn Transport>)
             .collect()
     }
-    Ok(match network {
+    let state = match network {
         NetworkKind::InMemory => {
             let net = InMemoryNetwork::new(n);
             let metrics = net.metrics();
-            (boxed(net.endpoints()), metrics)
+            return Ok((boxed(net.endpoints()), metrics, None));
         }
         NetworkKind::Tcp => {
             let net = TcpNetwork::bind(n)?;
             let metrics = net.metrics();
-            (boxed(net.endpoints()?), metrics)
+            return Ok((boxed(net.endpoints()?), metrics, None));
         }
-        NetworkKind::LossyInMemory { drop_probability } => {
+        &NetworkKind::LossyInMemory { drop_probability } => {
             if !(0.0..1.0).contains(&drop_probability) {
                 return Err(RingError::Config {
                     reason: "lossy drop probability must be in [0, 1)",
@@ -190,23 +210,13 @@ pub(crate) fn build_endpoints(
                 .into());
             }
             let loss = ChaosEvent::LossWindow { drop_probability };
-            let plan = ChaosPlan::new().with_incident(Duration::ZERO, Duration::MAX, loss);
-            healed_endpoints(n, seed, recorder, &ChaosState::new(plan))
+            ChaosState::new(ChaosPlan::new().with_incident(Duration::ZERO, Duration::MAX, loss))
         }
-    })
-}
-
-/// In-memory endpoints whose frames pass through a [`ChaosEndpoint`]
-/// (seeded per node) beneath the stop-and-wait reliability layer: the
-/// chaos state (a whole-run loss window or an incident schedule) drops
-/// frames, the layer heals them, and both the metrics and the recorder
-/// see every retransmission and re-ACK.
-pub(crate) fn healed_endpoints(
-    n: usize,
-    seed: u64,
-    recorder: &Recorder,
-    state: &Arc<ChaosState>,
-) -> (Vec<Box<dyn Transport>>, TransportMetrics) {
+        NetworkKind::Chaos(state) => {
+            state.plan().validate(DEFAULT_HEAL_BUDGET)?;
+            Arc::clone(state)
+        }
+    };
     let net = InMemoryNetwork::new(n);
     let metrics = net.metrics();
     let endpoints = net
@@ -214,23 +224,13 @@ pub(crate) fn healed_endpoints(
         .into_iter()
         .enumerate()
         .map(|(i, e)| {
-            let lossy = ChaosEndpoint::new(e, Arc::clone(state), seed ^ (i as u64) << 8);
+            let lossy = ChaosEndpoint::new(e, Arc::clone(&state), seed ^ (i as u64) << 8);
             let reliable =
                 ReliableEndpoint::new(lossy).with_observer(metrics.clone(), recorder.clone());
             Box::new(reliable) as Box<dyn Transport>
         })
         .collect();
-    (endpoints, metrics)
-}
-
-/// Lossy transports need a shutdown drain: a finished worker keeps
-/// re-acknowledging retransmissions for a grace window so a peer whose
-/// ACK was dropped does not retry into a closed endpoint.
-pub(crate) fn drain_window(network: NetworkKind) -> Option<Duration> {
-    match network {
-        NetworkKind::LossyInMemory { .. } => Some(Duration::from_secs(1)),
-        _ => None,
-    }
+    Ok((endpoints, metrics, Some(Duration::from_secs(1))))
 }
 
 /// Result of a batched distributed execution: per-query outcomes plus
@@ -312,7 +312,7 @@ pub fn run_distributed_batch_traced(
 ) -> Result<DistributedBatchOutcome, ProtocolError> {
     run_once(
         jobs,
-        network,
+        &network,
         &CrashSchedule::none(),
         RECV_TIMEOUT,
         recorder,
@@ -373,7 +373,7 @@ pub fn run_with_recovery(
         }
         let attempt_seed = seed.wrapping_add(u64::from(attempt));
         let job = BatchJob::new(config.clone(), current_locals.clone(), attempt_seed);
-        match run_once(&[job], network, &projected, worker_timeout, &recorder) {
+        match run_once(&[job], &network, &projected, worker_timeout, &recorder) {
             Ok(outcome) => {
                 return Ok(RecoveryOutcome {
                     outcome: outcome.into_solo(),
@@ -532,20 +532,29 @@ mod tests {
     fn lossy_network_rejects_impossible_drop_probabilities() {
         // A link that drops every frame, or a probability that is not
         // one, is a typed configuration error on both entry points, not a
-        // panic on the caller's thread.
+        // panic on the caller's thread. So is a chaos window as long as
+        // the reliability layer's whole healing budget, which would
+        // otherwise stall a run on retries for all of it.
         let config = ProtocolConfig::max().with_rounds(RoundPolicy::Fixed(2));
         let locals = locals_k(1, &[&[1], &[2], &[3]]);
-        for drop_probability in [1.0, 1.5, -0.1, f64::NAN] {
-            let network = NetworkKind::LossyInMemory { drop_probability };
-            let solo = run_distributed(&config, &locals, network, 7);
+        let outage = ChaosEvent::NodeOutage { node: 1 };
+        let unhealable =
+            ChaosPlan::new().with_incident(Duration::ZERO, DEFAULT_HEAL_BUDGET, outage);
+        let lossy = [1.0, 1.5, -0.1, f64::NAN]
+            .map(|drop_probability| NetworkKind::LossyInMemory { drop_probability });
+        for network in lossy
+            .into_iter()
+            .chain([NetworkKind::Chaos(ChaosState::new(unhealable))])
+        {
+            let solo = run_distributed(&config, &locals, network.clone(), 7);
             assert!(
                 matches!(solo, Err(ProtocolError::Ring(RingError::Config { .. }))),
-                "run_distributed at p = {drop_probability}: {solo:?}"
+                "run_distributed on {network:?}: {solo:?}"
             );
-            let service = crate::ServiceRuntime::start(&locals, network, 2);
+            let service = crate::ServiceRuntime::start(&locals, network.clone(), 2);
             assert!(
                 matches!(service, Err(ProtocolError::Ring(RingError::Config { .. }))),
-                "ServiceRuntime::start at p = {drop_probability}"
+                "ServiceRuntime::start on {network:?}"
             );
         }
     }
@@ -770,8 +779,15 @@ mod tests {
         let lossy = NetworkKind::LossyInMemory {
             drop_probability: 0.2,
         };
-        for network in [NetworkKind::InMemory, NetworkKind::Tcp, lossy] {
-            let batch = run_distributed_batch(&jobs, network).unwrap();
+        // Node 1 is down for the first 150 ms, so the ring heals through
+        // the outage.
+        let outage = ChaosEvent::NodeOutage { node: 1 };
+        let plan =
+            ChaosPlan::new().with_incident(Duration::ZERO, Duration::from_millis(150), outage);
+        let chaos = ChaosState::new(plan);
+        let chaotic = NetworkKind::Chaos(Arc::clone(&chaos));
+        for network in [NetworkKind::InMemory, NetworkKind::Tcp, lossy, chaotic] {
+            let batch = run_distributed_batch(&jobs, network.clone()).unwrap();
             assert_eq!(batch.groups, 5, "{network:?}");
             for (i, solo) in solo.iter().enumerate() {
                 assert_eq!(batch.transcripts[i], solo.transcript, "{network:?} job {i}");
@@ -780,13 +796,14 @@ mod tests {
                     "{network:?} job {i}"
                 );
             }
-            if network != lossy {
+            if matches!(network, NetworkKind::InMemory | NetworkKind::Tcp) {
                 // n*r + n - 1 frames per group: 23 for the Max group, 31
                 // for each TopK job; the group's frames carry four queries.
                 assert_eq!(batch.frames_sent, 23 + 4 * 31, "{network:?}");
                 assert_eq!(batch.logical_messages, 4 * 23 + 4 * 31, "{network:?}");
             }
         }
+        assert!(chaos.dropped() > 0, "the outage dropped no frame");
     }
 
     #[test]

@@ -51,11 +51,9 @@ use privtopk_ring::transport::{send_value, Transport, Waker};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{RingError, TransportMetrics};
 
-use privtopk_ring::chaos::{ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
-
 use crate::distributed::{
-    build_endpoints, drain_window, healed_endpoints, CrashSchedule, DistributedBatchOutcome,
-    NetworkKind, RunFailure, RECV_TIMEOUT,
+    build_endpoints, CrashSchedule, DistributedBatchOutcome, NetworkKind, RunFailure, Wire,
+    RECV_TIMEOUT,
 };
 use crate::local::TopkScratch;
 use crate::messages::SlotFrame;
@@ -64,9 +62,9 @@ use crate::node::{
 };
 use crate::{BatchJob, ProtocolConfig, ProtocolError, StepRecord, Transcript};
 
-/// Seed for the fault-injection RNGs of a lossy service network. Drop
-/// decisions are transport-level and never reach a transcript, so a
-/// fixed stream is fine.
+/// Seed for the fault-injection RNGs of a lossy or chaos service
+/// network. Drop decisions are transport-level and never reach a
+/// transcript, so a fixed stream is fine.
 const FAULT_SEED: u64 = 0x5EED_F417;
 
 /// One query's execution on the standing ring, as observed by the
@@ -383,7 +381,7 @@ impl ServiceWorker {
 /// once every query completes.
 pub(crate) fn run_once(
     jobs: &[BatchJob],
-    network: NetworkKind,
+    network: &NetworkKind,
     crashes: &CrashSchedule,
     recv_timeout: Duration,
     recorder: &Recorder,
@@ -421,7 +419,8 @@ pub(crate) fn run_once(
             None => groups.push(vec![j]),
         }
     }
-    let (endpoints, metrics) = build_endpoints(network, n, jobs[0].seed, recorder).map_err(fail)?;
+    let (endpoints, metrics, drain_on_exit) =
+        build_endpoints(network, n, jobs[0].seed, recorder).map_err(fail)?;
     // Every node's slots, one machine per member, opened before any
     // worker starts.
     let slots: Vec<Vec<Slot>> = (0..n)
@@ -442,7 +441,6 @@ pub(crate) fn run_once(
         })
         .collect::<Result<_, _>>()
         .map_err(fail)?;
-    let drain_on_exit = drain_window(network);
     let (report_tx, report_rx) = unbounded();
     let handles: Vec<_> = endpoints
         .into_iter()
@@ -685,8 +683,10 @@ impl ServiceRuntime {
     /// - [`ProtocolError::TooFewNodes`] for fewer than three snapshots.
     /// - [`ProtocolError::InconsistentK`] if the snapshots disagree on k.
     /// - [`ProtocolError::InvalidService`] for a zero `depth`.
-    /// - [`ProtocolError::Ring`] if the network cannot be built, e.g. a
-    ///   lossy drop probability outside `[0, 1)`.
+    /// - [`ProtocolError::Ring`] if the network cannot be built: a lossy
+    ///   drop probability outside `[0, 1)`, or a chaos plan with a window
+    ///   at or past [`DEFAULT_HEAL_BUDGET`](crate::DEFAULT_HEAL_BUDGET),
+    ///   which the reliability layer could not heal.
     pub fn start(
         locals: &[TopKVector],
         network: NetworkKind,
@@ -711,47 +711,12 @@ impl ServiceRuntime {
         recorder: Recorder,
     ) -> Result<ServiceRuntime, ProtocolError> {
         let wire = build_endpoints(
-            network,
+            &network,
             Self::validate(locals, depth)?,
             FAULT_SEED,
             &recorder,
         )?;
-        Self::start_with_endpoints(locals, depth, wire, drain_window(network), recorder)
-    }
-
-    /// [`start_traced`](Self::start_traced) over an in-memory network
-    /// with the plan's chaos incidents injected under the reliability
-    /// layer. Returns the shared [`ChaosState`] so the caller can arm
-    /// the chaos clock when traffic starts and read drop counts.
-    ///
-    /// Chaos only delays delivery — dropped frames are retransmitted
-    /// verbatim and no protocol RNG stream is consulted — so every
-    /// query's transcript stays bit-identical to a fault-free run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`start`](Self::start), plus [`ProtocolError::Ring`] for
-    /// a plan the reliability layer could not heal.
-    pub fn start_chaos_traced(
-        locals: &[TopKVector],
-        depth: usize,
-        recorder: Recorder,
-        plan: &ChaosPlan,
-    ) -> Result<(ServiceRuntime, Arc<ChaosState>), ProtocolError> {
-        plan.validate(DEFAULT_HEAL_BUDGET)?;
-        let state = ChaosState::new(plan.clone());
-        let n = Self::validate(locals, depth)?;
-        let wire = healed_endpoints(n, FAULT_SEED, &recorder, &state);
-        // Same shutdown drain as a lossy network: finished workers keep
-        // re-ACKing retransmissions for a grace window.
-        let runtime = Self::start_with_endpoints(
-            locals,
-            depth,
-            wire,
-            Some(Duration::from_secs(1)),
-            recorder,
-        )?;
-        Ok((runtime, state))
+        Self::start_with_endpoints(locals, depth, wire, recorder)
     }
 
     /// Checks the depth and the snapshots; returns the ring size.
@@ -774,8 +739,7 @@ impl ServiceRuntime {
     fn start_with_endpoints(
         locals: &[TopKVector],
         depth: usize,
-        (endpoints, metrics): (Vec<Box<dyn Transport>>, TransportMetrics),
-        drain_on_exit: Option<Duration>,
+        (endpoints, metrics, drain_on_exit): Wire,
         recorder: Recorder,
     ) -> Result<ServiceRuntime, ProtocolError> {
         let n = locals.len();
@@ -955,7 +919,6 @@ impl ServiceRuntime {
             self.pump_one()?;
         }
         self.shared.queue_wait.record_duration(queued.elapsed());
-        self.recorder.observe_named("queue_wait", Some(queued));
         self.next_query += 1;
         self.open
             .insert(query, (Arc::clone(&init), Vec::with_capacity(self.n)));
@@ -972,8 +935,6 @@ impl ServiceRuntime {
         self.in_flight += 1;
         self.shared.queries_submitted.fetch_add(1, Ordering::AcqRel);
         self.shared.set_in_flight(self.in_flight);
-        self.recorder
-            .gauge_set("pipeline_depth", self.in_flight as u64);
         Ok(QueryTicket { query })
     }
 
@@ -1068,8 +1029,6 @@ impl ServiceRuntime {
         self.in_flight -= 1;
         self.shared.queries_completed.fetch_add(1, Ordering::AcqRel);
         self.shared.set_in_flight(self.in_flight);
-        self.recorder
-            .gauge_set("pipeline_depth", self.in_flight as u64);
     }
 
     /// Shuts the service down: drops the runtime, which ends every worker
@@ -1406,10 +1365,6 @@ mod tests {
         assert_eq!(stats.queue_wait.count, 6);
         assert!(stats.frames_sent > 0);
         assert!(stats.bytes_sent > 0);
-        // And the registry carries the gauge mid-stream view.
-        let gauge = recorder.gauge("pipeline_depth").unwrap();
-        assert_eq!(gauge.value, 0);
-        assert!(gauge.high_water >= 1);
     }
 
     #[test]
@@ -1488,8 +1443,7 @@ mod tests {
         let mut service = ServiceRuntime::start_with_endpoints(
             &locals,
             1,
-            (endpoints, metrics),
-            None,
+            (endpoints, metrics, None),
             Recorder::disabled(),
         )
         .unwrap();

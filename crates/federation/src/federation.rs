@@ -11,8 +11,8 @@ use std::time::Instant;
 
 use privtopk_core::service::{QueryTicket, ServiceRuntime, ServiceStats, ServiceStatsHandle};
 use privtopk_core::{
-    derive_batch_seed, run_simulated_batch, run_simulated_batch_traced, BatchJob, ChaosPlan,
-    ChaosState, ProtocolConfig, RoundPolicy, SimulationEngine, Transcript,
+    derive_batch_seed, run_simulated_batch, run_simulated_batch_traced, BatchJob, ProtocolConfig,
+    RoundPolicy, SimulationEngine, Transcript,
 };
 use privtopk_datagen::PrivateDatabase;
 use privtopk_domain::{DomainError, TopKVector, Value, ValueDomain};
@@ -108,7 +108,7 @@ impl Federation {
     ) -> Result<QueryOutcome, FederationError> {
         let (config, locals, mirrored) = self.compile(spec)?;
         let outcome = run_distributed(&config, &locals, network, seed)?;
-        Ok(self.finish(spec, outcome.transcript, mirrored))
+        Ok(finish(self.domain, spec, outcome.transcript, mirrored))
     }
 
     /// [`Federation::execute_distributed`] with telemetry published into
@@ -129,7 +129,7 @@ impl Federation {
     ) -> Result<QueryOutcome, FederationError> {
         let (config, locals, mirrored) = self.compile(spec)?;
         let outcome = run_distributed_traced(&config, &locals, network, seed, recorder)?;
-        Ok(self.finish(spec, outcome.transcript, mirrored))
+        Ok(finish(self.domain, spec, outcome.transcript, mirrored))
     }
 
     /// Stands up a persistent service for one query spec: every member
@@ -148,7 +148,10 @@ impl Federation {
     ///
     /// As [`Federation::execute`] for spec compilation, plus
     /// [`privtopk_core::ProtocolError::InvalidService`] for a zero
-    /// `depth`.
+    /// `depth` and [`privtopk_core::ProtocolError::Ring`] for a network
+    /// that cannot be built, such as a chaos plan with a window at or
+    /// past [`DEFAULT_HEAL_BUDGET`](crate::DEFAULT_HEAL_BUDGET), which the
+    /// reliability layer could not heal.
     pub fn serve(
         &self,
         spec: &QuerySpec,
@@ -159,9 +162,8 @@ impl Federation {
     }
 
     /// [`Federation::serve`] with telemetry: every worker publishes
-    /// per-hop phase spans and the scheduler publishes pipeline-depth
-    /// and queue-wait figures into `recorder`. Outcomes stay
-    /// bit-identical to the untraced service.
+    /// per-hop phase spans into `recorder`. Outcomes stay bit-identical
+    /// to the untraced service.
     ///
     /// # Errors
     ///
@@ -178,34 +180,6 @@ impl Federation {
         Ok(self.finish_serve(spec, config, mirrored, runtime))
     }
 
-    /// [`Federation::serve_traced`] over an in-memory network with the
-    /// plan's chaos incidents — node outages, ring partitions, loss
-    /// windows — injected under the reliability layer on a seeded
-    /// schedule. Returns the shared [`ChaosState`] so the caller can
-    /// arm the chaos clock and read drop counts.
-    ///
-    /// Chaos only delays delivery, so every outcome stays bit-identical
-    /// to the same seeds on a fault-free service; the healing cost
-    /// shows up in the recorder's retry/re-ACK spans instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`Federation::serve`], plus
-    /// [`privtopk_core::ProtocolError::Ring`] for a plan the
-    /// reliability layer could not heal.
-    pub fn serve_chaos_traced(
-        &self,
-        spec: &QuerySpec,
-        depth: usize,
-        recorder: Recorder,
-        plan: &ChaosPlan,
-    ) -> Result<(FederationService, Arc<ChaosState>), FederationError> {
-        let (config, locals, mirrored) = self.compile(spec)?;
-        let (runtime, state) = ServiceRuntime::start_chaos_traced(&locals, depth, recorder, plan)
-            .map_err(FederationError::from)?;
-        Ok((self.finish_serve(spec, config, mirrored, runtime), state))
-    }
-
     fn finish_serve(
         &self,
         spec: &QuerySpec,
@@ -219,7 +193,7 @@ impl Federation {
         let accountant = Arc::new(LopAccountant::new());
         runtime.set_observer(Arc::clone(&accountant) as _);
         FederationService {
-            federation: self.clone(),
+            domain: self.domain,
             runtime,
             spec: spec.clone(),
             config,
@@ -363,7 +337,7 @@ impl Federation {
             .into_iter()
             .zip(batch.specs())
             .zip(mirrors)
-            .map(|((transcript, spec), &mirrored)| self.finish(spec, transcript, mirrored))
+            .map(|((transcript, spec), &mirrored)| finish(self.domain, spec, transcript, mirrored))
             .collect()
     }
 
@@ -384,7 +358,7 @@ impl Federation {
     pub fn execute(&self, spec: &QuerySpec, seed: u64) -> Result<QueryOutcome, FederationError> {
         let (config, locals, mirrored) = self.compile(spec)?;
         let transcript = SimulationEngine::new(config).run(&locals, seed)?;
-        Ok(self.finish(spec, transcript, mirrored))
+        Ok(finish(self.domain, spec, transcript, mirrored))
     }
 
     /// [`Federation::execute`] with telemetry: the simulated engine
@@ -404,7 +378,7 @@ impl Federation {
         let transcript = SimulationEngine::new(config)
             .with_recorder(recorder.clone())
             .run(&locals, seed)?;
-        Ok(self.finish(spec, transcript, mirrored))
+        Ok(finish(self.domain, spec, transcript, mirrored))
     }
 
     /// Compiles a query into protocol inputs.
@@ -447,26 +421,6 @@ impl Federation {
             .iter()
             .map(|m| self.local_vector(m, attribute, k, mirrored))
             .collect()
-    }
-
-    /// Converts a protocol transcript into a query outcome.
-    fn finish(&self, spec: &QuerySpec, transcript: Transcript, mirrored: bool) -> QueryOutcome {
-        let mut values: Vec<Value> = transcript.result().iter().collect();
-        if mirrored {
-            // Mirroring a descending vector back yields ascending order —
-            // smallest first, which is the natural order for min queries.
-            values = values.into_iter().map(|v| self.mirror(v)).collect();
-        }
-        if matches!(spec.kind(), crate::QueryKind::KthLargest(_)) {
-            // Only the rank-th value is the answer; the rest of the vector
-            // was scaffolding.
-            values = vec![*values.last().expect("k >= 1")];
-        }
-        QueryOutcome {
-            spec: spec.clone(),
-            values,
-            transcript,
-        }
     }
 
     /// Privately sums `attribute` across all members (masked ring sum).
@@ -567,24 +521,16 @@ impl Federation {
         // in the domain exactly when its mirror does, so the one domain
         // check in `from_values` stops at the same row, and mirroring its
         // report back names the raw value.
-        TopKVector::from_values(k, values.map(|v| self.mirror(v)), &self.domain).map_err(|e| {
+        let domain = self.domain;
+        TopKVector::from_values(k, values.map(|v| mirror(domain, v)), &domain).map_err(|e| {
             match e {
                 DomainError::OutOfDomain { value } => DomainError::OutOfDomain {
-                    value: self.mirror(value),
+                    value: mirror(domain, value),
                 },
                 other => other,
             }
             .into()
         })
-    }
-
-    /// Mirrors a value inside the domain: `lo + hi − v`.
-    fn mirror(&self, v: Value) -> Value {
-        // lo + hi - v stays inside [lo, hi] for v inside [lo, hi]; the
-        // arithmetic is exact in i128 then narrowed.
-        let wide =
-            self.domain.min().get() as i128 + self.domain.max().get() as i128 - v.get() as i128;
-        Value::new(wide as i64)
     }
 }
 
@@ -592,6 +538,39 @@ impl Federation {
 /// whether min / bottom-k mirroring reverses the direction.
 fn column_key(spec: &QuerySpec) -> (&str, bool) {
     (spec.attribute(), spec.kind().is_mirrored())
+}
+
+/// Converts a protocol transcript into a query outcome.
+fn finish(
+    domain: ValueDomain,
+    spec: &QuerySpec,
+    transcript: Transcript,
+    mirrored: bool,
+) -> QueryOutcome {
+    let mut values: Vec<Value> = transcript.result().iter().collect();
+    if mirrored {
+        // Mirroring a descending vector back yields ascending order —
+        // smallest first, which is the natural order for min queries.
+        values = values.into_iter().map(|v| mirror(domain, v)).collect();
+    }
+    if matches!(spec.kind(), crate::QueryKind::KthLargest(_)) {
+        // Only the rank-th value is the answer; the rest of the vector
+        // was scaffolding.
+        values = vec![*values.last().expect("k >= 1")];
+    }
+    QueryOutcome {
+        spec: spec.clone(),
+        values,
+        transcript,
+    }
+}
+
+/// Mirrors a value inside the domain: `lo + hi − v`.
+fn mirror(domain: ValueDomain, v: Value) -> Value {
+    // lo + hi - v stays inside [lo, hi] for v inside [lo, hi]; the
+    // arithmetic is exact in i128 then narrowed.
+    let wide = domain.min().get() as i128 + domain.max().get() as i128 - v.get() as i128;
+    Value::new(wide as i64)
 }
 
 /// A standing federated query service, created by [`Federation::serve`].
@@ -603,7 +582,7 @@ fn column_key(spec: &QuerySpec) -> (&str, bool) {
 /// [`shutdown`](Self::shutdown), which drains in-flight queries and
 /// joins every worker.
 pub struct FederationService {
-    federation: Federation,
+    domain: ValueDomain,
     runtime: ServiceRuntime,
     spec: QuerySpec,
     config: ProtocolConfig,
@@ -908,10 +887,8 @@ impl FederationService {
             let latency = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.slo.record(latency, collected.is_ok());
         }
-        let outcome = collected?;
-        Ok(self
-            .federation
-            .finish(&self.spec, outcome.transcript, self.mirrored))
+        let transcript = collected?.transcript;
+        Ok(finish(self.domain, &self.spec, transcript, self.mirrored))
     }
 
     /// Streams a whole seed workload through the pipeline, returning
@@ -1698,9 +1675,9 @@ mod tests {
         let f = federation(3, 4, 7);
         for raw in [1i64, 2, 5000, 9999, 10_000] {
             let v = Value::new(raw);
-            let m = f.mirror(v);
+            let m = mirror(f.domain(), v);
             assert!(f.domain().contains(m), "mirror({raw}) = {m}");
-            assert_eq!(f.mirror(m), v);
+            assert_eq!(mirror(f.domain(), m), v);
         }
     }
 }

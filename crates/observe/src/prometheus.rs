@@ -2,7 +2,7 @@
 //! registry, plus a minimal plain-TCP scrape endpoint.
 //!
 //! Everything rendered here derives from the no-leak registry — phase
-//! latency digests, named histograms, counters and gauges. Metric
+//! latency digests, counters and gauges. Metric
 //! values are aggregates over protocol coordinates and timings; no
 //! private value or rank ever reaches a label or sample.
 //!
@@ -155,14 +155,6 @@ pub fn render_summary(summary: &Summary) -> String {
             &mut out,
             &format!("privtopk_phase_{}_ns", phase.as_str()),
             "Span latency for this protocol phase, in nanoseconds.",
-            snapshot,
-        );
-    }
-    for (name, snapshot) in &summary.named {
-        write_histogram(
-            &mut out,
-            &format!("privtopk_{name}_ns"),
-            "Named latency histogram, in nanoseconds.",
             snapshot,
         );
     }
@@ -390,7 +382,6 @@ mod tests {
         let rec = Recorder::new();
         rec.tick(Phase::Step, Ctx::default().with_node(0));
         rec.tick(Phase::Send, Ctx::default().with_node(1));
-        rec.observe_named_duration("queue_wait/group0", Duration::from_micros(7));
         rec.add("frames_sent", 3);
         rec.gauge_set("in_flight", 2);
         rec.gauge_set("in_flight", 1);
@@ -412,7 +403,6 @@ mod tests {
         let body = render_summary(&sample_summary());
         assert!(body.contains("# TYPE privtopk_phase_step_ns histogram"));
         assert!(body.contains("privtopk_phase_step_ns_count 1"));
-        assert!(body.contains("privtopk_queue_wait_group0_ns_sum 7000"));
         assert!(body.contains("# TYPE privtopk_frames_sent_total counter"));
         assert!(body.contains("privtopk_frames_sent_total 3"));
         assert!(body.contains("privtopk_in_flight 1"));

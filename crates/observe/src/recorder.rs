@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::histogram::{bucket_index, Histogram, HistogramSnapshot, BUCKETS};
+use crate::histogram::{bucket_index, HistogramSnapshot, BUCKETS};
 use crate::{Ctx, Phase};
 
 /// Events kept by [`Recorder::new`]: the newest 2^18 (~20 MB of event
@@ -144,8 +144,8 @@ const LANES: usize = 16;
 /// Events a lane holds before it moves them into the ring.
 const LANE_BATCH: usize = 64;
 
-/// One phase's counts in one lane: a [`Histogram`] without atomics, since
-/// only the lane's lock holder writes it.
+/// One phase's counts in one lane: a [`Histogram`](crate::Histogram)
+/// without atomics, since only the lane's lock holder writes it.
 struct LaneHistogram {
     buckets: [u64; BUCKETS],
     sum_ns: u64,
@@ -220,7 +220,6 @@ struct Inner {
     events: Mutex<EventRing>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
-    named: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 /// The telemetry hub for one run or one standing service.
@@ -241,7 +240,7 @@ struct Inner {
 ///
 /// let rec = Recorder::new();
 /// rec.add("retransmissions", 2);
-/// rec.gauge_set("pipeline_depth", 4);
+/// rec.gauge_set("store_index_depth", 4);
 /// let t0 = rec.clock();
 /// rec.record(Phase::Send, Ctx::default().with_node(0), t0);
 /// let summary = rec.summary();
@@ -306,7 +305,7 @@ impl Recorder {
     /// no RNG, so seeded protocol streams are untouched).
     ///
     /// Instantaneous events ([`tick`](Recorder::tick) — retransmissions,
-    /// re-ACKs), counters, gauges and named histograms stay exact; only
+    /// re-ACKs), counters and gauges stay exact; only
     /// [`clock`](Recorder::clock)-opened spans are sampled. This is the
     /// always-on production mode: on a microsecond-hop in-memory ring the
     /// full per-hop timing costs double-digit percent, while 1-in-64
@@ -339,7 +338,6 @@ impl Recorder {
                 }),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
-                named: Mutex::new(BTreeMap::new()),
             })),
         }
     }
@@ -447,35 +445,6 @@ impl Recorder {
         })
     }
 
-    /// Closes a span into the named histogram (no trace event).
-    ///
-    /// For aggregate-only timings like queue waits where a per-event line
-    /// would add noise without information.
-    pub fn observe_named(&self, name: &str, started: Option<Instant>) {
-        if let (Some(inner), Some(started)) = (self.inner.as_deref(), started) {
-            inner
-                .named_histogram(name)
-                .record_duration(started.elapsed());
-        }
-    }
-
-    /// Records an already-measured duration into the named histogram.
-    ///
-    /// For figures measured outside the recorder's own clock.
-    pub fn observe_named_duration(&self, name: &str, duration: Duration) {
-        if let Some(inner) = self.inner.as_deref() {
-            inner.named_histogram(name).record_duration(duration);
-        }
-    }
-
-    /// Reads the named histogram (`None` when absent or disabled).
-    #[must_use]
-    pub fn named(&self, name: &str) -> Option<HistogramSnapshot> {
-        let inner = self.inner.as_deref()?;
-        let hist = inner.named.lock().get(name).cloned()?;
-        Some(hist.snapshot())
-    }
-
     /// Reads the aggregate histogram for one phase.
     #[must_use]
     pub fn phase(&self, phase: Phase) -> HistogramSnapshot {
@@ -573,12 +542,6 @@ impl Recorder {
             let ring = inner.events.lock();
             (ring.events.len() as u64, ring.overwritten)
         };
-        let named = inner
-            .named
-            .lock()
-            .iter()
-            .map(|(name, hist)| (name.to_string(), hist.snapshot()))
-            .collect();
         let counters = inner
             .counters
             .lock()
@@ -601,7 +564,6 @@ impl Recorder {
             .collect();
         Summary {
             phases,
-            named,
             counters,
             gauges,
             events_recorded,
@@ -693,16 +655,6 @@ impl Inner {
         gauges.insert(name.to_string(), cell.clone());
         cell
     }
-
-    fn named_histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut named = self.named.lock();
-        if let Some(hist) = named.get(name) {
-            return hist.clone();
-        }
-        let hist = Arc::new(Histogram::new());
-        named.insert(name.to_string(), hist.clone());
-        hist
-    }
 }
 
 /// One ring member's phase digests, as shipped back to the initiator.
@@ -732,14 +684,12 @@ impl NodeSummary {
 }
 
 /// Aggregated run statistics, rendered by `Display` as a fixed-width
-/// table: one row per phase / named histogram with count, p50/p90/p99,
-/// max and mean, followed by counters and gauges.
+/// table: one row per phase with count, p50/p90/p99, max and mean,
+/// followed by counters and gauges.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     /// Per-phase latency digests (phases with no samples are omitted).
     pub phases: Vec<(Phase, HistogramSnapshot)>,
-    /// Named histograms (e.g. `queue_wait`), sorted by name.
-    pub named: Vec<(String, HistogramSnapshot)>,
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Gauges, sorted by name.
@@ -770,24 +720,18 @@ impl fmt::Display for Summary {
             "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
             "phase", "count", "p50", "p90", "p99", "max", "mean"
         )?;
-        let mut row = |name: &str, snap: &HistogramSnapshot| {
+        for (phase, snap) in &self.phases {
             writeln!(
                 f,
                 "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                name,
+                phase.as_str(),
                 snap.count,
                 fmt_ns(snap.p50_ns),
                 fmt_ns(snap.p90_ns),
                 fmt_ns(snap.p99_ns),
                 fmt_ns(snap.max_ns),
                 fmt_ns(snap.mean_ns() as u64),
-            )
-        };
-        for (phase, snap) in &self.phases {
-            row(phase.as_str(), snap)?;
-        }
-        for (name, snap) in &self.named {
-            row(name, snap)?;
+            )?;
         }
         if !self.counters.is_empty() {
             writeln!(f, "counters:")?;
@@ -826,11 +770,9 @@ mod tests {
         rec.tick(Phase::Retry, Ctx::default());
         rec.add("retransmissions", 5);
         rec.gauge_set("pipeline_depth", 3);
-        rec.observe_named("queue_wait", rec.clock());
         assert_eq!(rec.phase(Phase::Step).count, 0);
         assert_eq!(rec.counter("retransmissions"), 0);
         assert!(rec.gauge("pipeline_depth").is_none());
-        assert!(rec.named("queue_wait").is_none());
         assert_eq!(rec.trace_jsonl(), "");
         assert_eq!(rec.summary().phases.len(), 0);
     }
@@ -900,7 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_and_named_histograms_register() {
+    fn counters_and_gauges_register() {
         let rec = Recorder::new();
         rec.add("retransmissions", 1);
         rec.add("retransmissions", 2);
@@ -908,7 +850,6 @@ mod tests {
         rec.gauge_set("pipeline_depth", 4);
         rec.gauge_set("pipeline_depth", 9);
         rec.gauge_set("pipeline_depth", 2);
-        rec.observe_named("queue_wait", rec.clock());
         assert_eq!(rec.counter("retransmissions"), 3);
         assert_eq!(rec.counter("frames_sent"), 53);
         assert_eq!(
@@ -918,7 +859,6 @@ mod tests {
                 high_water: 9
             })
         );
-        assert_eq!(rec.named("queue_wait").unwrap().count, 1);
     }
 
     #[test]
@@ -976,13 +916,11 @@ mod tests {
         rec.record(Phase::Recv, Ctx::default(), rec.clock());
         rec.add("re_acks", 4);
         rec.gauge_set("pipeline_depth", 16);
-        rec.observe_named("queue_wait", rec.clock());
         let text = rec.summary().to_string();
         assert!(text.contains("phase"));
         assert!(text.contains("p50"));
         assert!(text.contains("p99"));
         assert!(text.contains("recv"));
-        assert!(text.contains("queue_wait"));
         assert!(text.contains("re_acks = 4"));
         assert!(text.contains("pipeline_depth = 16 (high water 16)"));
         assert!(!text.contains("encode")); // empty phases omitted
@@ -1000,15 +938,9 @@ mod tests {
     fn runtime_built_registry_names_work() {
         let rec = Recorder::new();
         for group in 0..3 {
-            let name = format!("queue_wait/group{group}");
-            rec.observe_named_duration(&name, Duration::from_nanos(100 * (group + 1)));
             rec.add(&format!("jobs/group{group}"), 2);
         }
-        assert_eq!(rec.named("queue_wait/group1").unwrap().count, 1);
         assert_eq!(rec.counter("jobs/group2"), 2);
-        let summary = rec.summary();
-        assert_eq!(summary.named.len(), 3);
-        assert!(summary.named.iter().any(|(n, _)| n == "queue_wait/group0"));
     }
 
     #[test]

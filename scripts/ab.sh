@@ -19,8 +19,9 @@
 # perfbench/spread.py), the change/parent ratio of the medians, the
 # change's wins out of all pairs (ties count for neither; the metric's
 # `better` gives the direction), the metric's bound and a verdict:
-# `gain` when the change won at least nine tenths of the pairs and its
-# median beats the parent's by more than the parent's q3 - q1, `worse`
+# `gain` when there were at least ten pairs, the change won at least nine
+# tenths of them and its median beats the parent's by more than the
+# parent's q3 - q1 (fewer pairs never read `gain`), `worse`
 # when its median is worse than the parent's by more than the bound (a
 # share of the parent's median), `-` otherwise. Then it prints
 # failed/attempted operations per side. It exits non-zero if any run
@@ -161,7 +162,8 @@ for workload in $WORKLOADS; do
                 verdict = "-"
                 if (np && nc) {
                     gap = (better == "lower") ? pm - cm : cm - pm
-                    if (wins * 10 >= pairs * 9 && gap > quart(p, np, 3) - quart(p, np, 1))
+                    if (pairs >= 10 && wins * 10 >= pairs * 9 &&
+                        gap > quart(p, np, 3) - quart(p, np, 1))
                         verdict = "gain"
                     else if (-gap > bound * pm)
                         verdict = "worse"

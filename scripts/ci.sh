@@ -79,8 +79,9 @@ cargo test --test store_snapshot_isolation
 # Fault-injection gates, run by name with the same rename guard: a
 # whole-run chaos loss window must drop exactly the frames the retired
 # uniform-drop wrapper dropped (504, 391 and 210 of 1,000 at three
-# seeds), and an impossible lossy drop probability must be a typed
-# configuration error on both entry points, not a panic.
+# seeds), and an impossible lossy drop probability, or a chaos network
+# whose outage lasts the whole healing budget, must be a typed
+# configuration error on both entry points, not a panic or a timeout.
 echo "==> cargo test -p privtopk-ring --lib whole_run_loss_window_drops_what_faulty_endpoint_dropped"
 LOSS_OUT=$(cargo test -p privtopk-ring --lib whole_run_loss_window_drops_what_faulty_endpoint_dropped 2>&1)
 echo "$LOSS_OUT"
@@ -182,8 +183,10 @@ echo "$MEAN_OUT" | grep -q "1 passed" \
 # given a batch of the wrong width, a token where a batch belongs or
 # members that fall out of lock-step must give typed errors too, and a
 # batch of one group of four and four one-member groups must run on one
-# ring over in-memory, TCP and lossy networks, every transcript equal
-# to its solo run and every group at n*r + n - 1 frames.
+# ring over in-memory, TCP, lossy and chaos networks (the chaos network
+# takes node 1 down for the first 150 ms, and must drop frames), every
+# transcript equal to its solo run and, in memory and over TCP, every
+# group at n*r + n - 1 frames.
 for gate in bad_inputs_give_typed_errors_not_panics \
     interleaved_queries_match_the_simulation \
     stale_frame_for_a_closed_query_does_not_stall_the_ring \
@@ -239,6 +242,12 @@ cargo test --test service_drop
 # survivors' answer itself.
 echo "==> cargo run --release --example node_failure"
 cargo run --release --example node_failure
+
+# Healing through the one-shot worker loop: 25% of frames are dropped
+# under the reliability layer `build_endpoints` stacks, and the example
+# asserts the lossy transcript equals the lossless one.
+echo "==> cargo run --release --example lossy_network"
+cargo run --release --example lossy_network
 
 # Privacy-accounting gates, run by name so they can never be silently
 # skipped: the live accountant must match the offline harness bit for

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use privtopk::core::derive_batch_seed;
 use privtopk::core::distributed::NetworkKind;
-use privtopk::federation::{ChaosEvent, ChaosPlan, DEFAULT_HEAL_BUDGET};
+use privtopk::federation::{ChaosEvent, ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
 use privtopk::observe::{analyze, scrape_path, AnalyzerConfig, Recorder, TraceCollector};
 use privtopk::prelude::*;
 
@@ -57,8 +57,10 @@ fn chaos_run_is_bit_identical_with_attributed_healing_cost() {
     plan.validate(DEFAULT_HEAL_BUDGET).unwrap();
 
     let recorder = Recorder::new();
-    let (mut chaotic, state) = federation
-        .serve_chaos_traced(&spec, DEPTH, recorder.clone(), &plan)
+    let state = ChaosState::new(plan);
+    let network = NetworkKind::Chaos(state.clone());
+    let mut chaotic = federation
+        .serve_traced(&spec, network, DEPTH, recorder.clone())
         .unwrap();
     state.arm();
 
@@ -148,8 +150,9 @@ fn flight_recorder_feeds_the_analyzer_even_in_stats_only_mode() {
     // stats_only: no full trace buffer exists, yet the always-on flight
     // ring still captures the most recent spans.
     let recorder = Recorder::stats_only();
-    let (mut service, state) = federation
-        .serve_chaos_traced(&spec, 4, recorder, &plan)
+    let state = ChaosState::new(plan);
+    let mut service = federation
+        .serve_traced(&spec, NetworkKind::Chaos(state.clone()), 4, recorder)
         .unwrap();
     state.arm();
     let mut wave = 0u64;

@@ -53,7 +53,7 @@ fn a_dropped_service_ends_its_workers() {
     for network in [NetworkKind::InMemory, NetworkKind::Tcp] {
         // A full pipeline, never collected: the workers must finish it
         // and exit on their own.
-        let mut service = ServiceRuntime::start(&locals, network, 4).unwrap();
+        let mut service = ServiceRuntime::start(&locals, network.clone(), 4).unwrap();
         for i in 0..4u64 {
             service.submit(&config, derive_batch_seed(7, i)).unwrap();
         }
@@ -62,7 +62,7 @@ fn a_dropped_service_ends_its_workers() {
 
         // Every query answered: the workers wait on their endpoints with
         // nothing open, and only the drop's wake reaches them there.
-        let mut service = ServiceRuntime::start(&locals, network, 4).unwrap();
+        let mut service = ServiceRuntime::start(&locals, network.clone(), 4).unwrap();
         service.run(&config, derive_batch_seed(7, 4)).unwrap();
         drop(service);
         assert_threads_return_to(before, &format!("{network:?}, idle"));
