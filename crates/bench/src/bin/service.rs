@@ -1,18 +1,23 @@
 //! Persistent-service throughput benchmark.
 //!
 //! Answers the same workload of homogeneous fixed-start queries two
-//! ways — cold (a fresh `run_distributed` federation per query: thread
-//! spawn, channel wiring and teardown every time) and warm (one
-//! long-lived [`ServiceRuntime`] whose node workers survive across
-//! queries) — and reports sustained queries/sec at pipeline depths
-//! 1, 4 and 16.
+//! ways over TCP — cold (a fresh `run_distributed` federation per query:
+//! listeners, threads, connections and teardown every time) and warm
+//! (one long-lived [`ServiceRuntime`] whose node workers and connections
+//! survive across queries) — and reports sustained queries/sec at
+//! pipeline depths 1, 4 and 16.
 //!
-//! The run *asserts* the correctness gates before reporting numbers:
-//! at every depth each service outcome must be bit-identical to its
-//! solo `run_distributed` run, the best warm depth must sustain at least
-//! 2x the cold rate, every depth > 1 must strictly beat depth 1, and a
-//! recorder-armed service must keep transcripts bit-identical at under
-//! 2% throughput overhead.
+//! The run *asserts* the correctness gates before reporting numbers: at
+//! every depth each in-memory service outcome must be bit-identical to
+//! its solo `run_distributed` run; over TCP the best warm depth must
+//! sustain at least 2x the cold rate and every depth > 1 must strictly
+//! beat depth 1; and a recorder-armed in-memory service must keep
+//! transcripts bit-identical at under 2% throughput overhead.
+//!
+//! The two TCP gates price a thread per node: set-up and per-hop
+//! hand-offs that warm reuse and pipelining amortize. An in-memory ring
+//! runs every node on the caller's thread, so neither has anything to
+//! amortize there.
 //!
 //! Usage: `service [n] [rounds] [queries] [out.json]`
 //! Defaults: n = 6, rounds = 8, queries = 240, out = BENCH_service.json
@@ -58,7 +63,8 @@ fn main() {
         .collect();
 
     eprintln!(
-        "service: n={n} k={K} rounds={rounds} queries={queries} reps={REPS} network=in-memory"
+        "service: n={n} k={K} rounds={rounds} queries={queries} reps={REPS} \
+         (identity and tracing in memory, cold and warm over tcp)"
     );
 
     // Correctness gate first: at every depth the warm transcripts must
@@ -87,13 +93,13 @@ fn main() {
     }
     eprintln!("  identity gate: every depth matches solo, bit for bit");
 
-    // Cold path: a fresh federation per query, best of REPS passes.
+    // Cold path over TCP: a fresh federation per query, best of REPS
+    // passes.
     let mut cold_ms = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
         for (config, seed) in &workload {
-            let out =
-                run_distributed(config, &locals, NetworkKind::InMemory, *seed).expect("cold run");
+            let out = run_distributed(config, &locals, NetworkKind::Tcp, *seed).expect("cold run");
             std::hint::black_box(out);
         }
         cold_ms = cold_ms.min(start.elapsed().as_secs_f64() * 1e3);
@@ -101,13 +107,13 @@ fn main() {
     let cold_qps = queries as f64 / (cold_ms / 1e3);
     eprintln!("  cold: {cold_ms:>8.2} ms ({cold_qps:>8.0} q/s)");
 
-    // Warm path: one standing service per depth; the first pass warms
-    // the workers and connections, then best of REPS timed passes over
-    // the same ring.
+    // Warm path over TCP: one standing service per depth; the first pass
+    // warms the workers and connections, then best of REPS timed passes
+    // over the same ring.
     let mut points = Vec::with_capacity(DEPTHS.len());
     for depth in DEPTHS {
         let mut service =
-            ServiceRuntime::start(&locals, NetworkKind::InMemory, depth).expect("service start");
+            ServiceRuntime::start(&locals, NetworkKind::Tcp, depth).expect("service start");
         let warmup = service.run_workload(&workload).expect("warm-up pass");
         std::hint::black_box(warmup);
         let mut warm_ms = f64::INFINITY;
@@ -132,8 +138,8 @@ fn main() {
         points.push(point);
     }
 
-    // Acceptance gates: warm reuse must pay for itself, and pipelining
-    // must add to it.
+    // Acceptance gates over TCP: warm reuse must pay for itself, and
+    // pipelining must add to it.
     let d1 = points.iter().find(|p| p.depth == 1).expect("depth-1 point");
     for p in points.iter().filter(|p| p.depth > 1) {
         assert!(
@@ -162,8 +168,9 @@ fn main() {
     );
 
     // Telemetry overhead gate: the same workload through a recorder-armed
-    // service at the best depth must (a) stay bit-identical to the solo
-    // runs and (b) cost less than 2% of the untraced throughput. The
+    // in-memory service at the best TCP depth must (a) stay bit-identical
+    // to the solo runs and (b) cost less than 2% of the untraced
+    // in-memory throughput. The
     // recorder runs in its always-on production mode (1-in-1024 span
     // sampling; counters exact) — full event capture is a debugging mode
     // and is not held to the 2% bar. Each round pairs a fresh off service
@@ -302,7 +309,7 @@ fn main() {
     let _ = writeln!(json, "  \"machine\": {},", machine_json());
     let _ = writeln!(
         json,
-        "  \"config\": {{\"n\": {n}, \"k\": {K}, \"rounds\": {rounds}, \"queries\": {queries}, \"network\": \"in-memory\", \"start\": \"fixed\", \"seed\": {BASE_SEED}, \"reps\": {REPS}}},"
+        "  \"config\": {{\"n\": {n}, \"k\": {K}, \"rounds\": {rounds}, \"queries\": {queries}, \"network\": \"tcp\", \"start\": \"fixed\", \"seed\": {BASE_SEED}, \"reps\": {REPS}}},"
     );
     let _ = writeln!(
         json,
@@ -327,7 +334,7 @@ fn main() {
     let _ = writeln!(json, "  \"best_depth\": {},", best.depth);
     let _ = writeln!(
         json,
-        "  \"tracing\": {{\"depth\": {}, \"mode\": \"sampled-1-in-1024\", \"off_total_ms\": {off_ms:.3}, \"on_total_ms\": {on_ms:.3}, \"off_queries_per_sec\": {:.1}, \"on_queries_per_sec\": {traced_qps:.1}, \"overhead_pct\": {overhead_pct:.3}}},",
+        "  \"tracing\": {{\"network\": \"in-memory\", \"depth\": {}, \"mode\": \"sampled-1-in-1024\", \"off_total_ms\": {off_ms:.3}, \"on_total_ms\": {on_ms:.3}, \"off_queries_per_sec\": {:.1}, \"on_queries_per_sec\": {traced_qps:.1}, \"overhead_pct\": {overhead_pct:.3}}},",
         best.depth,
         queries as f64 / (off_ms / 1e3)
     );

@@ -289,9 +289,10 @@ pub fn usage() -> String {
      optimization: G subrings then a leader ring, reporting the critical\n\
      path alongside total messages (needs G = 1 or G >= 3, nodes >= 3G).\n\
      \n\
-     --network memory|tcp runs the query over a real transport (threads\n\
-     plus channels, or TCP loopback) instead of the in-process simulation;\n\
-     results are bit-identical either way.\n\
+     --network memory|tcp runs the query over a wire instead of the\n\
+     in-process simulation: node workers on one thread passing encoded\n\
+     frames through one in-memory queue, or one thread per node over TCP\n\
+     loopback; results are bit-identical either way.\n\
      \n\
      telemetry (query command): --trace-out PATH writes a JSONL span trace\n\
      (protocol coordinates and timings only — never data values) and\n\

@@ -800,8 +800,9 @@ fn parse_kind(args: &Arguments) -> Result<QueryKind, CliError> {
     }
 }
 
-/// `--network memory|tcp`: run over a real transport instead of the
-/// in-process simulation; `None` keeps the simulated engine.
+/// `--network memory|tcp`: run over a wire (the in-memory FIFO ring or
+/// TCP loopback) instead of the in-process simulation; `None` keeps the
+/// simulated engine.
 fn parse_network(args: &Arguments) -> Result<Option<NetworkKind>, CliError> {
     match args.get("network") {
         None => Ok(None),

@@ -1,7 +1,9 @@
-//! The distributed protocol entry points: one thread per private
+//! The distributed protocol entry points: one worker per private
 //! database, communicating only through a [`Transport`]. Every run, solo
 //! or batched, is one one-shot ring of service workers (`crate::service`),
-//! the only driver of the per-node protocol machine (`crate::node`).
+//! which alone drive the per-node protocol machine (`crate::node`): all
+//! on the caller's thread over an in-memory FIFO, or one thread each over
+//! the other networks.
 //!
 //! This runs the *same* local algorithms as the
 //! [`SimulationEngine`](crate::SimulationEngine) — with the same seed
@@ -17,7 +19,7 @@ use privtopk_domain::{NodeId, TopKVector};
 use privtopk_observe::Recorder;
 use privtopk_ring::chaos::{ChaosEndpoint, ChaosEvent, ChaosPlan, ChaosState, DEFAULT_HEAL_BUDGET};
 use privtopk_ring::faults::ReliableEndpoint;
-use privtopk_ring::transport::{InMemoryNetwork, TcpNetwork, Transport};
+use privtopk_ring::transport::{FifoNetwork, FrameQueue, InMemoryNetwork, TcpNetwork, Transport};
 use privtopk_ring::{RingError, TransportMetrics};
 
 use crate::service::run_once;
@@ -29,22 +31,24 @@ pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 /// Which substrate carries the messages.
 #[derive(Debug, Clone)]
 pub enum NetworkKind {
-    /// Crossbeam channels inside the current process.
+    /// One FIFO inside the current process: every node's worker runs on
+    /// the caller's thread, and frames are delivered in the order they
+    /// were sent, with no thread hand-off.
     InMemory,
-    /// Real TCP sockets on loopback.
+    /// Real TCP sockets on loopback, one thread per node.
     Tcp,
-    /// In-process channels that drop each frame with the given
-    /// probability (one chaos loss window lasting the whole run), healed
-    /// by a stop-and-wait reliability layer — the protocol runs
-    /// unmodified over a lossy network.
+    /// In-process channels, one thread per node, that drop each frame
+    /// with the given probability (one chaos loss window lasting the
+    /// whole run), healed by a stop-and-wait reliability layer — the
+    /// protocol runs unmodified over a lossy network.
     LossyInMemory {
         /// Per-frame drop probability in `[0, 1)`.
         drop_probability: f64,
     },
-    /// In-process channels under the plan's chaos incidents (node
-    /// outages, ring partitions, loss windows), healed by the same
-    /// reliability layer. The caller keeps a clone of the state to arm
-    /// its clock and read drop counts. A window at or past
+    /// In-process channels, one thread per node, under the plan's chaos
+    /// incidents (node outages, ring partitions, loss windows), healed by
+    /// the same reliability layer. The caller keeps a clone of the state
+    /// to arm its clock and read drop counts. A window at or past
     /// [`DEFAULT_HEAL_BUDGET`] is [`RingError::Config`].
     Chaos(Arc<ChaosState>),
 }
@@ -63,7 +67,9 @@ pub struct DistributedOutcome {
     pub bytes_sent: u64,
 }
 
-/// Runs the configured protocol with one worker thread per node.
+/// Runs the configured protocol with one worker per node: on the
+/// caller's thread for [`NetworkKind::InMemory`], one thread each
+/// otherwise.
 ///
 /// `locals[i]` is the local top-k vector of `NodeId(i)`.
 ///
@@ -161,12 +167,33 @@ pub(crate) struct RunFailure {
     pub error: ProtocolError,
 }
 
-/// A ring's endpoints, their shared metrics and the workers' shutdown
-/// drain.
-pub(crate) type Wire = (Vec<Box<dyn Transport>>, TransportMetrics, Option<Duration>);
+/// How a ring's workers run.
+pub(crate) enum Drive {
+    /// Every worker on the caller's thread: each send lands in this one
+    /// FIFO, and the caller delivers the frames in order.
+    Fifo(FrameQueue),
+    /// One thread per worker; a finished worker keeps re-acknowledging
+    /// retransmissions for `drain_on_exit`, if set.
+    Threads { drain_on_exit: Option<Duration> },
+}
+
+impl Drive {
+    pub(crate) fn drain_on_exit(&self) -> Option<Duration> {
+        match self {
+            Drive::Fifo(_) => None,
+            Drive::Threads { drain_on_exit } => *drain_on_exit,
+        }
+    }
+}
+
+/// A ring's endpoints, their shared metrics and how its workers run.
+pub(crate) type Wire = (Vec<Box<dyn Transport>>, TransportMetrics, Drive);
 
 /// Builds one endpoint per node over the requested substrate, plus the
-/// network's shared metrics and shutdown drain.
+/// network's shared metrics and how its workers run.
+///
+/// An in-memory ring is a [`FifoNetwork`] driven on the caller's thread.
+/// The other networks run one thread per worker.
 ///
 /// The lossy and chaos networks are healed: each node's frames pass
 /// through a [`ChaosEndpoint`] (seeded per node) beneath the stop-and-wait
@@ -193,14 +220,17 @@ pub(crate) fn build_endpoints(
     }
     let state = match network {
         NetworkKind::InMemory => {
-            let net = InMemoryNetwork::new(n);
-            let metrics = net.metrics();
-            return Ok((boxed(net.endpoints()), metrics, None));
+            let net = FifoNetwork::new(n);
+            let (metrics, queue) = (net.metrics(), net.queue());
+            return Ok((boxed(net.endpoints()), metrics, Drive::Fifo(queue)));
         }
         NetworkKind::Tcp => {
             let net = TcpNetwork::bind(n)?;
             let metrics = net.metrics();
-            return Ok((boxed(net.endpoints()?), metrics, None));
+            let drive = Drive::Threads {
+                drain_on_exit: None,
+            };
+            return Ok((boxed(net.endpoints()?), metrics, drive));
         }
         &NetworkKind::LossyInMemory { drop_probability } => {
             if !(0.0..1.0).contains(&drop_probability) {
@@ -230,7 +260,10 @@ pub(crate) fn build_endpoints(
             Box::new(reliable) as Box<dyn Transport>
         })
         .collect();
-    Ok((endpoints, metrics, Some(Duration::from_secs(1))))
+    let drive = Drive::Threads {
+        drain_on_exit: Some(Duration::from_secs(1)),
+    };
+    Ok((endpoints, metrics, drive))
 }
 
 /// Result of a batched distributed execution: per-query outcomes plus
@@ -342,7 +375,9 @@ pub struct RecoveryOutcome {
 /// query re-runs from scratch over the survivors' data.
 ///
 /// `worker_timeout` is how long a worker waits on its predecessor before
-/// declaring the round lost (keep it small in tests).
+/// declaring the round lost (keep it small in tests). An in-memory ring
+/// runs on the caller's thread and does not wait: once no frame is left
+/// to deliver, every open slot fails at once.
 ///
 /// # Errors
 ///
@@ -583,6 +618,50 @@ mod tests {
         assert!(!out.survivors.contains(&NodeId::new(2)));
         // The maximum among survivors is 500 (900 died with node 2).
         assert_eq!(out.outcome.transcript.result_value(), Value::new(500));
+    }
+
+    #[test]
+    fn recovery_over_memory_rebuilds_without_waiting_the_timeout() {
+        // The crash of `recovery_reconstructs_after_single_crash` under a
+        // 5 s worker timeout. The in-memory ring runs on one thread, so
+        // the survivors' stall fails the moment no frame is left, and the
+        // ring is rebuilt at once; over TCP, one thread per node, the
+        // survivors wait out a short timeout instead. Both exclude the
+        // same node and keep the same survivors.
+        let config = ProtocolConfig::max().with_rounds(RoundPolicy::Fixed(5));
+        let locals = locals_k(1, &[&[300], &[100], &[900], &[500], &[200]]);
+        let crashes = CrashSchedule::none().crash(NodeId::new(2), 3);
+        let started = std::time::Instant::now();
+        let memory = run_with_recovery(
+            &config,
+            &locals,
+            NetworkKind::InMemory,
+            7,
+            &crashes,
+            Duration::from_secs(5),
+            3,
+        )
+        .unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "in-memory recovery waited {elapsed:?}"
+        );
+        let threaded = run_with_recovery(
+            &config,
+            &locals,
+            NetworkKind::Tcp,
+            7,
+            &crashes,
+            Duration::from_millis(200),
+            3,
+        )
+        .unwrap();
+        assert_eq!(memory.excluded, vec![NodeId::new(2)]);
+        let survivors: Vec<NodeId> = [0, 1, 3, 4].map(NodeId::new).to_vec();
+        assert_eq!(memory.survivors, survivors);
+        assert_eq!(memory.attempts, 2);
+        assert_eq!(memory, threaded);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! - [`ProtocolConfig`]: query parameters, round policies, start policies.
 //! - [`SimulationEngine`]: deterministic in-process execution producing a
 //!   full [`Transcript`] of intermediate results.
-//! - [`distributed`]: the same protocol over real transports
-//!   (threads + in-memory channels or TCP loopback).
+//! - [`distributed`]: the same protocol over a wire: node workers on one
+//!   thread passing frames through an in-memory FIFO, or one thread per
+//!   node over TCP loopback or the lossy and chaos in-process networks.
 //! - [`service`]: the persistent service runtime — long-lived node
 //!   workers answering a stream of queries over one standing ring, with
 //!   a pipelined scheduler keeping several queries in flight at once.

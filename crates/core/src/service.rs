@@ -2,14 +2,14 @@
 //! stream of top-k queries over one standing ring.
 //!
 //! [`run_distributed`](crate::distributed::run_distributed) tears the
-//! world down after every query — n thread spawns, n endpoint setups and
-//! (over TCP) n connection handshakes per invocation — so setup cost
-//! dominates sustained throughput, exactly the regime the paper's
-//! "heavy traffic from millions of users" motivation cares about. A
-//! [`ServiceRuntime`] instead spawns each node's worker **once**; the
-//! worker owns its database snapshot, its ring endpoint and its
-//! established successor connection for the lifetime of the service and
-//! reuses them for every subsequent query.
+//! world down after every query — n worker setups, n endpoint setups and
+//! (over TCP) n threads and n connection handshakes per invocation — so
+//! setup cost dominates sustained throughput, exactly the regime the
+//! paper's "heavy traffic from millions of users" motivation cares
+//! about. A [`ServiceRuntime`] instead starts each node's worker
+//! **once**; the worker owns its database snapshot, its ring endpoint and
+//! its established successor connection for the lifetime of the service
+//! and reuses them for every subsequent query.
 //!
 //! On top of the standing ring sits a **pipelined scheduler**: a ring
 //! traversal only ever occupies one hop at a time, so the service keeps
@@ -24,19 +24,31 @@
 //! regardless of how traversals interleave. Pipelining changes only
 //! *scheduling*, never per-query randomness.
 //!
-//! A worker blocks only on its endpoint. The scheduler queues each
-//! query's assignment on every worker's control channel, the starting
-//! node's last, and wakes only the starting node through its endpoint's
-//! [`Waker`]. Every other node reads its assignment when the query's first
-//! frame reaches it, and that frame cannot exist before the starting node
-//! has read its own. Shutdown hangs up the control channels and wakes
-//! every worker.
+//! One machine, two shells. The worker alone drives the node machine, and
+//! it runs in one of two shells that call the same `assign`, `open`,
+//! `dispatch` and `settle`:
 //!
-//! This worker loop is the only driver of the node machine. One-shot
-//! queries and batches run on it too: `run_distributed` and
-//! `run_distributed_batch` start one ring of n workers with every slot
-//! already open (one per solo query or lock-step batch group, all in
-//! flight at once) and no live control channel.
+//! - **In memory**, all n workers run on the scheduler's thread. Every
+//!   send appends `(to, from, frame)` to the network's one FIFO (a
+//!   [`FifoNetwork`](privtopk_ring::transport::FifoNetwork)), and the
+//!   scheduler pops frames and dispatches each to its node's worker until
+//!   the report it waits for is filed. A FIFO that drains with slots
+//!   still open can never move again, so those slots fail at once with a
+//!   timeout. No thread, control channel, wake or blocking wait exists.
+//! - **Threads** (TCP, lossy and chaos networks): each worker runs on its
+//!   own thread and blocks only on its endpoint. The scheduler queues
+//!   each query's assignment on every worker's control channel, the
+//!   starting node's last, and wakes only the starting node through its
+//!   endpoint's [`Waker`]. Every other node reads its assignment when the
+//!   query's first frame reaches it, and that frame cannot exist before
+//!   the starting node has read its own. Shutdown hangs up the control
+//!   channels and wakes every worker.
+//!
+//! One-shot queries and batches run on the same workers:
+//! `run_distributed` and `run_distributed_batch` start one ring of n
+//! workers with every slot already open (one per solo query or lock-step
+//! batch group, all in flight at once) and no live control channel; in
+//! memory they run until the FIFO drains.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -47,12 +59,12 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use privtopk_domain::{LocalTopkSource, NodeId, TopKVector};
 use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Phase, Recorder};
-use privtopk_ring::transport::{send_value, Transport, Waker};
+use privtopk_ring::transport::{send_value, FrameQueue, Transport, Waker};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{RingError, TransportMetrics};
 
 use crate::distributed::{
-    build_endpoints, CrashSchedule, DistributedBatchOutcome, NetworkKind, RunFailure, Wire,
+    build_endpoints, CrashSchedule, DistributedBatchOutcome, Drive, NetworkKind, RunFailure, Wire,
     RECV_TIMEOUT,
 };
 use crate::local::TopkScratch;
@@ -113,10 +125,13 @@ struct SlotReport {
 /// standing service, its database snapshot, and multiplexes any number of
 /// open [`Slot`]s over them until the scheduler hangs up.
 ///
-/// The endpoint is the worker's only blocking point. Assignments queue on
-/// its control channel, which it reads at three points only: when it has
-/// no slot open, on a wake (a frame from its own node, see [`Waker`]),
-/// and when a frame names a slot it has not opened.
+/// In memory the scheduler calls [`assign`](Self::assign) and
+/// [`dispatch`](Self::dispatch) itself. On its own thread
+/// ([`run`](Self::run)) the endpoint is the worker's only blocking
+/// point. Assignments queue on its control channel, which it reads at
+/// three points only: when it has no slot open, on a wake (a frame from
+/// its own node, see [`Waker`]), and when a frame names a slot it has not
+/// opened.
 struct ServiceWorker {
     me: NodeId,
     /// The snapshot a standing service's assignments open machines on. A
@@ -370,12 +385,42 @@ impl ServiceWorker {
     }
 }
 
+/// The in-memory shell: every worker of a ring on the caller's thread,
+/// fed from the network's one FIFO.
+struct FifoRing {
+    workers: Vec<ServiceWorker>,
+    queue: FrameQueue,
+}
+
+impl FifoRing {
+    /// Delivers the oldest queued frame to its node's worker. With none
+    /// queued nothing can move again, so every slot still open fails with
+    /// [`RingError::Timeout`], as a threaded survivor's does once its
+    /// deadline passes, and this returns `false`.
+    fn deliver(&mut self) -> bool {
+        let Some((to, from, frame)) = self.queue.pop() else {
+            let timeout = || ProtocolError::Ring(RingError::Timeout);
+            for worker in &mut self.workers {
+                worker.fail_all(timeout(), timeout);
+            }
+            return false;
+        };
+        // A frame for a node outside the ring has no worker to go to.
+        if let Some(worker) = self.workers.get_mut(to.get()) {
+            let started = worker.recorder.clock();
+            worker.dispatch(from, frame, started);
+        }
+        true
+    }
+}
+
 /// Runs `jobs` on one one-shot ring of service workers. Jobs that agree
 /// on round count and ring order form a lock-step group, and each group is
 /// one slot whose id is its group index. Every worker starts with every
 /// slot open and its control channel hung up, so every group is in flight
 /// at once, no assignment ever crosses a channel, and a worker exits once
-/// its last slot closes. Every node
+/// its last slot closes. In memory the workers run on the caller's
+/// thread until the FIFO drains. Every node
 /// reports each member query or an error, so a failure names every node
 /// that crashed. The transport counters are published into `recorder`
 /// once every query completes.
@@ -419,7 +464,7 @@ pub(crate) fn run_once(
             None => groups.push(vec![j]),
         }
     }
-    let (endpoints, metrics, drain_on_exit) =
+    let (endpoints, metrics, drive) =
         build_endpoints(network, n, jobs[0].seed, recorder).map_err(fail)?;
     // Every node's slots, one machine per member, opened before any
     // worker starts.
@@ -442,39 +487,56 @@ pub(crate) fn run_once(
         .collect::<Result<_, _>>()
         .map_err(fail)?;
     let (report_tx, report_rx) = unbounded();
-    let handles: Vec<_> = endpoints
-        .into_iter()
-        .zip(slots)
-        .enumerate()
-        .map(|(i, (endpoint, slots))| {
-            let me = NodeId::new(i);
-            // The sender drops here: the control plane is hung up from
-            // the start.
-            let (_, control) = unbounded();
-            let mut worker = ServiceWorker::new(
-                me,
-                None,
-                endpoint,
-                control,
-                report_tx.clone(),
-                drain_on_exit,
-                recorder.clone(),
-            );
-            worker.recv_timeout = recv_timeout;
-            worker.crash_at = crashes.round_for(me);
-            std::thread::spawn(move || {
-                for (id, slot) in slots.into_iter().enumerate() {
-                    worker.open(id as u64, slot);
-                }
-                worker.run();
-            })
-        })
-        .collect();
-    drop(report_tx);
-    // A worker that panicked files too few reports; the verdicts below
-    // turn its silence into `WorkerFailed`.
-    for handle in handles {
-        let _ = handle.join();
+    let workers = endpoints.into_iter().enumerate().map(|(i, endpoint)| {
+        let me = NodeId::new(i);
+        // The sender drops here: the control plane is hung up from the
+        // start.
+        let (_, control) = unbounded();
+        let mut worker = ServiceWorker::new(
+            me,
+            None,
+            endpoint,
+            control,
+            report_tx.clone(),
+            drive.drain_on_exit(),
+            recorder.clone(),
+        );
+        worker.recv_timeout = recv_timeout;
+        worker.crash_at = crashes.round_for(me);
+        worker
+    });
+    let open_all = |worker: &mut ServiceWorker, slots: Vec<Slot>| {
+        for (id, slot) in slots.into_iter().enumerate() {
+            worker.open(id as u64, slot);
+        }
+    };
+    match &drive {
+        Drive::Fifo(queue) => {
+            let mut ring = FifoRing {
+                workers: workers.collect(),
+                queue: queue.clone(),
+            };
+            for (worker, slots) in ring.workers.iter_mut().zip(slots) {
+                open_all(worker, slots);
+            }
+            while ring.deliver() {}
+        }
+        Drive::Threads { .. } => {
+            let handles: Vec<_> = workers
+                .zip(slots)
+                .map(|(mut worker, slots)| {
+                    std::thread::spawn(move || {
+                        open_all(&mut worker, slots);
+                        worker.run();
+                    })
+                })
+                .collect();
+            // A worker that panicked files too few reports; the verdicts
+            // below turn its silence into `WorkerFailed`.
+            for handle in handles {
+                let _ = handle.join();
+            }
+        }
     }
     let mut by_job: Vec<Vec<WorkerReport>> = jobs.iter().map(|_| Vec::with_capacity(n)).collect();
     // Per node: how many member queries it reported, or its first error.
@@ -555,32 +617,45 @@ pub trait QueryObserver: Send + Sync {
 /// of queries — see the [module docs](self) for the full picture.
 ///
 /// Created by [`start`](ServiceRuntime::start); torn down by
-/// [`shutdown`](ServiceRuntime::shutdown) (which drains in-flight
-/// queries and joins every worker thread) or by a drop (which drains
-/// them without waiting). [`submit`](Self::submit)
+/// [`shutdown`](ServiceRuntime::shutdown) or by a drop. Over threads,
+/// shutdown drains in-flight queries and joins every worker thread, and
+/// a drop drains them without waiting; an in-memory ring simply goes
+/// with the runtime. [`submit`](Self::submit)
 /// admits a query as soon as a pipeline slot frees up and returns a
-/// [`QueryTicket`]; [`collect`](Self::collect) redeems it.
+/// [`QueryTicket`]; [`collect`](Self::collect) redeems it. In memory,
+/// `collect` and a `submit` that waits for a free slot deliver the
+/// ring's frames on the caller's thread.
 pub struct ServiceRuntime {
     n: usize,
     k: usize,
     depth: usize,
     next_query: u64,
     in_flight: usize,
-    /// Each worker's assignment queue. A worker woken to find its queue
-    /// hung up exits once its open slots close.
-    controls: Vec<Sender<Arc<SlotInit>>>,
-    wakers: Vec<Waker>,
+    shell: Shell,
     reports: Receiver<SlotReport>,
     /// Each in-flight query's ring coordinates and the node reports
     /// gathered so far.
     open: HashMap<u64, (Arc<SlotInit>, Vec<WorkerReport>)>,
     done: HashMap<u64, Result<ServiceOutcome, ProtocolError>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
     metrics: TransportMetrics,
     collect_timeout: Duration,
     recorder: Recorder,
     shared: Arc<SchedulerShared>,
     observer: Option<Arc<dyn QueryObserver>>,
+}
+
+/// How a [`ServiceRuntime`] runs its workers.
+enum Shell {
+    /// In memory: every worker on the scheduler's thread.
+    Fifo(FifoRing),
+    /// One thread per worker.
+    Threads {
+        /// Each worker's assignment queue. A worker woken to find its
+        /// queue hung up exits once its open slots close.
+        controls: Vec<Sender<Arc<SlotInit>>>,
+        wakers: Vec<Waker>,
+        handles: Vec<std::thread::JoinHandle<()>>,
+    },
 }
 
 /// The scheduler counters behind [`ServiceStats`], kept in atomics so a
@@ -672,7 +747,9 @@ pub struct ServiceStats {
 }
 
 impl ServiceRuntime {
-    /// Starts one long-lived worker per node over a fresh `network`.
+    /// Starts one long-lived worker per node over a fresh `network`: all
+    /// on the caller's thread for [`NetworkKind::InMemory`], one thread
+    /// each otherwise.
     ///
     /// `locals[i]` is the database snapshot owned by `NodeId(i)` for the
     /// service's lifetime; `depth` is the maximum number of queries kept
@@ -739,45 +816,62 @@ impl ServiceRuntime {
     fn start_with_endpoints(
         locals: &[TopKVector],
         depth: usize,
-        (endpoints, metrics, drain_on_exit): Wire,
+        (endpoints, metrics, drive): Wire,
         recorder: Recorder,
     ) -> Result<ServiceRuntime, ProtocolError> {
         let n = locals.len();
         let (report_tx, report_rx) = unbounded();
         let mut controls = Vec::with_capacity(n);
-        let mut wakers = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for (i, endpoint) in endpoints.into_iter().enumerate() {
-            let (control_tx, control_rx) = unbounded();
-            wakers.push(endpoint.waker());
-            let worker = ServiceWorker::new(
-                NodeId::new(i),
-                Some(locals[i].clone()),
-                endpoint,
-                control_rx,
-                report_tx.clone(),
-                drain_on_exit,
-                recorder.clone(),
-            );
-            let handle = std::thread::Builder::new()
-                .name(format!("privtopk-svc-{i}"))
-                .spawn(move || worker.run())
-                .map_err(|_| ProtocolError::WorkerFailed { position: i })?;
-            controls.push(control_tx);
-            handles.push(handle);
-        }
+        let workers: Vec<ServiceWorker> = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(i, endpoint)| {
+                let (control_tx, control_rx) = unbounded();
+                controls.push(control_tx);
+                ServiceWorker::new(
+                    NodeId::new(i),
+                    Some(locals[i].clone()),
+                    endpoint,
+                    control_rx,
+                    report_tx.clone(),
+                    drive.drain_on_exit(),
+                    recorder.clone(),
+                )
+            })
+            .collect();
+        let shell = match drive {
+            // The scheduler assigns in-memory workers directly, so their
+            // control channels hang up here.
+            Drive::Fifo(queue) => Shell::Fifo(FifoRing { workers, queue }),
+            Drive::Threads { .. } => {
+                let wakers = workers.iter().map(|w| w.endpoint.waker()).collect();
+                let handles = workers
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, worker)| {
+                        std::thread::Builder::new()
+                            .name(format!("privtopk-svc-{i}"))
+                            .spawn(move || worker.run())
+                            .map_err(|_| ProtocolError::WorkerFailed { position: i })
+                    })
+                    .collect::<Result<_, _>>()?;
+                Shell::Threads {
+                    controls,
+                    wakers,
+                    handles,
+                }
+            }
+        };
         Ok(ServiceRuntime {
             n,
             k: locals[0].k(),
             depth,
             next_query: 0,
             in_flight: 0,
-            controls,
-            wakers,
+            shell,
             reports: report_rx,
             open: HashMap::new(),
             done: HashMap::new(),
-            handles,
             metrics,
             // Strictly longer than the workers' own deadline, so a hung
             // query surfaces as their timeout report, not ours.
@@ -922,16 +1016,29 @@ impl ServiceRuntime {
         self.next_query += 1;
         self.open
             .insert(query, (Arc::clone(&init), Vec::with_capacity(self.n)));
-        // The starting node's assignment goes last and only it is woken:
-        // every other node reads its own when the query's first frame,
-        // which only the starting node sends, reaches it.
-        let start = init.topology.node_at_start().get();
-        for position in (0..self.n).filter(|&i| i != start).chain([start]) {
-            self.controls[position]
-                .send(Arc::clone(&init))
-                .map_err(|_| ProtocolError::WorkerFailed { position })?;
+        match &mut self.shell {
+            // Every worker opens its slot now; the starting node's first
+            // frame waits in the FIFO for the next pump.
+            Shell::Fifo(ring) => {
+                for worker in &mut ring.workers {
+                    worker.assign(&init);
+                }
+            }
+            // The starting node's assignment goes last and only it is
+            // woken: every other node reads its own when the query's
+            // first frame, which only the starting node sends, reaches it.
+            Shell::Threads {
+                controls, wakers, ..
+            } => {
+                let start = init.topology.node_at_start().get();
+                for position in (0..self.n).filter(|&i| i != start).chain([start]) {
+                    controls[position]
+                        .send(Arc::clone(&init))
+                        .map_err(|_| ProtocolError::WorkerFailed { position })?;
+                }
+                wakers[start].wake();
+            }
         }
-        self.wakers[start].wake();
         self.in_flight += 1;
         self.shared.queries_submitted.fetch_add(1, Ordering::AcqRel);
         self.shared.set_in_flight(self.in_flight);
@@ -994,12 +1101,25 @@ impl ServiceRuntime {
             .collect()
     }
 
-    /// Blocks for one worker report and folds it into the bookkeeping.
+    /// Folds one worker report into the bookkeeping: in memory, once
+    /// delivering frames has filed one; over threads, once one arrives.
     fn pump_one(&mut self) -> Result<(), ProtocolError> {
-        let report = self
-            .reports
-            .recv_timeout(self.collect_timeout)
-            .map_err(|_| ProtocolError::Ring(RingError::Timeout))?;
+        let timeout = || ProtocolError::Ring(RingError::Timeout);
+        let report = match &mut self.shell {
+            Shell::Fifo(ring) => loop {
+                if let Ok(report) = self.reports.try_recv() {
+                    break report;
+                }
+                if !ring.deliver() {
+                    // A stall has just failed every open slot.
+                    break self.reports.try_recv().map_err(|_| timeout())?;
+                }
+            },
+            Shell::Threads { .. } => self
+                .reports
+                .recv_timeout(self.collect_timeout)
+                .map_err(|_| timeout())?,
+        };
         self.absorb(report);
         Ok(())
     }
@@ -1031,9 +1151,10 @@ impl ServiceRuntime {
         self.shared.set_in_flight(self.in_flight);
     }
 
-    /// Shuts the service down: drops the runtime, which ends every worker
-    /// once it has finished its in-flight queries (their uncollected
-    /// results are discarded), and joins the worker threads.
+    /// Shuts the service down and drops the runtime; uncollected results
+    /// are discarded. An in-memory ring's workers go with it, in-flight
+    /// queries and all. Over other networks every worker thread finishes
+    /// its in-flight queries and exits, and this joins them.
     ///
     /// # Errors
     ///
@@ -1042,7 +1163,10 @@ impl ServiceRuntime {
         // Publish the lifetime wire counters into the recorder's
         // registry so a final summary carries them.
         self.metrics.peek().publish(&self.recorder);
-        let handles = std::mem::take(&mut self.handles);
+        let handles = match &mut self.shell {
+            Shell::Fifo(_) => Vec::new(),
+            Shell::Threads { handles, .. } => std::mem::take(handles),
+        };
         drop(self);
         let mut first_error = None;
         for (position, handle) in handles.into_iter().enumerate() {
@@ -1058,12 +1182,19 @@ impl ServiceRuntime {
 }
 
 impl Drop for ServiceRuntime {
-    /// Hangs up every worker's assignment queue, then wakes the worker to
-    /// read the hang-up.
+    /// Over threads, hangs up every worker's assignment queue, then wakes
+    /// the worker to read the hang-up; each exits once its in-flight
+    /// queries finish. An in-memory ring's workers are dropped with the
+    /// runtime.
     fn drop(&mut self) {
-        self.controls.clear();
-        for waker in &self.wakers {
-            waker.wake();
+        if let Shell::Threads {
+            controls, wakers, ..
+        } = &mut self.shell
+        {
+            controls.clear();
+            for waker in wakers.iter() {
+                waker.wake();
+            }
         }
     }
 }
@@ -1425,25 +1556,37 @@ mod tests {
     /// Runs query 0 on a depth-1 service over n of the network's n + 1
     /// endpoints, has the spare endpoint send node 1 a well-formed frame
     /// for query `injected`, then times query 1. Returns that time, query
-    /// 1's transcript and its cold run's.
-    fn run_after_injecting(injected: u64) -> (Duration, Transcript, Transcript) {
-        use privtopk_ring::transport::InMemoryNetwork;
+    /// 1's transcript and its cold run's. The ring runs on one FIFO, or
+    /// with `threads` on one thread per node over channels.
+    fn run_after_injecting(injected: u64, threads: bool) -> (Duration, Transcript, Transcript) {
+        use privtopk_ring::transport::{FifoNetwork, InMemoryNetwork};
         use privtopk_ring::wire::encode_to_bytes;
+        fn boxed<T: Transport + 'static>(endpoints: Vec<T>) -> Vec<Box<dyn Transport>> {
+            endpoints
+                .into_iter()
+                .map(|e| Box::new(e) as Box<dyn Transport>)
+                .collect()
+        }
         let n = 4;
         let locals = locals(n, 2, 37);
         let cfg = config(2).with_start(StartPolicy::Fixed);
-        let net = InMemoryNetwork::new(n + 1);
-        let metrics = net.metrics();
-        let mut endpoints: Vec<Box<dyn Transport>> = net
-            .endpoints()
-            .into_iter()
-            .map(|e| Box::new(e) as Box<dyn Transport>)
-            .collect();
+        let (mut endpoints, metrics, drive) = if threads {
+            let net = InMemoryNetwork::new(n + 1);
+            let drive = Drive::Threads {
+                drain_on_exit: None,
+            };
+            let metrics = net.metrics();
+            (boxed(net.endpoints()), metrics, drive)
+        } else {
+            let net = FifoNetwork::new(n + 1);
+            let (metrics, drive) = (net.metrics(), Drive::Fifo(net.queue()));
+            (boxed(net.endpoints()), metrics, drive)
+        };
         let mut injector = endpoints.pop().unwrap();
         let mut service = ServiceRuntime::start_with_endpoints(
             &locals,
             1,
-            (endpoints, metrics, None),
+            (endpoints, metrics, drive),
             Recorder::disabled(),
         )
         .unwrap();
@@ -1471,23 +1614,64 @@ mod tests {
         // Every worker has closed query 0 when its frame reaches node 1.
         // Holding the frame would stall query 1 for the whole 30 s
         // receive deadline, so it must be dropped instead.
-        let (elapsed, second, cold) = run_after_injecting(0);
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "query 1 stalled behind the stale frame for {elapsed:?}"
-        );
-        assert_eq!(second, cold);
+        for threads in [false, true] {
+            let (elapsed, second, cold) = run_after_injecting(0, threads);
+            assert!(
+                elapsed < Duration::from_secs(5),
+                "query 1 stalled behind the stale frame for {elapsed:?} (threads: {threads})"
+            );
+            assert_eq!(second, cold);
+        }
     }
 
     #[test]
     fn frame_for_an_unassigned_query_does_not_stall_the_ring() {
         // Query 1,000 is never assigned: node 1 must drop its frame once
         // its queued assignments are read, not wait for one to come.
-        let (elapsed, second, cold) = run_after_injecting(1_000);
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "query 1 stalled behind the unassigned frame for {elapsed:?}"
-        );
-        assert_eq!(second, cold);
+        for threads in [false, true] {
+            let (elapsed, second, cold) = run_after_injecting(1_000, threads);
+            assert!(
+                elapsed < Duration::from_secs(5),
+                "query 1 stalled behind the unassigned frame for {elapsed:?} (threads: {threads})"
+            );
+            assert_eq!(second, cold);
+        }
+    }
+
+    #[test]
+    fn fifo_ring_matches_tcp_and_the_engine() {
+        // The identity and cost gate of the in-memory FIFO ring: at every
+        // depth, 50 queries over memory and over TCP (one thread per
+        // node) give the same outcomes, frames, logical messages and
+        // bytes, at the paper's n*r + n - 1 frames per query, and every
+        // transcript is the simulation engine's.
+        let (n, rounds, queries) = (5u64, 6u64, 50u64);
+        let locals = locals(n as usize, 3, 41);
+        let cfg = config(3);
+        let workload: Vec<(ProtocolConfig, u64)> = (0..queries)
+            .map(|q| (cfg.clone(), crate::derive_batch_seed(41, q)))
+            .collect();
+        let engine = crate::SimulationEngine::new(cfg.clone());
+        for depth in [1usize, 4, 16] {
+            let mut runs = Vec::new();
+            for network in [NetworkKind::InMemory, NetworkKind::Tcp] {
+                let mut service = ServiceRuntime::start(&locals, network, depth).unwrap();
+                let outcomes = service.run_workload(&workload).unwrap();
+                let stats = service.stats();
+                service.shutdown().unwrap();
+                let wire = (stats.frames_sent, stats.logical_messages, stats.bytes_sent);
+                runs.push((outcomes, wire));
+            }
+            let (memory, tcp) = (&runs[0], &runs[1]);
+            assert_eq!(memory.0, tcp.0, "depth {depth}: outcomes");
+            assert_eq!(memory.1, tcp.1, "depth {depth}: frames, messages, bytes");
+            let frames = queries * (n * rounds + n - 1);
+            assert_eq!(memory.1 .0, frames, "depth {depth}: frames");
+            assert_eq!(memory.1 .1, frames, "depth {depth}: logical messages");
+            for (outcome, (_, seed)) in memory.0.iter().zip(&workload) {
+                let sim = engine.run(&locals, *seed).unwrap();
+                assert_eq!(outcome.transcript, sim, "depth {depth}, seed {seed}");
+            }
+        }
     }
 }

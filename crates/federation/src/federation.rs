@@ -93,9 +93,10 @@ impl Federation {
         Ok(())
     }
 
-    /// Executes a query over a real transport (one thread per member,
-    /// in-memory channels or TCP loopback), producing the same result and
-    /// transcript as [`Federation::execute`] with the same seed.
+    /// Executes a query over a wire (one worker per member: all on the
+    /// caller's thread over the in-memory FIFO, or one thread each over
+    /// TCP loopback), producing the same result and transcript as
+    /// [`Federation::execute`] with the same seed.
     ///
     /// # Errors
     ///
@@ -250,7 +251,7 @@ impl Federation {
         Ok(self.finish_batch(batch, transcripts, &mirrors))
     }
 
-    /// Executes a query batch on one ring over a real transport, each
+    /// Executes a query batch on one ring over a wire, each
     /// lock-step group's payloads piggybacked in one wire frame per hop.
     ///
     /// Produces the same outcomes as [`Federation::execute_batch`] with
@@ -908,8 +909,9 @@ impl FederationService {
             .collect()
     }
 
-    /// Shuts the service down: drains in-flight queries (discarding
-    /// their uncollected results) and joins every worker thread.
+    /// Shuts the service down, discarding uncollected results. An
+    /// in-memory ring's workers go with it; over other networks each
+    /// worker thread drains its in-flight queries and is joined.
     ///
     /// # Errors
     ///

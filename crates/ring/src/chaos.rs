@@ -44,6 +44,13 @@ use crate::RingError;
 /// failure, so [`ChaosPlan::validate`] rejects them.
 pub const DEFAULT_HEAL_BUDGET: Duration = Duration::from_secs(5);
 
+/// How far apart [`ChaosPlan::seeded`] starts its windows. A window
+/// lasts at most 299 ms, so at least 401 ms of quiet follows it: more than
+/// the analyzer's default 200 ms incident gap plus the one 50 ms ACK
+/// timeout that retries run past a window's end. Consecutive incidents
+/// therefore never merge in the analysis.
+const SEEDED_SPACING: Duration = Duration::from_millis(700);
+
 /// What a [`ChaosIncident`] does to the network while active.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChaosEvent {
@@ -114,14 +121,14 @@ impl ChaosPlan {
 
     /// Generates `count` incidents for an `n`-node ring from `seed`:
     /// kinds cycle crash -> partition -> loss (targets seeded), windows
-    /// run 150-300 ms and are spaced 400 ms apart so each incident
-    /// heals before the next begins.
+    /// run 150-299 ms and start 700 ms apart, so each incident heals,
+    /// and the analysis closes it, before the next begins.
     #[must_use]
     pub fn seeded(seed: u64, n: u32, count: usize) -> Self {
         let mut rng = seeded_rng(seed ^ 0xC4A0_5EED);
         let mut incidents = Vec::with_capacity(count);
         for index in 0..count {
-            let at = Duration::from_millis(100 + index as u64 * 400);
+            let at = Duration::from_millis(100) + SEEDED_SPACING * index as u32;
             let duration = Duration::from_millis(150 + rng.gen_range(0..150));
             let event = match index % 3 {
                 0 => ChaosEvent::NodeOutage {
@@ -373,6 +380,30 @@ mod tests {
             ChaosEvent::LossWindow { .. }
         ));
         assert!(a.horizon() > Duration::from_millis(2000));
+    }
+
+    #[test]
+    fn seeded_windows_leave_more_quiet_than_the_incident_gap() {
+        // The analyzer closes an incident after `incident_gap_us` of
+        // quiet, and retries run up to one ACK timeout past a window's
+        // end. Every quiet gap between seeded windows must exceed both
+        // together, or two incidents read as one.
+        use crate::faults::ReliableEndpoint;
+        use crate::transport::InMemoryEndpoint;
+        let incident_gap = privtopk_observe::AnalyzerConfig::default().incident_gap_us;
+        let needed = Duration::from_micros(incident_gap)
+            + ReliableEndpoint::<InMemoryEndpoint>::DEFAULT_ACK_TIMEOUT;
+        for seed in 0..1_000u64 {
+            let plan = ChaosPlan::seeded(seed, 5, 6);
+            for (index, pair) in plan.incidents.windows(2).enumerate() {
+                let closes = pair[0].at + pair[0].duration;
+                let quiet = pair[1].at.checked_sub(closes).unwrap_or_default();
+                assert!(
+                    quiet > needed,
+                    "seed {seed}: {quiet:?} of quiet after window {index}, need over {needed:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   varints, compact sorted top-k vectors); the frame types live in
 //!   `privtopk_core::messages`.
 //! - [`transport`]: a [`transport::Transport`] abstraction with an
-//!   in-memory crossbeam implementation and a real TCP-loopback
-//!   implementation.
+//!   in-memory crossbeam implementation, a single-thread FIFO for rings
+//!   one thread drives, and a real TCP-loopback implementation.
 //! - [`chaos`]: the one seeded fault injector (node outages, partitions,
 //!   loss windows; a whole-run loss window is a uniformly lossy link),
 //!   healed by [`faults::ReliableEndpoint`].

@@ -1,11 +1,12 @@
-//! Message transports: in-memory channels and TCP loopback.
+//! Message transports: in-memory channels, a single-thread FIFO and TCP
+//! loopback.
 //!
 //! The protocol only ever sends node-to-successor, but the substrate is a
 //! general mailbox network (any node can frame a message to any other);
 //! this is what makes per-round ring remapping (Section 4.3) and ring
 //! reconstruction after failure possible without re-wiring connections.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,7 +125,9 @@ pub fn send_value<T: WireEncode>(
 // ---------------------------------------------------------------------------
 
 /// A zero-copy in-process network of `n` mailboxes built on crossbeam
-/// channels. The reference substrate for simulations and tests.
+/// channels, for one thread per node: a receive blocks until a peer's
+/// frame arrives. The lossy and chaos networks are built on it; a ring
+/// that one thread drives uses a [`FifoNetwork`] instead.
 ///
 /// # Example
 ///
@@ -245,6 +248,152 @@ impl Transport for InMemoryEndpoint {
         Waker {
             node: self.node,
             inbox: self.senders[self.node.get()].clone(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Single-thread FIFO network
+// ---------------------------------------------------------------------------
+
+/// One frame queued on a [`FifoNetwork`]: receiver, sender, payload.
+pub type QueuedFrame = (NodeId, NodeId, Bytes);
+
+/// The one queue every endpoint of a [`FifoNetwork`] sends into; the
+/// thread driving the ring takes frames off its head with
+/// [`pop`](FrameQueue::pop).
+#[derive(Debug, Clone, Default)]
+pub struct FrameQueue(Arc<Mutex<VecDeque<QueuedFrame>>>);
+
+impl FrameQueue {
+    /// Takes the oldest queued frame, if any.
+    #[must_use]
+    pub fn pop(&self) -> Option<QueuedFrame> {
+        self.0.lock().pop_front()
+    }
+}
+
+/// An in-process network of `n` nodes for a ring that one thread drives:
+/// a send on any endpoint appends `(to, from, frame)` to one shared
+/// [`FrameQueue`], and the thread driving the ring delivers frames in the
+/// order they were sent. Nothing ever blocks, so no frame changes threads.
+///
+/// # Example
+///
+/// ```
+/// use privtopk_ring::transport::{FifoNetwork, Transport};
+/// use privtopk_domain::NodeId;
+/// use bytes::Bytes;
+///
+/// let net = FifoNetwork::new(2);
+/// let queue = net.queue();
+/// let mut eps = net.endpoints();
+/// eps[1].send(NodeId::new(0), Bytes::from_static(b"hi"))?;
+/// let (to, from, frame) = queue.pop().expect("one frame queued");
+/// assert_eq!((to, from, &frame[..]), (NodeId::new(0), NodeId::new(1), &b"hi"[..]));
+/// assert!(queue.pop().is_none());
+/// # Ok::<(), privtopk_ring::RingError>(())
+/// ```
+#[derive(Debug)]
+pub struct FifoNetwork {
+    n: usize,
+    queue: FrameQueue,
+    metrics: TransportMetrics,
+}
+
+impl FifoNetwork {
+    /// Creates a network of `n` nodes with ids `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "network needs at least one node");
+        FifoNetwork {
+            n,
+            queue: FrameQueue::default(),
+            metrics: TransportMetrics::new(),
+        }
+    }
+
+    /// Shared transport metrics for the whole network.
+    #[must_use]
+    pub fn metrics(&self) -> TransportMetrics {
+        self.metrics.clone()
+    }
+
+    /// The queue the driving thread takes frames from.
+    #[must_use]
+    pub fn queue(&self) -> FrameQueue {
+        self.queue.clone()
+    }
+
+    /// Consumes the network and hands out one endpoint per node.
+    #[must_use]
+    pub fn endpoints(self) -> Vec<FifoEndpoint> {
+        (0..self.n)
+            .map(|i| FifoEndpoint {
+                node: NodeId::new(i),
+                n: self.n,
+                queue: self.queue.clone(),
+                metrics: self.metrics.clone(),
+            })
+            .collect()
+    }
+}
+
+/// One node's endpoint on a [`FifoNetwork`].
+///
+/// A receive takes the oldest queued frame addressed to this node and
+/// never waits: only the thread asking could queue another, so with none
+/// queued it is [`RingError::Timeout`] at once. Its [`Waker`] does
+/// nothing, since no receive ever blocks.
+#[derive(Debug)]
+pub struct FifoEndpoint {
+    node: NodeId,
+    n: usize,
+    queue: FrameQueue,
+    metrics: TransportMetrics,
+}
+
+impl Transport for FifoEndpoint {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn send(&mut self, to: NodeId, frame: Bytes) -> Result<(), RingError> {
+        self.send_many(to, frame, 1)
+    }
+
+    fn send_many(&mut self, to: NodeId, frame: Bytes, logical: u64) -> Result<(), RingError> {
+        if to.get() >= self.n {
+            return Err(RingError::UnknownNode { node: to });
+        }
+        self.metrics.record_frame(frame.len(), logical);
+        self.queue.0.lock().push_back((to, self.node, frame));
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<(NodeId, Bytes), RingError> {
+        self.recv_timeout(Duration::ZERO)
+    }
+
+    fn recv_timeout(&mut self, _timeout: Duration) -> Result<(NodeId, Bytes), RingError> {
+        let mut queue = self.queue.0.lock();
+        queue
+            .iter()
+            .position(|(to, _, _)| *to == self.node)
+            .and_then(|at| queue.remove(at))
+            .map(|(_, from, frame)| (from, frame))
+            .ok_or(RingError::Timeout)
+    }
+
+    fn waker(&self) -> Waker {
+        // The receiving half drops here, so a wake goes nowhere.
+        Waker {
+            node: self.node,
+            inbox: unbounded().0,
         }
     }
 }
@@ -733,6 +882,51 @@ mod tests {
         // Only the traced send was timed.
         assert_eq!(recorder.phase(Phase::Encode).count, 1);
         assert_eq!(recorder.phase(Phase::Send).count, 1);
+    }
+
+    #[test]
+    fn fifo_delivers_every_endpoints_frames_in_send_order() {
+        let net = FifoNetwork::new(3);
+        let (queue, metrics) = (net.queue(), net.metrics());
+        let mut eps = net.endpoints();
+        eps[0]
+            .send(NodeId::new(1), Bytes::from_static(b"a"))
+            .unwrap();
+        eps[2]
+            .send_many(NodeId::new(0), Bytes::from_static(b"bc"), 4)
+            .unwrap();
+        eps[1]
+            .send(NodeId::new(2), Bytes::from_static(b"d"))
+            .unwrap();
+        assert!(matches!(
+            eps[1].send(NodeId::new(3), Bytes::new()),
+            Err(RingError::UnknownNode { .. })
+        ));
+        assert_eq!(metrics.peek().frames_sent, 3);
+        assert_eq!(metrics.peek().logical_messages, 6);
+        assert_eq!(metrics.peek().bytes_sent, 4);
+        // A receive takes the oldest frame for its own node and never
+        // waits for one.
+        assert_eq!(
+            eps[0].recv().unwrap(),
+            (NodeId::new(2), Bytes::from_static(b"bc"))
+        );
+        assert!(matches!(
+            eps[0].recv_timeout(Duration::from_secs(5)),
+            Err(RingError::Timeout)
+        ));
+        let order: Vec<QueuedFrame> = std::iter::from_fn(|| queue.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (NodeId::new(1), NodeId::new(0), Bytes::from_static(b"a")),
+                (NodeId::new(2), NodeId::new(1), Bytes::from_static(b"d")),
+            ]
+        );
+        // A wake goes nowhere and counts nothing.
+        eps[2].waker().wake();
+        assert!(queue.pop().is_none());
+        assert_eq!(metrics.peek().frames_sent, 3);
     }
 
     /// A reader that remembers the largest buffer it was asked to fill.

@@ -6,9 +6,9 @@
 # BENCH_throughput.json, asserting batch/solo transcript identity, the
 # B=1 parity floor, the compact-codec frame budget and the
 # monotone-through-256 throughput curve, and the persistent service
-# runtime (warm vs cold queries/sec at pipeline depths {1,4,16}) into
-# BENCH_service.json, asserting service/solo transcript identity plus the
-# warm >= 2x cold floor, and finally the persistent node store (local top-k latency vs
+# runtime (warm vs cold queries/sec over TCP at pipeline depths
+# {1,4,16}) into BENCH_service.json, asserting in-memory service/solo
+# transcript identity plus the TCP warm >= 2x cold floor, and finally the persistent node store (local top-k latency vs
 # row count up to 10^6, cold opens, service under concurrent ingest)
 # into BENCH_store.json, asserting the sublinear-latency gate and
 # frozen-snapshot transcript identity, and the chaos observability run

@@ -231,11 +231,35 @@ echo "$PASS_OUT"
 echo "$PASS_OUT" | grep -q "1 passed" \
     || { echo "error: wake passthrough gate matched no test (renamed?)" >&2; exit 1; }
 
-# A service dropped without `shutdown()` must still end every worker it
-# started, in memory and over TCP. Its own binary, so no sibling test
-# moves the thread count it reads.
+# A service dropped without `shutdown()` must still end every worker
+# thread it started, over TCP and over the lossy in-process network, and
+# an in-memory ring, which starts none, must leave none. Its own binary,
+# so no sibling test moves the thread count it reads.
 echo "==> cargo test --test service_drop"
 cargo test --test service_drop
+
+# Shutdown drains and joins: over the lossy in-process network a
+# standing service runs exactly one worker thread per node and leaves
+# none after `shutdown()`; an in-memory ring never raises the count.
+echo "==> cargo test --test service_shutdown"
+cargo test --test service_shutdown
+
+# FIFO ring gates, run by name with the same rename guard. An in-memory
+# ring runs every worker on the caller's thread through one FIFO: 50
+# queries at depths 1, 4 and 16 must give the outcomes, frames, logical
+# messages and bytes of the same workload over TCP, at n*r + n - 1
+# frames per query, with the simulation engine's transcripts; and
+# recovery from a crash must rebuild the in-memory ring at once, well
+# inside a 5 s worker timeout, excluding the node a threaded run
+# excludes.
+for gate in service::tests::fifo_ring_matches_tcp_and_the_engine \
+    distributed::tests::recovery_over_memory_rebuilds_without_waiting_the_timeout; do
+    echo "==> cargo test -p privtopk-core --lib $gate"
+    GATE_OUT=$(cargo test -p privtopk-core --lib "$gate" 2>&1)
+    echo "$GATE_OUT"
+    echo "$GATE_OUT" | grep -q "1 passed" \
+        || { echo "error: FIFO ring gate $gate matched no test (renamed?)" >&2; exit 1; }
+done
 
 # Crash recovery through the one-shot worker loop: a node dies in round
 # 3, the ring is rebuilt without it, and the example asserts the
@@ -288,9 +312,21 @@ grep -q "privacy report: 2 queries accounted" "$TRACE_DIR/privacy.txt" \
     || { echo "error: privacy report missed the 2 traced queries" >&2; cat "$TRACE_DIR/privacy.txt" >&2; exit 1; }
 echo "    privacy report accounted both queries"
 
+# The spacing behind the smoke below, run by name with the same rename
+# guard: over 1,000 seeds, the quiet between consecutive seeded chaos
+# windows must exceed the analyzer's default incident gap plus one ACK
+# timeout.
+echo "==> cargo test -p privtopk-ring --lib seeded_windows_leave_more_quiet_than_the_incident_gap"
+GAP_OUT=$(cargo test -p privtopk-ring --lib seeded_windows_leave_more_quiet_than_the_incident_gap 2>&1)
+echo "$GAP_OUT"
+echo "$GAP_OUT" | grep -q "1 passed" \
+    || { echo "error: chaos spacing gate matched no test (renamed?)" >&2; exit 1; }
+
 # Chaos smoke: a seeded 2-incident schedule injected through the CLI
 # against a standing service must come back bit-identical to the
-# fault-free baseline and reconstruct the incidents from the trace.
+# fault-free baseline and reconstruct both incidents from the trace,
+# apart: seeded windows leave more quiet between them than the
+# analyzer's incident gap plus an ACK timeout.
 echo "==> privtopk chaos run smoke"
 ./target/release/privtopk chaos run --nodes 5 --incidents 2 --seed 42 \
     --pipeline 8 > "$TRACE_DIR/chaos.txt"
@@ -298,7 +334,9 @@ grep -q "bit-identity: OK" "$TRACE_DIR/chaos.txt" \
     || { echo "error: chaos run lost bit-identity" >&2; cat "$TRACE_DIR/chaos.txt" >&2; exit 1; }
 grep -q "incident 1:" "$TRACE_DIR/chaos.txt" \
     || { echo "error: chaos run reconstructed no incident" >&2; cat "$TRACE_DIR/chaos.txt" >&2; exit 1; }
-echo "    chaos run bit-identical with reconstructed incidents"
+grep -q "incident 2:" "$TRACE_DIR/chaos.txt" \
+    || { echo "error: chaos run merged its two incidents into one" >&2; cat "$TRACE_DIR/chaos.txt" >&2; exit 1; }
+echo "    chaos run bit-identical with both incidents reconstructed"
 
 # The paired A/B tool is only run by hand (it takes minutes per pair);
 # keep it at least parseable.

@@ -1,6 +1,7 @@
 //! Integration test: a service dropped without `shutdown()` still ends
-//! every worker it started, in-memory and over TCP, whether its queries
-//! are still in flight or it sits idle.
+//! every worker thread it started, over TCP and the lossy in-process
+//! network, whether its queries are still in flight or it sits idle. An
+//! in-memory ring starts no thread, and its drop must leave none.
 //!
 //! This lives in its own test binary, like `service_shutdown.rs`, so the
 //! thread count it measures is not perturbed by sibling tests running on
@@ -50,7 +51,10 @@ fn a_dropped_service_ends_its_workers() {
         .build_local_topk(2)
         .expect("valid dataset");
     let before = thread_count();
-    for network in [NetworkKind::InMemory, NetworkKind::Tcp] {
+    let lossy = NetworkKind::LossyInMemory {
+        drop_probability: 0.0,
+    };
+    for network in [NetworkKind::InMemory, NetworkKind::Tcp, lossy] {
         // A full pipeline, never collected: the workers must finish it
         // and exit on their own.
         let mut service = ServiceRuntime::start(&locals, network.clone(), 4).unwrap();
