@@ -1,12 +1,20 @@
 //! Batched-executor throughput benchmark.
 //!
-//! Runs B ∈ {1, 8, 64, 256, 1024} homogeneous fixed-start queries over
-//! the in-memory network twice — once as B sequential solo
-//! `run_distributed` calls, once as a single `run_distributed_batch` —
-//! and reports queries/sec, the amortization factor, and the wire
-//! accounting (physical frames vs logical messages, per-frame and
-//! per-query bytes under the compact codec, plus what the retired
-//! fixed-width codec would have sent, computed from the message shapes).
+//! Runs B ∈ {1, 8, 64, 256, 1024} homogeneous fixed-start queries twice
+//! — once as B sequential solo `run_distributed` calls, once as a single
+//! `run_distributed_batch` — and reports queries/sec, the amortization
+//! factor, and the wire accounting (physical frames vs logical messages,
+//! per-frame and per-query bytes under the compact codec, plus what the
+//! retired fixed-width codec would have sent, computed from the message
+//! shapes).
+//!
+//! The timed passes run over TCP loopback, where every call opens a ring
+//! of n socket-connected worker threads and every hop is a socket write,
+//! so batching amortizes both. In memory a call opens no thread and a
+//! hop is a queue push, and per-query batch cost is flat from B = 64, so
+//! a width gate there measures nothing. The identity, frame-count and
+//! byte gates run in memory (bytes and frames do not depend on the
+//! network).
 //!
 //! The run *asserts* the correctness gates before reporting numbers:
 //! every batched transcript must be bit-identical to its solo run, the
@@ -15,7 +23,7 @@
 //! and batched queries/sec must rise strictly with width through
 //! B = 256 (the cliff this benchmark exists to watch).
 //!
-//! Small widths finish in microseconds, so each timed pass runs the
+//! Small widths finish in milliseconds, so each timed pass runs the
 //! workload `max(1, 256/B)` times and divides — every width is timed
 //! over a comparable amount of work instead of a single noisy call.
 //!
@@ -32,7 +40,7 @@ use privtopk_core::{derive_batch_seed, BatchJob, ProtocolConfig, RoundPolicy, St
 const BASE_SEED: u64 = 24301;
 const K: usize = 4;
 const WIDTHS: [usize; 5] = [1, 8, 64, 256, 1024];
-const REPS: u32 = 3;
+const REPS: u32 = 5;
 /// Mean-frame budget at B = 64: well under half the 2312.6 B the
 /// fixed-width codec produced at that width.
 const B64_FRAME_BUDGET: f64 = 1200.0;
@@ -75,7 +83,7 @@ fn main() {
         .with_rounds(RoundPolicy::Fixed(rounds));
     let locals = bench_locals(n, K, BASE_SEED);
 
-    eprintln!("throughput: n={n} k={K} rounds={rounds} reps={REPS} network=in-memory");
+    eprintln!("throughput: n={n} k={K} rounds={rounds} reps={REPS} timed network=tcp");
 
     let mut points = Vec::with_capacity(WIDTHS.len());
     for width in WIDTHS {
@@ -108,30 +116,33 @@ fn main() {
             );
         }
 
-        // Timed passes: `iters` runs per pass so every width is timed
-        // over ~256 queries of work, best of REPS passes for each path.
+        // Timed passes over TCP: `iters` runs per pass so every width is
+        // timed over ~256 queries of work, best of REPS passes for each
+        // path. The paths alternate pass by pass: every TCP ring leaves
+        // sockets in TIME_WAIT, and connecting gets slower as they pile
+        // up, so running all of one path's passes first would charge
+        // that drift to the other.
         let iters = (256 / width).max(1) as u32;
-        let mut batch_ms = f64::INFINITY;
-        for _ in 0..REPS {
+        let ms_per_iter = |pass: &dyn Fn()| {
             let start = Instant::now();
             for _ in 0..iters {
-                let out = run_distributed_batch(&jobs, NetworkKind::InMemory).expect("batch run");
-                std::hint::black_box(out);
+                pass();
             }
-            batch_ms = batch_ms.min(start.elapsed().as_secs_f64() * 1e3 / f64::from(iters));
-        }
-        let mut solo_ms = f64::INFINITY;
+            start.elapsed().as_secs_f64() * 1e3 / f64::from(iters)
+        };
+        let (mut batch_ms, mut solo_ms) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..REPS {
-            let start = Instant::now();
-            for _ in 0..iters {
+            batch_ms = batch_ms.min(ms_per_iter(&|| {
+                let out = run_distributed_batch(&jobs, NetworkKind::Tcp).expect("batch run");
+                std::hint::black_box(out);
+            }));
+            solo_ms = solo_ms.min(ms_per_iter(&|| {
                 for job in &jobs {
-                    let out =
-                        run_distributed(&job.config, &job.locals, NetworkKind::InMemory, job.seed)
-                            .expect("solo run");
+                    let out = run_distributed(&job.config, &job.locals, NetworkKind::Tcp, job.seed)
+                        .expect("solo run");
                     std::hint::black_box(out);
                 }
-            }
-            solo_ms = solo_ms.min(start.elapsed().as_secs_f64() * 1e3 / f64::from(iters));
+            }));
         }
 
         let point = Point {
@@ -182,7 +193,7 @@ fn main() {
     }
 
     // B = 1 must not pay for the batching machinery it doesn't use: the
-    // batch path runs the same hop kernel with one shared scratch, so a
+    // batch path opens the same ring and runs the same hop kernel, so a
     // single-query batch has to stay within noise of the solo path.
     let b1 = points.iter().find(|p| p.width == 1).expect("B=1 point");
     let b1_speedup = b1.batch_qps / b1.solo_qps;
@@ -220,7 +231,7 @@ fn main() {
     let _ = writeln!(json, "  \"machine\": {},", machine_json());
     let _ = writeln!(
         json,
-        "  \"config\": {{\"n\": {n}, \"k\": {K}, \"rounds\": {rounds}, \"network\": \"in-memory\", \"start\": \"fixed\", \"seed\": {BASE_SEED}, \"reps\": {REPS}}},"
+        "  \"config\": {{\"n\": {n}, \"k\": {K}, \"rounds\": {rounds}, \"network\": \"tcp\", \"start\": \"fixed\", \"seed\": {BASE_SEED}, \"reps\": {REPS}}},"
     );
     let _ = writeln!(json, "  \"amortization_b64_vs_b1\": {amortization:.3},");
     json.push_str("  \"points\": [\n");

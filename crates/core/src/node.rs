@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use privtopk_domain::rng::SeedSpec;
 use privtopk_domain::{NodeId, RingPosition, TopKVector};
-use privtopk_observe::{Ctx, Phase, Recorder};
+use privtopk_observe::{Ctx, Laps, Phase};
 use privtopk_ring::{RingError, RingTopology};
 
 use crate::engine::{STREAM_NODE, STREAM_TOPOLOGY};
@@ -246,11 +246,11 @@ impl NodeMachine {
     pub(crate) fn kick_off(
         &mut self,
         scratch: &mut TopkScratch,
-        recorder: &Recorder,
+        laps: &mut Laps,
     ) -> Result<Hop, ProtocolError> {
         let forward = if self.position.is_start() {
             let floor = TopKVector::floor(self.config.k(), &self.config.domain());
-            Some(self.compute(1, floor, scratch, recorder)?)
+            Some(self.compute(1, floor, scratch, laps)?)
         } else {
             None
         };
@@ -273,7 +273,7 @@ impl NodeMachine {
         from: NodeId,
         msg: TokenMessage,
         scratch: &mut TopkScratch,
-        recorder: &Recorder,
+        laps: &mut Laps,
     ) -> Result<Hop, ProtocolError> {
         if from != self.predecessor {
             return Err(decode_error("message from a non-predecessor node"));
@@ -282,7 +282,7 @@ impl NodeMachine {
             SlotPhase::AwaitToken { expect, compute } => {
                 let incoming = expect_token(msg, expect)?;
                 Ok(Hop {
-                    forward: Some(self.compute(compute, incoming, scratch, recorder)?),
+                    forward: Some(self.compute(compute, incoming, scratch, laps)?),
                     result: None,
                 })
             }
@@ -318,15 +318,16 @@ impl NodeMachine {
     }
 
     /// Runs the local algorithm for `round` on `incoming`, logs the step
-    /// and moves on to the next wait.
+    /// and moves on to the next wait. The step is the hop's next lap, and
+    /// its first when nothing was received (the starting node's kick-off).
     fn compute(
         &mut self,
         round: u32,
         incoming: TopKVector,
         scratch: &mut TopkScratch,
-        recorder: &Recorder,
+        laps: &mut Laps,
     ) -> Result<TokenMessage, ProtocolError> {
-        let step_started = recorder.clock();
+        laps.start();
         let domain = self.config.domain();
         let probability = self.config.schedule().probability(round);
         let (outgoing, action) = match self.config.algorithm() {
@@ -366,7 +367,7 @@ impl NodeMachine {
             outgoing: outgoing.clone(),
             action,
         });
-        recorder.record(Phase::Step, self.ctx.with_round(round), step_started);
+        laps.lap(Phase::Step, self.ctx.with_round(round));
         self.phase = self.phase_after(round);
         Ok(TokenMessage::Token {
             round,
@@ -451,14 +452,12 @@ impl Slot {
         &mut self,
         input: Option<(NodeId, SlotPayload)>,
         scratch: &mut TopkScratch,
-        recorder: &Recorder,
+        laps: &mut Laps,
     ) -> Result<SlotHop, ProtocolError> {
         if let [machine] = self.machines.as_mut_slice() {
             let hop = match input {
-                None => machine.kick_off(scratch, recorder)?,
-                Some((from, SlotPayload::Token(msg))) => {
-                    machine.take(from, msg, scratch, recorder)?
-                }
+                None => machine.kick_off(scratch, laps)?,
+                Some((from, SlotPayload::Token(msg))) => machine.take(from, msg, scratch, laps)?,
                 Some((_, SlotPayload::Batch(_))) => {
                     return Err(decode_error("batch frame for a one-query slot"))
                 }
@@ -472,13 +471,13 @@ impl Slot {
             None => self
                 .machines
                 .iter_mut()
-                .map(|machine| machine.kick_off(scratch, recorder))
+                .map(|machine| machine.kick_off(scratch, laps))
                 .collect::<Result<_, _>>()?,
             Some((from, SlotPayload::Batch(batch))) if batch.len() == self.width() => self
                 .machines
                 .iter_mut()
                 .zip(split(batch))
-                .map(|(machine, token)| machine.take(from, token, scratch, recorder))
+                .map(|(machine, token)| machine.take(from, token, scratch, laps))
                 .collect::<Result<_, _>>()?,
             Some(_) => return Err(decode_error("batch width changed mid-flight")),
         };
@@ -592,7 +591,7 @@ mod tests {
         let init = SlotInit::new(0, &config, 4, 11).unwrap();
         let mut machine = NodeMachine::open(NodeId::new(2), locals[2].clone(), &init).unwrap();
         let mut scratch = TopkScratch::new();
-        let recorder = Recorder::disabled();
+        let mut laps = Laps::default();
         let token = |round| TokenMessage::Token {
             round,
             vector: locals[0].clone(),
@@ -611,7 +610,7 @@ mod tests {
             let label = format!("{msg:?} from {from:?}");
             assert!(
                 matches!(
-                    machine.take(from, msg, &mut scratch, &recorder),
+                    machine.take(from, msg, &mut scratch, &mut laps),
                     Err(ProtocolError::Ring(RingError::Decode { .. }))
                 ),
                 "{label} must be a typed decode error"
@@ -619,7 +618,7 @@ mod tests {
         }
         // Refused inputs leave the machine where it was.
         let hop = machine
-            .take(NodeId::new(1), token(1), &mut scratch, &recorder)
+            .take(NodeId::new(1), token(1), &mut scratch, &mut laps)
             .unwrap();
         assert!(matches!(
             hop.forward,
@@ -656,7 +655,7 @@ mod tests {
             vector: locals[0].clone(),
         });
         let mut scratch = TopkScratch::new();
-        let recorder = Recorder::disabled();
+        let mut laps = Laps::default();
         let predecessor = NodeId::new(1);
         let (mut one, mut group) = (open(1), open(4));
         for (width, payload) in [(1, batch(2)), (4, token), (4, batch(3))] {
@@ -664,7 +663,7 @@ mod tests {
             let label = format!("{width}-member slot given {payload:?}");
             assert!(
                 matches!(
-                    slot.advance(Some((predecessor, payload)), &mut scratch, &recorder),
+                    slot.advance(Some((predecessor, payload)), &mut scratch, &mut laps),
                     Err(ProtocolError::Ring(RingError::Decode { .. }))
                 ),
                 "{label} must be a typed decode error"
@@ -672,7 +671,7 @@ mod tests {
         }
         // Refused frames leave the group where it was.
         let hop = group
-            .advance(Some((predecessor, batch(4))), &mut scratch, &recorder)
+            .advance(Some((predecessor, batch(4))), &mut scratch, &mut laps)
             .unwrap();
         assert!(matches!(
             hop.forward,
@@ -725,7 +724,7 @@ mod tests {
             })
             .collect();
         let mut scratch = TopkScratch::new();
-        let recorder = Recorder::disabled();
+        let mut laps = Laps::default();
         for schedule in 0..256u64 {
             let seeds: Vec<u64> = (0..QUERIES as u64)
                 .map(|q| derive_seed(schedule, q))
@@ -752,7 +751,7 @@ mod tests {
             let mut in_flight: Vec<(usize, NodeId, NodeId, TokenMessage)> = Vec::new();
             for (q, nodes) in machines.iter_mut().enumerate() {
                 for machine in nodes.iter_mut() {
-                    let hop = machine.kick_off(&mut scratch, &recorder).unwrap();
+                    let hop = machine.kick_off(&mut scratch, &mut laps).unwrap();
                     if let Some(msg) = hop.forward {
                         in_flight.push((q, machine.me, machine.successor(), msg));
                     }
@@ -766,7 +765,7 @@ mod tests {
                 let (q, from, to, msg) = in_flight.swap_remove(next);
                 frames[q] += 1;
                 let machine = &mut machines[q][to.get()];
-                let hop = machine.take(from, msg, &mut scratch, &recorder).unwrap();
+                let hop = machine.take(from, msg, &mut scratch, &mut laps).unwrap();
                 if let Some(msg) = hop.forward {
                     in_flight.push((q, to, machine.successor(), msg));
                 }

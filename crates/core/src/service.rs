@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use privtopk_domain::{LocalTopkSource, NodeId, TopKVector};
-use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Phase, Recorder};
+use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Laps, Phase, Recorder};
 use privtopk_ring::transport::{send_value, FrameQueue, Transport, Waker};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{RingError, TransportMetrics};
@@ -151,6 +151,11 @@ struct ServiceWorker {
     /// once its open slots close.
     draining: bool,
     recorder: Recorder,
+    /// The spans of the hop in progress, filed when it ends.
+    laps: Laps,
+    /// The spans of an interrupted hop while a kick-off, a hop of its
+    /// own, runs inside it (see [`open`](Self::open)).
+    held: Laps,
     /// Hop-kernel working memory, shared across every in-flight slot:
     /// the scratch carries no state between hops, so pipelined queries
     /// cannot perturb each other's transcripts through it.
@@ -179,6 +184,8 @@ impl ServiceWorker {
             slots: HashMap::new(),
             draining: false,
             recorder,
+            laps: Laps::default(),
+            held: Laps::default(),
             scratch: TopkScratch::new(),
         }
     }
@@ -192,7 +199,7 @@ impl ServiceWorker {
                 }
             }
             match self.recv_frame() {
-                Ok(Some((from, frame, started))) => self.dispatch(from, frame, started),
+                Ok(Some((from, frame))) => self.dispatch(from, frame),
                 Ok(None) => {}
                 Err(error) => {
                     // A timeout fails every open slot. A broken transport
@@ -247,17 +254,34 @@ impl ServiceWorker {
     }
 
     /// Opens slot `id`; a starting node kicks off round 1 at once.
+    ///
+    /// The kick-off is a hop of its own, and a threaded worker may run
+    /// it inside another: it reads assignments while it waits for a
+    /// frame and when a frame names a slot it has not opened. The
+    /// interrupted hop's spans wait in `held` meanwhile.
     fn open(&mut self, id: u64, mut slot: Slot) {
         if self.crash_due(&slot) {
             return self.crash(id);
         }
-        let hop = slot.advance(None, &mut self.scratch, &self.recorder);
+        std::mem::swap(&mut self.laps, &mut self.held);
+        self.recorder.begin_hop(&mut self.laps);
+        let hop = slot.advance(None, &mut self.scratch, &mut self.laps);
         self.settle(id, slot, hop);
+        self.recorder.file_hop(&mut self.laps);
+        std::mem::swap(&mut self.laps, &mut self.held);
     }
 
-    /// Waits on the endpoint for a peer's frame; returns it with its
-    /// sender and the start of its `Recv` span. A wake (a frame from this
-    /// node) makes the worker read its control channel.
+    /// Opens the hop a frame's arrival starts: its `Recv` span runs from
+    /// now until the frame's slot is found.
+    fn begin_recv(&mut self) {
+        self.recorder.begin_hop(&mut self.laps);
+        self.laps.start();
+    }
+
+    /// Waits on the endpoint for a peer's frame and returns it with its
+    /// sender, its hop open (see [`begin_recv`](Self::begin_recv)). A
+    /// wake (a frame from this node) makes the worker read its control
+    /// channel.
     ///
     /// With no slot open the wait has no deadline. It is one
     /// [`Phase::Idle`] span, up to the frame or wake that ends it; a wake
@@ -267,27 +291,33 @@ impl ServiceWorker {
     /// not the worker was idle. With slots open the wait keeps going
     /// through wakes until a frame arrives or the deadline fixed when it
     /// began passes, and it is the `Recv` span of the frame that ends it.
-    fn recv_frame(&mut self) -> Result<Option<(NodeId, Bytes, Option<Instant>)>, ProtocolError> {
-        let started = self.recorder.clock();
+    fn recv_frame(&mut self) -> Result<Option<(NodeId, Bytes)>, ProtocolError> {
         if self.slots.is_empty() {
+            let started = self.recorder.clock();
             let (from, frame) = self.endpoint.recv()?;
             let ctx = Ctx::default().with_node(self.me.get() as u32);
             self.recorder.record(Phase::Idle, ctx, started);
-            return Ok((from != self.me).then(|| (from, frame, self.recorder.clock())));
+            if from == self.me {
+                return Ok(None);
+            }
+            self.begin_recv();
+            return Ok(Some((from, frame)));
         }
+        self.begin_recv();
         let deadline = Instant::now() + self.recv_timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             let (from, frame) = self.endpoint.recv_timeout(remaining)?;
             if from != self.me {
-                return Ok(Some((from, frame, started)));
+                return Ok(Some((from, frame)));
             }
             self.read_control();
         }
     }
 
-    /// Demultiplexes one tagged frame onto its slot.
-    fn dispatch(&mut self, from: NodeId, frame: Bytes, recv_started: Option<Instant>) {
+    /// Demultiplexes one tagged frame onto its slot, then files the
+    /// frame's hop.
+    fn dispatch(&mut self, from: NodeId, frame: Bytes) {
         let msg: SlotFrame = match decode_from_bytes(&frame) {
             Ok(msg) => msg,
             Err(e) => {
@@ -310,10 +340,10 @@ impl ServiceWorker {
         let Some(mut slot) = slot else {
             return;
         };
-        self.recorder
-            .record(Phase::Recv, slot.span_ctx(&msg.payload), recv_started);
-        let hop = slot.advance(Some((from, msg.payload)), &mut self.scratch, &self.recorder);
+        self.laps.lap(Phase::Recv, slot.span_ctx(&msg.payload));
+        let hop = slot.advance(Some((from, msg.payload)), &mut self.scratch, &mut self.laps);
         self.settle(id, slot, hop);
+        self.recorder.file_hop(&mut self.laps);
     }
 
     /// Acts on one slot's hop: sends what it forwards, then reports each
@@ -329,7 +359,7 @@ impl ServiceWorker {
                     slot.successor(),
                     &SlotFrame { slot: id, payload },
                     slot.width() as u64,
-                    &self.recorder,
+                    &mut self.laps,
                     ctx,
                 )?;
             }
@@ -407,8 +437,8 @@ impl FifoRing {
         };
         // A frame for a node outside the ring has no worker to go to.
         if let Some(worker) = self.workers.get_mut(to.get()) {
-            let started = worker.recorder.clock();
-            worker.dispatch(from, frame, started);
+            worker.begin_recv();
+            worker.dispatch(from, frame);
         }
         true
     }

@@ -68,7 +68,7 @@ pub use prometheus::{
     MetricsServer, SCRAPE_TIMEOUT,
 };
 pub use recorder::{
-    GaugeSnapshot, NodeSummary, Recorder, Summary, TraceEvent, DEFAULT_EVENT_CAPACITY,
+    GaugeSnapshot, Laps, NodeSummary, Recorder, Summary, TraceEvent, DEFAULT_EVENT_CAPACITY,
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use slo::{BurnRate, SloConfig, SloEngine, SloReport, SloStatus, WindowReport};

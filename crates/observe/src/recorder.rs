@@ -21,6 +21,12 @@
 //! once it has wrapped, its retained set can differ from the strict
 //! newest events by at most `LANES * LANE_BATCH` events. A single handle
 //! keeps exactly its newest events.
+//!
+//! A ring hop's spans are timed as [`Laps`]: one clock read per span
+//! boundary, so the spans tile the hop, and one lane visit to file them
+//! all when the hop ends. Spans that stand alone (the engine's steps,
+//! the reliability layer's retries and ACKs, idle waits) use
+//! [`Recorder::clock`] and [`Recorder::record`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -180,6 +186,77 @@ fn merge_counts(into: &mut PhaseSnapshots, counts: &PhaseCounts) {
     }
 }
 
+/// One hop's spans, timed as laps: each span starts at the clock reading
+/// that ended the one before it, so a hop of s spans reads the clock
+/// s + 1 times and its spans tile it from its first reading to its last.
+///
+/// A worker keeps one `Laps` and reuses it for every hop, so a hop
+/// allocates nothing once the buffer has grown to the longest hop's span
+/// count. [`Recorder::begin_hop`] opens a hop and decides, once for all
+/// of its spans, whether it is timed; [`start`](Laps::start) and
+/// [`lap`](Laps::lap) do nothing for a hop that is not, which is every
+/// hop of a disabled recorder and all but one hop in 2^shift of a
+/// [`sampled`](Recorder::sampled) one. [`Recorder::file_hop`] moves the
+/// spans into the recorder under one lane lock, so no span contains the
+/// recorder's own bookkeeping.
+///
+/// # Example
+///
+/// ```
+/// use privtopk_observe::{Ctx, Laps, Phase, Recorder};
+///
+/// let rec = Recorder::stats_only();
+/// let mut laps = Laps::default();
+/// rec.begin_hop(&mut laps);
+/// laps.start(); // the frame arrives
+/// laps.lap(Phase::Recv, Ctx::default().with_node(1));
+/// laps.lap(Phase::Step, Ctx::default().with_node(1).with_round(1));
+/// assert_eq!(rec.phase(Phase::Step).count, 0); // not filed yet
+/// rec.file_hop(&mut laps);
+/// assert_eq!(rec.phase(Phase::Recv).count, 1);
+/// assert_eq!(rec.phase(Phase::Step).count, 1);
+/// ```
+#[derive(Debug, Default)]
+pub struct Laps {
+    /// Whether the open hop is timed.
+    timed: bool,
+    /// The clock reading the hop's first span started at, once one has.
+    start: Option<Instant>,
+    /// Each closed span with the clock reading that ended it, oldest
+    /// first.
+    spans: Vec<(Phase, Ctx, Instant)>,
+}
+
+impl Laps {
+    /// Starts the hop's first span: reads the clock if the hop is timed
+    /// and no span has started yet, and does nothing otherwise. Code
+    /// that may open a hop's first span calls this, so a hop in which
+    /// no span follows never reads the clock.
+    #[inline]
+    pub fn start(&mut self) {
+        if self.timed && self.start.is_none() {
+            self.start = Some(Instant::now());
+        }
+    }
+
+    /// Ends the running span as `phase` under `ctx`; the next span
+    /// starts at the same clock reading. Does nothing before
+    /// [`start`](Laps::start) or in a hop that is not timed.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase, ctx: Ctx) {
+        if self.start.is_some() {
+            self.spans.push((phase, ctx, Instant::now()));
+        }
+    }
+
+    /// Ends the hop without filing anything.
+    fn clear(&mut self) {
+        self.timed = false;
+        self.start = None;
+        self.spans.clear();
+    }
+}
+
 /// One lane, aligned so that no two lanes share a cache line or an
 /// adjacent-line prefetch pair.
 #[repr(align(128))]
@@ -294,7 +371,9 @@ impl Recorder {
 
     /// A recorder that aggregates histograms/counters/gauges and keeps
     /// only the newest [`DEFAULT_FLIGHT_CAPACITY`] trace events — the
-    /// cheapest *enabled* mode that keeps every span.
+    /// cheapest *enabled* mode that keeps every span. A ring hop's spans
+    /// cost it one clock read per span boundary and one lane visit per
+    /// hop (see [`Laps`]).
     #[must_use]
     pub fn stats_only() -> Self {
         Recorder::build(DEFAULT_FLIGHT_CAPACITY, 0)
@@ -302,14 +381,18 @@ impl Recorder {
 
     /// A stats-only recorder that keeps one timed span out of every
     /// `2^shift` per handle (deterministic — a per-clone sequence counter,
-    /// no RNG, so seeded protocol streams are untouched).
+    /// no RNG, so seeded protocol streams are untouched). A ring hop is
+    /// sampled whole: [`begin_hop`](Recorder::begin_hop) takes one
+    /// decision for all of its spans, so a kept hop carries every phase
+    /// and a dropped one reads no clock.
     ///
     /// Instantaneous events ([`tick`](Recorder::tick) — retransmissions,
     /// re-ACKs), counters and gauges stay exact; only
-    /// [`clock`](Recorder::clock)-opened spans are sampled. This is the
-    /// always-on production mode: on a microsecond-hop in-memory ring the
-    /// full per-hop timing costs double-digit percent, while 1-in-64
-    /// sampling keeps quantile estimates at well under 2% overhead.
+    /// [`clock`](Recorder::clock)-opened spans and hops are sampled. This
+    /// is the always-on production mode: on a microsecond-hop in-memory
+    /// ring the full per-hop timing costs double-digit percent, while
+    /// 1-in-64 sampling keeps quantile estimates at well under 2%
+    /// overhead.
     #[must_use]
     pub fn sampled(shift: u32) -> Self {
         Recorder::build(DEFAULT_FLIGHT_CAPACITY, (1u64 << shift.min(63)) - 1)
@@ -365,14 +448,42 @@ impl Recorder {
     /// spans it elides (the paired `record` then no-ops too).
     #[must_use]
     pub fn clock(&self) -> Option<Instant> {
-        let inner = self.inner.as_deref()?;
-        if inner.sample_mask != 0 {
-            let seq = self.span_seq.fetch_add(1, Ordering::Relaxed);
-            if seq & inner.sample_mask != 0 {
-                return None;
+        self.sampled_in().then(Instant::now)
+    }
+
+    /// Whether this handle's next span (or hop) is kept: never when
+    /// disabled, always unsampled, one in `2^shift` sampled.
+    fn sampled_in(&self) -> bool {
+        let Some(inner) = self.inner.as_deref() else {
+            return false;
+        };
+        inner.sample_mask == 0
+            || self.span_seq.fetch_add(1, Ordering::Relaxed) & inner.sample_mask == 0
+    }
+
+    /// Opens a hop in `laps`, dropping whatever an unfiled hop left
+    /// there, and decides whether it is timed: one sampling decision,
+    /// the same as one [`clock`](Recorder::clock) call, for all of its
+    /// spans. Reads no clock; the hop's first [`Laps::start`] does.
+    pub fn begin_hop(&self, laps: &mut Laps) {
+        laps.clear();
+        laps.timed = self.sampled_in();
+    }
+
+    /// Files the hop's spans into this recorder under one lane lock and
+    /// ends the hop. Each span reaches the phase histograms, its node's
+    /// digests and the flight ring once, as if recorded one by one.
+    pub fn file_hop(&self, laps: &mut Laps) {
+        if let (Some(inner), Some(mut from)) = (self.inner.as_deref(), laps.start) {
+            if !laps.spans.is_empty() {
+                let mut state = inner.lanes[self.lane].0.lock();
+                for &(phase, ctx, to) in &laps.spans {
+                    inner.file(&mut state, phase, ctx, from, to - from);
+                    from = to;
+                }
             }
         }
-        Some(Instant::now())
+        laps.clear();
     }
 
     /// Closes a span opened with [`clock`](Recorder::clock).
@@ -574,13 +685,17 @@ impl Recorder {
 
 impl Inner {
     fn record_event(&self, lane: usize, phase: Phase, ctx: Ctx, started: Instant, dur: Duration) {
+        self.file(&mut self.lanes[lane].0.lock(), phase, ctx, started, dur);
+    }
+
+    /// Files one span into a lane whose lock the caller holds.
+    fn file(&self, state: &mut LaneState, phase: Phase, ctx: Ctx, started: Instant, dur: Duration) {
         let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
         let t_us = u64::try_from(started.saturating_duration_since(self.epoch).as_micros())
             .unwrap_or(u64::MAX);
         // Every event that reaches the sink lands in the one ring, in
         // every enabled mode, a batch at a time: the span itself locks
         // only its handle's lane.
-        let mut state = self.lanes[lane].0.lock();
         state.phases[phase.index()].record(dur_ns);
         if let Some(node) = ctx.node {
             state.node_counts(node)[phase.index()].record(dur_ns);
@@ -592,7 +707,7 @@ impl Inner {
             dur_ns,
         });
         if state.pending.len() == LANE_BATCH {
-            self.flush(&mut state);
+            self.flush(state);
         }
     }
 
@@ -1064,6 +1179,136 @@ mod tests {
         assert_eq!(summaries[0].phases[0].1.count, 3);
         let body = crate::render_summary(&three_pending().summary());
         assert!(body.contains("privtopk_trace_events_recorded_total 3\n"));
+    }
+
+    /// One hop of `steps` Step spans between a Recv and an Encode and a
+    /// Send, all under `ctx`, with a little work in each span.
+    fn run_hop(rec: &Recorder, laps: &mut Laps, steps: usize, ctx: Ctx) {
+        let work = || std::hint::black_box((0..200u64).sum::<u64>());
+        rec.begin_hop(laps);
+        laps.start();
+        work();
+        laps.lap(Phase::Recv, ctx);
+        for _ in 0..steps {
+            work();
+            laps.lap(Phase::Step, ctx);
+        }
+        work();
+        laps.lap(Phase::Encode, ctx);
+        work();
+        laps.lap(Phase::Send, ctx);
+    }
+
+    #[test]
+    fn laps_tile_the_hop_exactly() {
+        let rec = Recorder::stats_only();
+        let mut laps = Laps::default();
+        for steps in [1usize, 8, 8] {
+            let before = rec.events().len();
+            run_hop(&rec, &mut laps, steps, Ctx::default().with_node(3));
+            // The span from the hop's first clock read to its last lap.
+            let first = laps.start.expect("a stats-only hop is timed");
+            let last = laps.spans.last().expect("four or more laps").2;
+            let hop_ns = u64::try_from((last - first).as_nanos()).unwrap();
+            let capacity = laps.spans.capacity();
+            rec.file_hop(&mut laps);
+            let events = rec.events();
+            let filed = &events[before..];
+            assert_eq!(filed.len(), steps + 3);
+            assert_eq!(filed.iter().map(|e| e.dur_ns).sum::<u64>(), hop_ns);
+            let phases: Vec<Phase> = filed.iter().map(|e| e.phase).collect();
+            let mut expected = vec![Phase::Recv];
+            expected.extend(std::iter::repeat_n(Phase::Step, steps));
+            expected.extend([Phase::Encode, Phase::Send]);
+            assert_eq!(phases, expected);
+            // Filing empties the buffer and keeps its allocation: a
+            // batch hop of B members needs B + 3 slots, once.
+            assert!(laps.spans.is_empty() && laps.start.is_none());
+            assert!(capacity >= steps + 3);
+            assert_eq!(laps.spans.capacity(), capacity);
+        }
+    }
+
+    #[test]
+    fn untimed_hops_read_no_clock_and_record_nothing() {
+        let mut laps = Laps::default();
+        let disabled = Recorder::disabled();
+        run_hop(&disabled, &mut laps, 1, Ctx::default().with_node(0));
+        assert!(laps.start.is_none() && laps.spans.is_empty());
+        disabled.file_hop(&mut laps);
+
+        // 1 hop in 4 is kept; the other three read no clock.
+        let sampled = Recorder::sampled(2);
+        for hop in 0..4u64 {
+            run_hop(&sampled, &mut laps, 1, Ctx::default().with_query(hop));
+            assert_eq!(laps.start.is_some(), hop == 0, "hop {hop}");
+            assert_eq!(laps.spans.len(), if hop == 0 { 4 } else { 0 });
+            sampled.file_hop(&mut laps);
+        }
+        assert_eq!(sampled.events().len(), 4);
+        assert!(sampled.events().iter().all(|e| e.ctx.query == Some(0)));
+    }
+
+    #[test]
+    fn sampled_hops_keep_every_phase() {
+        // Sampling span by span would keep every fourth span, always the
+        // Recv; sampling hop by hop keeps whole hops.
+        let rec = Recorder::sampled(2);
+        let mut laps = Laps::default();
+        for hop in 0..16u64 {
+            run_hop(&rec, &mut laps, 1, Ctx::default().with_query(hop));
+            rec.file_hop(&mut laps);
+        }
+        for phase in [Phase::Recv, Phase::Step, Phase::Encode, Phase::Send] {
+            assert_eq!(rec.phase(phase).count, 4, "{phase:?}");
+        }
+        let events = rec.events();
+        for hop in [0u64, 4, 8, 12] {
+            let mut phases: Vec<Phase> = events
+                .iter()
+                .filter(|e| e.ctx.query == Some(hop))
+                .map(|e| e.phase)
+                .collect();
+            phases.sort_by_key(|p| p.index());
+            assert_eq!(
+                phases,
+                [Phase::Encode, Phase::Send, Phase::Recv, Phase::Step],
+                "hop {hop}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_filed_hop_reaches_every_reader_once() {
+        let rec = Recorder::stats_only();
+        let mut laps = Laps::default();
+        let ctx = Ctx::default().with_node(5).with_query(9).with_round(2);
+        run_hop(&rec, &mut laps, 1, ctx);
+        // Nothing is visible before the hop is filed.
+        assert!(rec.events().is_empty());
+        assert!(rec.node_summaries().is_empty());
+        assert_eq!(rec.phase(Phase::Step).count, 0);
+        rec.file_hop(&mut laps);
+        // Filing an empty buffer again adds nothing.
+        rec.file_hop(&mut laps);
+        let phases = [Phase::Encode, Phase::Send, Phase::Recv, Phase::Step];
+        for phase in phases {
+            assert_eq!(rec.phase(phase).count, 1, "{phase:?}");
+        }
+        let summaries = rec.node_summaries();
+        assert_eq!(summaries.len(), 1);
+        assert_eq!(summaries[0].node, 5);
+        let counted: Vec<(Phase, u64)> = summaries[0]
+            .phases
+            .iter()
+            .map(|(p, snap)| (*p, snap.count))
+            .collect();
+        assert_eq!(counted, phases.map(|p| (p, 1)));
+        let events = rec.events();
+        assert_eq!(events.len(), 4);
+        assert!(events.iter().all(|e| e.ctx == ctx));
+        assert_eq!(rec.events_recorded(), 4);
+        assert_eq!(rec.summary().events_recorded, 4);
     }
 
     #[test]

@@ -20,16 +20,16 @@
 //! # Cost model
 //!
 //! [`observe`](LopAccountant::observe) (the per-query hot path) only
-//! folds coordinates into a map — no simulation, no allocation beyond
-//! the coordinate key. The Monte-Carlo estimation runs lazily, once per
-//! distinct coordinate set, the first time somebody *reads* the
-//! accountant ([`snapshot`](LopAccountant::snapshot)) — i.e. on the
-//! scrape path, never on the query path.
+//! counts — no simulation, and no coordinate key unless the coordinates
+//! differ from the previous query's. The Monte-Carlo estimation runs
+//! lazily, once per distinct coordinate set, the first time somebody
+//! *reads* the accountant ([`snapshot`](LopAccountant::snapshot)) — i.e.
+//! on the scrape path, never on the query path.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use privtopk_core::{ProtocolConfig, QueryObserver, SimulationEngine};
+use privtopk_core::{ProtocolConfig, QueryObserver, RoundPolicy, Schedule, SimulationEngine};
 use privtopk_datagen::{DataDistribution, DatasetBuilder};
 use privtopk_domain::rng::derive_seed;
 use privtopk_domain::PrivacySpectrum;
@@ -169,11 +169,42 @@ struct KeyEntry {
     estimate: Option<Option<KeyEstimate>>,
 }
 
+impl KeyEntry {
+    /// Whether `(config, n)` is this entry's coordinate set, i.e. would
+    /// build its key. `PartialEq` alone is not enough: it equates `0.0`
+    /// and `-0.0`, which the key's `Debug` rendering tells apart.
+    fn holds(&self, config: &ProtocolConfig, n: usize) -> bool {
+        self.n == n && self.config == *config && float_bits(&self.config) == float_bits(config)
+    }
+}
+
+/// The bits of every float in `config`, for [`KeyEntry::holds`].
+fn float_bits(config: &ProtocolConfig) -> [u64; 3] {
+    let (a, b) = match config.schedule() {
+        Schedule::Exponential { p0, d } => (p0, d),
+        Schedule::Linear { p0, step } => (p0, step),
+        Schedule::Constant { p } => (p, 0.0),
+        Schedule::Never => (0.0, 0.0),
+    };
+    let epsilon = match config.rounds() {
+        RoundPolicy::Precision { epsilon } => epsilon,
+        RoundPolicy::Fixed(_) => 0.0,
+    };
+    [a.to_bits(), b.to_bits(), epsilon.to_bits()]
+}
+
 struct Inner {
-    keys: BTreeMap<String, KeyEntry>,
+    /// One entry per distinct coordinate set, in first-seen order.
+    entries: Vec<KeyEntry>,
+    /// Each entry's index by coordinate key; snapshots merge the entries
+    /// in key order.
+    by_key: BTreeMap<String, usize>,
+    /// The entry the previous query fell in: a query with the same
+    /// coordinates builds no key.
+    last: Option<usize>,
     queries_accounted: u64,
-    /// `(coordinate key, admission index)` per accounted query, capped.
-    ledger: Vec<(String, u64)>,
+    /// `(entry index, admission index)` per accounted query, capped.
+    ledger: Vec<(usize, u64)>,
 }
 
 /// The streaming privacy accountant: folds per-query protocol
@@ -236,7 +267,9 @@ impl LopAccountant {
             trials,
             shadow_seed,
             inner: Mutex::new(Inner {
-                keys: BTreeMap::new(),
+                entries: Vec::new(),
+                by_key: BTreeMap::new(),
+                last: None,
                 queries_accounted: 0,
                 ledger: Vec::new(),
             }),
@@ -244,23 +277,38 @@ impl LopAccountant {
     }
 
     /// Folds one query's protocol coordinates in — the hot path,
-    /// costing a map lookup plus counters. Never runs a simulation.
+    /// costing a comparison with the previous query's coordinates plus
+    /// counters, and a key lookup only when they differ. Never runs a
+    /// simulation.
     pub fn observe(&self, config: &ProtocolConfig, n: usize, rounds: u32) {
-        let key = coordinate_key(config, n);
-        let mut inner = self.inner.lock().expect("accountant lock poisoned");
-        let index = inner.queries_accounted;
-        inner.queries_accounted += 1;
-        let entry = inner.keys.entry(key.clone()).or_insert_with(|| KeyEntry {
-            config: config.clone(),
-            n,
-            rounds,
-            queries: 0,
-            estimate: None,
-        });
-        entry.queries += 1;
+        let mut guard = self.inner.lock().expect("accountant lock poisoned");
+        let inner = &mut *guard;
+        let at = match inner.last {
+            Some(at) if inner.entries[at].holds(config, n) => at,
+            _ => {
+                let fresh = inner.entries.len();
+                let at = *inner
+                    .by_key
+                    .entry(coordinate_key(config, n))
+                    .or_insert(fresh);
+                if at == fresh {
+                    inner.entries.push(KeyEntry {
+                        config: config.clone(),
+                        n,
+                        rounds,
+                        queries: 0,
+                        estimate: None,
+                    });
+                }
+                at
+            }
+        };
+        inner.last = Some(at);
+        inner.entries[at].queries += 1;
         if inner.ledger.len() < LEDGER_CAP {
-            inner.ledger.push((key, index));
+            inner.ledger.push((at, inner.queries_accounted));
         }
+        inner.queries_accounted += 1;
     }
 
     /// Queries observed so far (readable without triggering any shadow
@@ -281,16 +329,16 @@ impl LopAccountant {
         let mut inner = self.inner.lock().expect("accountant lock poisoned");
         let trials = self.trials;
         let shadow_seed = self.shadow_seed;
-        for entry in inner.keys.values_mut() {
+        for entry in &mut inner.entries {
             if entry.estimate.is_none() {
                 entry.estimate = Some(shadow_estimate(&entry.config, entry.n, trials, shadow_seed));
             }
         }
 
-        // Merge per-node estimates across coordinate sets: each node
-        // keeps its worst estimate.
+        // Merge per-node estimates across coordinate sets, in key order:
+        // each node keeps its worst estimate.
         let mut per_node: Vec<NodeEstimate> = Vec::new();
-        for entry in inner.keys.values() {
+        for entry in inner.by_key.values().map(|&at| &inner.entries[at]) {
             let Some(Some(estimate)) = &entry.estimate else {
                 continue;
             };
@@ -331,11 +379,11 @@ impl LopAccountant {
         let ledger = inner
             .ledger
             .iter()
-            .filter_map(|(key, index)| {
-                let entry = inner.keys.get(key)?;
+            .filter_map(|&(at, index)| {
+                let entry = &inner.entries[at];
                 let estimate = entry.estimate.as_ref()?.as_ref()?;
                 Some(LedgerEntry {
-                    query: *index,
+                    query: index,
                     n: entry.n,
                     k: entry.config.k(),
                     rounds: entry.rounds,
@@ -489,6 +537,47 @@ mod tests {
         assert_eq!(sa.average_lop.to_bits(), sb.average_lop.to_bits());
         assert_eq!(sa.queries_accounted, 1);
         assert_eq!(sb.queries_accounted, 7);
+    }
+
+    #[test]
+    fn interleaved_configurations_snapshot_as_keyed_per_query() {
+        // Two configurations interleaved, plus a third that equals the
+        // second under `PartialEq` (0.0 vs -0.0) but has its own key.
+        // The remembered previous coordinates must file every query
+        // under the key a per-query `coordinate_key` lookup gives: the
+        // reference accountant forgets them before every query.
+        let constant = |p: f64| {
+            ProtocolConfig::topk(1)
+                .with_schedule(Schedule::Constant { p })
+                .with_rounds(RoundPolicy::Fixed(3))
+        };
+        let configs = [
+            (paper_config(2, 6), 4),
+            (constant(0.0), 5),
+            (constant(-0.0), 5),
+        ];
+        let fast = LopAccountant::with_budget(4, 3);
+        let reference = LopAccountant::with_budget(4, 3);
+        for i in 0..40usize {
+            let (config, n) = &configs[(i * i + i / 3) % configs.len()];
+            let rounds = config.resolve_rounds().unwrap();
+            fast.observe(config, *n, rounds);
+            reference.inner.lock().unwrap().last = None;
+            reference.observe(config, *n, rounds);
+        }
+        let keys = |accountant: &LopAccountant| -> Vec<(String, u64)> {
+            let inner = accountant.inner.lock().unwrap();
+            inner
+                .by_key
+                .iter()
+                .map(|(key, &at)| (key.clone(), inner.entries[at].queries))
+                .collect()
+        };
+        assert_eq!(keys(&fast).len(), 3);
+        assert_eq!(keys(&fast), keys(&reference));
+        let snapshot = fast.snapshot();
+        assert_eq!(snapshot, reference.snapshot());
+        assert_eq!(snapshot.ledger.len(), 40);
     }
 
     #[test]

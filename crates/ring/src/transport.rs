@@ -18,7 +18,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use privtopk_domain::NodeId;
-use privtopk_observe::{Ctx, Phase, Recorder};
+use privtopk_observe::{Ctx, Laps, Phase};
 
 use crate::wire::{encode_to_bytes, WireEncode};
 use crate::{RingError, TransportMetrics};
@@ -96,9 +96,11 @@ impl Waker {
 /// to `to` as one frame carrying `logical` piggybacked messages (1 for an
 /// unbatched hop).
 ///
-/// The wire encode and the transport hand-off are timed as separate
-/// [`Phase::Encode`] and [`Phase::Send`] spans under `ctx`; with a
-/// disabled recorder that costs two branches and no clock reads.
+/// The wire encode and the transport hand-off are the hop's next two
+/// laps, [`Phase::Encode`] and [`Phase::Send`] under `ctx`: two clock
+/// reads, or three if no span of the hop has started yet. A hop the
+/// recorder does not time costs three branches and no clock read; the
+/// caller files the laps when its hop ends.
 ///
 /// # Errors
 ///
@@ -108,15 +110,14 @@ pub fn send_value<T: WireEncode>(
     to: NodeId,
     value: &T,
     logical: u64,
-    recorder: &Recorder,
+    laps: &mut Laps,
     ctx: Ctx,
 ) -> Result<(), RingError> {
-    let encode_started = recorder.clock();
+    laps.start();
     let frame = encode_to_bytes(value);
-    recorder.record(Phase::Encode, ctx, encode_started);
-    let send_started = recorder.clock();
+    laps.lap(Phase::Encode, ctx);
     let result = transport.send_many(to, frame, logical);
-    recorder.record(Phase::Send, ctx, send_started);
+    laps.lap(Phase::Send, ctx);
     result
 }
 
@@ -639,6 +640,7 @@ impl Drop for TcpEndpoint {
 mod tests {
     use super::*;
     use crate::wire::{decode_from_bytes, WireDecode};
+    use privtopk_observe::Recorder;
 
     /// A frame holding one little-endian `u64`: 8 bytes on the wire.
     struct U64Frame(u64);
@@ -666,7 +668,7 @@ mod tests {
             NodeId::new(to),
             &U64Frame(value),
             1,
-            &Recorder::disabled(),
+            &mut Laps::default(),
             Ctx::default(),
         )
         .unwrap();
@@ -865,15 +867,18 @@ mod tests {
         let mut eps = net.endpoints();
         let recorder = Recorder::stats_only();
         send_u64(&mut eps[0], 1, 41);
+        let mut laps = Laps::default();
+        recorder.begin_hop(&mut laps);
         send_value(
             &mut eps[0],
             NodeId::new(1),
             &U64Frame(42),
             3,
-            &recorder,
+            &mut laps,
             Ctx::default(),
         )
         .unwrap();
+        recorder.file_hop(&mut laps);
         assert_eq!(recv_u64(&mut eps[1]).1, 41);
         assert_eq!(recv_u64(&mut eps[1]).1, 42);
         assert_eq!(metrics.peek().frames_sent, 2);

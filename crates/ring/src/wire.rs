@@ -53,9 +53,14 @@ pub trait WireDecode: Sized {
     fn decode(buf: &mut &[u8]) -> Result<Self, RingError>;
 }
 
+/// The capacity [`encode_to_bytes`] starts a frame with: enough for a
+/// slot frame carrying one vector of a few dozen small values, so a
+/// solo hop's frame is one allocation that never regrows.
+const FRAME_CAPACITY: usize = 64;
+
 /// Encodes a value into a standalone byte frame.
 pub fn encode_to_bytes<T: WireEncode>(value: &T) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(FRAME_CAPACITY);
     value.encode(&mut buf);
     buf.freeze()
 }
@@ -103,6 +108,7 @@ pub fn decode_from_slice<T: WireDecode>(frame: &[u8]) -> Result<T, RingError> {
     Ok(value)
 }
 
+#[inline]
 fn need(buf: &[u8], n: usize) -> Result<(), RingError> {
     if buf.remaining() < n {
         Err(RingError::Decode {
@@ -115,6 +121,7 @@ fn need(buf: &[u8], n: usize) -> Result<(), RingError> {
 
 /// Reads a frame's one-byte tag. Encoders write tags with `put_u8`.
 impl WireDecode for u8 {
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, RingError> {
         need(buf, 1)?;
         Ok(buf.get_u8())
@@ -131,6 +138,7 @@ const MAX_VARINT_LEN: usize = 10;
 
 /// Appends `v` as an LEB128 varint (7 bits per byte, little-endian
 /// groups, high bit = continuation).
+#[inline]
 pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
     while v >= 0x80 {
         buf.put_u8((v as u8) | 0x80);
@@ -145,6 +153,7 @@ pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
 /// # Errors
 ///
 /// Returns [`RingError::Decode`] on truncation or overflow.
+#[inline]
 pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, RingError> {
     let mut value = 0u64;
     for i in 0..MAX_VARINT_LEN {
@@ -169,12 +178,14 @@ pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, RingError> {
 /// Maps a signed value onto the unsigned varint domain so that small
 /// magnitudes of either sign stay short: 0, -1, 1, -2, ... ↦ 0, 1, 2, 3.
 #[must_use]
+#[inline]
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
 #[must_use]
+#[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }

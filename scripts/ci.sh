@@ -120,10 +120,20 @@ echo "$SLO_OUT" | grep -q "1 passed" \
 # wrapping below the maximum; six clones recording on six threads must
 # merge into exact phase counts, per-node digests and ring counts; and
 # events still pending in a lane whose thread has exited must reach every
-# reader, the Prometheus body included.
+# reader, the Prometheus body included. A hop's laps must tile it (their
+# durations sum to the time from its first clock read to its last lap,
+# and a batch hop's buffer keeps its allocation); a disabled or
+# sampled-out hop must read no clock and record nothing; a sampled
+# recorder must keep whole hops, every phase of each; and a filed hop
+# must reach the phase histograms, node digests and flight ring once
+# each, and none of them before it is filed.
 for gate in histogram::tests::record_saturates_the_sum_like_merge \
     recorder::tests::lanes_merge_concurrent_handles_exactly \
-    recorder::tests::pending_lane_events_reach_every_reader; do
+    recorder::tests::pending_lane_events_reach_every_reader \
+    recorder::tests::laps_tile_the_hop_exactly \
+    recorder::tests::untimed_hops_read_no_clock_and_record_nothing \
+    recorder::tests::sampled_hops_keep_every_phase \
+    recorder::tests::a_filed_hop_reaches_every_reader_once; do
     echo "==> cargo test -p privtopk-observe --lib $gate"
     GATE_OUT=$(cargo test -p privtopk-observe --lib "$gate" 2>&1)
     echo "$GATE_OUT"
@@ -281,6 +291,28 @@ echo "==> cargo test --test privacy_accounting live_accountant_matches_offline_m
 cargo test --test privacy_accounting live_accountant_matches_offline_measure_lop
 echo "==> cargo test --test privacy_accounting privacy_accounting_no_leak"
 cargo test --test privacy_accounting privacy_accounting_no_leak
+
+# The accountant counts a query without building its coordinate key when
+# the coordinates match the previous query's. Run by name with the same
+# rename guard: interleaved configurations, two of them equal under
+# `PartialEq` but keyed apart (0.0 vs -0.0), must give the keys, counts
+# and snapshot of a per-query key lookup.
+echo "==> cargo test -p privtopk-privacy --lib interleaved_configurations_snapshot_as_keyed_per_query"
+ACCT_OUT=$(cargo test -p privtopk-privacy --lib interleaved_configurations_snapshot_as_keyed_per_query 2>&1)
+echo "$ACCT_OUT"
+echo "$ACCT_OUT" | grep -q "1 passed" \
+    || { echo "error: accountant keying gate matched no test (renamed?)" >&2; exit 1; }
+
+# The vendored channel notifies only when a receiver is blocked. Run by
+# name with the same rename guard (the vendored crates sit outside the
+# workspace, so `cargo test --workspace` never runs them): 10,000
+# messages, each sent while the receiver is blocked in `recv` or
+# `recv_timeout`, must all arrive without a stall.
+echo "==> cargo test -p crossbeam --lib channel::tests::blocked_receivers_get_every_message"
+CHAN_OUT=$(cargo test -p crossbeam --lib channel::tests::blocked_receivers_get_every_message 2>&1)
+echo "$CHAN_OUT"
+echo "$CHAN_OUT" | grep -q "1 passed" \
+    || { echo "error: channel wake gate matched no test (renamed?)" >&2; exit 1; }
 
 # Chaos observability gates, run by name so they can never be silently
 # skipped: a seeded crash + partition + loss schedule against a standing

@@ -100,8 +100,17 @@ fn store_snapshot_isolation() {
         .collect();
 
     // Race: writer thread flooding the stores while the service runs
-    // the whole workload from its snapshots.
+    // the whole workload from its snapshots. The workload starts once
+    // every store has moved past its held snapshot: an in-memory ring
+    // can answer all of it before the writer thread is first scheduled.
     let (writer, stop) = spawn_writer(&stores, 0xACE);
+    while stores
+        .iter()
+        .zip(&epochs)
+        .any(|(store, &epoch)| store.stats().generation <= epoch)
+    {
+        std::thread::yield_now();
+    }
     let mut service =
         ServiceRuntime::start_from_sources(&snapshots, K, NetworkKind::InMemory, 4).unwrap();
     let raced = service.run_workload(&workload).unwrap();
