@@ -626,8 +626,9 @@ mod tests {
         // 5 s worker timeout. The in-memory ring runs on one thread, so
         // the survivors' stall fails the moment no frame is left, and the
         // ring is rebuilt at once; over TCP, one thread per node, the
-        // survivors wait out a short timeout instead. Both exclude the
-        // same node and keep the same survivors.
+        // survivors wait out a short timeout instead: not less, and not
+        // for ever. Both exclude the same node and keep the same
+        // survivors.
         let config = ProtocolConfig::max().with_rounds(RoundPolicy::Fixed(5));
         let locals = locals_k(1, &[&[300], &[100], &[900], &[500], &[200]]);
         let crashes = CrashSchedule::none().crash(NodeId::new(2), 3);
@@ -647,16 +648,15 @@ mod tests {
             elapsed < Duration::from_secs(1),
             "in-memory recovery waited {elapsed:?}"
         );
-        let threaded = run_with_recovery(
-            &config,
-            &locals,
-            NetworkKind::Tcp,
-            7,
-            &crashes,
-            Duration::from_millis(200),
-            3,
-        )
-        .unwrap();
+        let timeout = Duration::from_millis(200);
+        let started = std::time::Instant::now();
+        let threaded =
+            run_with_recovery(&config, &locals, NetworkKind::Tcp, 7, &crashes, timeout, 3).unwrap();
+        let waited = started.elapsed();
+        assert!(
+            waited >= timeout && waited < Duration::from_secs(5),
+            "TCP recovery took {waited:?} under a {timeout:?} worker timeout"
+        );
         assert_eq!(memory.excluded, vec![NodeId::new(2)]);
         let survivors: Vec<NodeId> = [0, 1, 3, 4].map(NodeId::new).to_vec();
         assert_eq!(memory.survivors, survivors);

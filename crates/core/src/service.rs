@@ -35,14 +35,21 @@
 //!   the report it waits for is filed. A FIFO that drains with slots
 //!   still open can never move again, so those slots fail at once with a
 //!   timeout. No thread, control channel, wake or blocking wait exists.
-//! - **Threads** (TCP, lossy and chaos networks): each worker runs on its
-//!   own thread and blocks only on its endpoint. The scheduler queues
-//!   each query's assignment on every worker's control channel, the
-//!   starting node's last, and wakes only the starting node through its
-//!   endpoint's [`Waker`]. Every other node reads its assignment when the
-//!   query's first frame reaches it, and that frame cannot exist before
-//!   the starting node has read its own. Shutdown hangs up the control
-//!   channels and wakes every worker.
+//! - **Threads** (TCP, lossy and chaos networks): each worker has a node
+//!   thread of its own. The scheduler queues each query's assignment on
+//!   every worker's control channel, the starting node's last, and wakes
+//!   only the starting node through its endpoint's [`Waker`]. Every other
+//!   node reads its assignment when the query's first frame reaches it,
+//!   and that frame cannot exist before the starting node has read its
+//!   own. Shutdown hangs up the control channels and wakes every worker.
+//!   Over TCP each frame is dispatched on the thread that read it off its
+//!   socket ([`Transport::push_frames`]), under the worker's lock, so a
+//!   hop wakes one thread, not a reader and then the worker. A reader
+//!   that finds the worker busy queues the frame for whichever thread
+//!   holds it, and the node thread keeps the wakes, the receive deadline
+//!   and the exit. The node thread of a lossy or chaos worker reads its
+//!   endpoint itself and blocks only there, because the reliability
+//!   layer's stop-and-wait send must own the endpoint on one thread.
 //!
 //! One-shot queries and batches run on the same workers:
 //! `run_distributed` and `run_distributed_batch` start one ring of n
@@ -50,16 +57,16 @@
 //! batch group, all in flight at once) and no live control channel; in
 //! memory they run until the FIFO drains.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use privtopk_domain::{LocalTopkSource, NodeId, TopKVector};
 use privtopk_observe::{Ctx, Histogram, HistogramSnapshot, Laps, Phase, Recorder};
-use privtopk_ring::transport::{send_value, FrameQueue, Transport, Waker};
+use privtopk_ring::transport::{send_value, FrameQueue, FrameSink, Transport, Waker};
 use privtopk_ring::wire::decode_from_bytes;
 use privtopk_ring::{RingError, TransportMetrics};
 
@@ -126,12 +133,14 @@ struct SlotReport {
 /// open [`Slot`]s over them until the scheduler hangs up.
 ///
 /// In memory the scheduler calls [`assign`](Self::assign) and
-/// [`dispatch`](Self::dispatch) itself. On its own thread
-/// ([`run`](Self::run)) the endpoint is the worker's only blocking
-/// point. Assignments queue on its control channel, which it reads at
-/// three points only: when it has no slot open, on a wake (a frame from
-/// its own node, see [`Waker`]), and when a frame names a slot it has not
-/// opened.
+/// [`dispatch`](Self::dispatch) itself. On threads
+/// ([`run_threaded`]) a TCP worker is a [`PushedWorker`]: its socket
+/// readers dispatch frames and its node thread waits for wakes and the
+/// receive deadline. Any other worker's node thread runs
+/// [`run`](Self::run), where the endpoint is its only blocking point.
+/// Assignments queue on its control channel, which it reads at three
+/// points only: when it has no slot open, on a wake (a frame from its own
+/// node, see [`Waker`]), and when a frame names a slot it has not opened.
 struct ServiceWorker {
     me: NodeId,
     /// The snapshot a standing service's assignments open machines on. A
@@ -147,9 +156,14 @@ struct ServiceWorker {
     crash_at: Option<u32>,
     slots: HashMap<u64, Slot>,
     /// Set once the scheduler has hung up, the transport broke or the
-    /// node crashed: no more assignments are read, and the worker exits
-    /// once its open slots close.
+    /// node crashed, and from the start on a one-shot ring: no more
+    /// assignments are read, and the worker exits once its open slots
+    /// close.
     draining: bool,
+    /// Hops run so far, kick-offs and dispatched frames alike: a
+    /// [`PushedWorker`]'s node thread reads it to tell a stalled ring
+    /// from one whose frames its readers dispatch.
+    hops: u64,
     recorder: Recorder,
     /// The spans of the hop in progress, filed when it ends.
     laps: Laps,
@@ -183,6 +197,7 @@ impl ServiceWorker {
             crash_at: None,
             slots: HashMap::new(),
             draining: false,
+            hops: 0,
             recorder,
             laps: Laps::default(),
             held: Laps::default(),
@@ -190,7 +205,9 @@ impl ServiceWorker {
         }
     }
 
-    fn run(mut self) {
+    /// The node thread's loop when the endpoint cannot push frames: it
+    /// receives each frame itself, and waits only on the endpoint.
+    fn run(&mut self) {
         loop {
             if self.slots.is_empty() {
                 self.read_control();
@@ -244,6 +261,13 @@ impl ServiceWorker {
         }
     }
 
+    /// Opens a one-shot ring's slots, each under its index as slot id.
+    fn open_all(&mut self, slots: Vec<Slot>) {
+        for (id, slot) in slots.into_iter().enumerate() {
+            self.open(id as u64, slot);
+        }
+    }
+
     /// Opens a one-member slot for an assigned query.
     fn assign(&mut self, init: &SlotInit) {
         let local = self.local.clone().expect("only a standing service assigns");
@@ -260,6 +284,7 @@ impl ServiceWorker {
     /// frame and when a frame names a slot it has not opened. The
     /// interrupted hop's spans wait in `held` meanwhile.
     fn open(&mut self, id: u64, mut slot: Slot) {
+        self.hops += 1;
         if self.crash_due(&slot) {
             return self.crash(id);
         }
@@ -318,6 +343,7 @@ impl ServiceWorker {
     /// Demultiplexes one tagged frame onto its slot, then files the
     /// frame's hop.
     fn dispatch(&mut self, from: NodeId, frame: Bytes) {
+        self.hops += 1;
         let msg: SlotFrame = match decode_from_bytes(&frame) {
             Ok(msg) => msg,
             Err(e) => {
@@ -415,6 +441,156 @@ impl ServiceWorker {
     }
 }
 
+/// A threaded worker whose endpoint pushes frames
+/// ([`Transport::push_frames`]): each frame is dispatched on the reader
+/// thread that took it off its socket, and the node thread keeps the
+/// wakes, the receive deadline and the exit ([`watch`](Self::watch)).
+///
+/// A reader only ever `try_lock`s the worker and queues the frame when
+/// that fails, and every thread that holds the worker dispatches the
+/// queue before it lets go ([`release`](Self::release)). So a reader
+/// never waits for a worker, and a lock holder's socket write waits only
+/// on the peer's reader, which does not either.
+struct PushedWorker {
+    worker: Mutex<ServiceWorker>,
+    /// Frames whose reader found the worker busy.
+    queue: Mutex<VecDeque<(NodeId, Bytes)>>,
+}
+
+impl PushedWorker {
+    /// Takes the worker, waiting for whichever thread holds it.
+    fn lock(&self) -> MutexGuard<'_, ServiceWorker> {
+        self.worker.lock().expect("worker lock poisoned")
+    }
+
+    fn queued(&self) -> MutexGuard<'_, VecDeque<(NodeId, Bytes)>> {
+        self.queue.lock().expect("frame queue poisoned")
+    }
+
+    /// Queues a peer frame, and dispatches it on the calling thread
+    /// unless another thread holds the worker and will.
+    fn push(&self, from: NodeId, frame: Bytes) {
+        self.queued().push_back((from, frame));
+        if let Ok(worker) = self.worker.try_lock() {
+            self.release(worker);
+        }
+    }
+
+    /// Dispatches every queued frame, then lets the worker go. A frame
+    /// queued while the worker was held found the lock taken, so the
+    /// queue is checked once more after letting go, and whoever holds the
+    /// worker next dispatches what is left. Wakes the node thread when
+    /// this closed a draining worker's last slot, so that it exits.
+    fn release<'a>(&'a self, mut worker: MutexGuard<'a, ServiceWorker>) {
+        loop {
+            let was_open = !worker.slots.is_empty();
+            loop {
+                let next = self.queued().pop_front();
+                let Some((from, frame)) = next else { break };
+                worker.begin_recv();
+                worker.dispatch(from, frame);
+            }
+            if was_open && worker.draining && worker.slots.is_empty() {
+                worker.endpoint.waker().wake();
+            }
+            drop(worker);
+            if self.queued().is_empty() {
+                return;
+            }
+            match self.worker.try_lock() {
+                Ok(again) => worker = again,
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// The node thread's loop. It reads assignments on a wake and pushes
+    /// any peer frame a reader queued in the inbox before the sink was
+    /// installed. Once no hop has run for a whole receive deadline it
+    /// fails every open slot. The deadline is fixed when this thread
+    /// last saw the hop count change, and it looks at least every quarter
+    /// deadline, so a stalled slot fails between one and one and a
+    /// quarter deadlines after its last hop; a wake that opens no slot
+    /// does not extend it. It returns once a draining worker has no slot
+    /// open.
+    fn watch(&self, inbox: Receiver<(NodeId, Bytes)>) {
+        let (me, timeout) = {
+            let worker = self.lock();
+            (worker.me, worker.recv_timeout)
+        };
+        // The hop count the current wait began at, and its deadline.
+        let mut wait = (u64::MAX, Instant::now());
+        loop {
+            let worker = self.lock();
+            if worker.draining && worker.slots.is_empty() {
+                return;
+            }
+            if worker.hops != wait.0 {
+                wait = (worker.hops, Instant::now() + timeout);
+            }
+            self.release(worker);
+            let remaining = wait.1.saturating_duration_since(Instant::now());
+            let event = match inbox.recv_timeout(remaining.min(timeout / 4)) {
+                Ok((from, frame)) if from != me => {
+                    self.push(from, frame);
+                    continue;
+                }
+                event => event,
+            };
+            let mut worker = self.lock();
+            match event {
+                Ok(_) => worker.read_control(),
+                Err(RecvTimeoutError::Timeout)
+                    if worker.hops == wait.0 && Instant::now() >= wait.1 =>
+                {
+                    let timeout = || ProtocolError::Ring(RingError::Timeout);
+                    worker.fail_all(timeout(), timeout);
+                    // Nothing is open now, so the next wait gets a fresh
+                    // deadline instead of polling this expired one.
+                    wait.0 = u64::MAX;
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                // The endpoint holds a sender of its own inbox, so this
+                // cannot happen while the worker lives.
+                Err(RecvTimeoutError::Disconnected) => {
+                    let gone = || ProtocolError::Ring(RingError::Disconnected);
+                    worker.fail_all(gone(), gone);
+                    worker.draining = true;
+                }
+            }
+            self.release(worker);
+        }
+    }
+}
+
+/// A threaded worker's life on its node thread. It opens `slots` (a
+/// one-shot ring's) and installs its endpoint's push hook while it holds
+/// the worker, so no reader dispatches a frame before every slot is
+/// open, then watches ([`PushedWorker::watch`]). An endpoint that cannot
+/// push runs the pull loop ([`ServiceWorker::run`]) instead.
+fn run_threaded(worker: ServiceWorker, slots: Vec<Slot>) {
+    let pushed = Arc::new(PushedWorker {
+        worker: Mutex::new(worker),
+        queue: Mutex::default(),
+    });
+    let mut worker = pushed.lock();
+    worker.open_all(slots);
+    // The readers hold the worker weakly: it owns their endpoint.
+    let weak = Arc::downgrade(&pushed);
+    let sink: FrameSink = Arc::new(move |from, frame| {
+        if let Some(pushed) = weak.upgrade() {
+            pushed.push(from, frame);
+        }
+    });
+    match worker.endpoint.push_frames(sink) {
+        Some(inbox) => {
+            pushed.release(worker);
+            pushed.watch(inbox);
+        }
+        None => worker.run(),
+    }
+}
+
 /// The in-memory shell: every worker of a ring on the caller's thread,
 /// fed from the network's one FIFO.
 struct FifoRing {
@@ -450,7 +626,8 @@ impl FifoRing {
 /// slot open and its control channel hung up, so every group is in flight
 /// at once, no assignment ever crosses a channel, and a worker exits once
 /// its last slot closes. In memory the workers run on the caller's
-/// thread until the FIFO drains. Every node
+/// thread until the FIFO drains; on threads each opens its slots before
+/// its readers may dispatch ([`run_threaded`]). Every node
 /// reports each member query or an error, so a failure names every node
 /// that crashed. The transport counters are published into `recorder`
 /// once every query completes.
@@ -533,13 +710,9 @@ pub(crate) fn run_once(
         );
         worker.recv_timeout = recv_timeout;
         worker.crash_at = crashes.round_for(me);
+        worker.draining = true;
         worker
     });
-    let open_all = |worker: &mut ServiceWorker, slots: Vec<Slot>| {
-        for (id, slot) in slots.into_iter().enumerate() {
-            worker.open(id as u64, slot);
-        }
-    };
     match &drive {
         Drive::Fifo(queue) => {
             let mut ring = FifoRing {
@@ -547,19 +720,14 @@ pub(crate) fn run_once(
                 queue: queue.clone(),
             };
             for (worker, slots) in ring.workers.iter_mut().zip(slots) {
-                open_all(worker, slots);
+                worker.open_all(slots);
             }
             while ring.deliver() {}
         }
         Drive::Threads { .. } => {
             let handles: Vec<_> = workers
                 .zip(slots)
-                .map(|(mut worker, slots)| {
-                    std::thread::spawn(move || {
-                        open_all(&mut worker, slots);
-                        worker.run();
-                    })
-                })
+                .map(|(worker, slots)| std::thread::spawn(move || run_threaded(worker, slots)))
                 .collect();
             // A worker that panicked files too few reports; the verdicts
             // below turn its silence into `WorkerFailed`.
@@ -802,9 +970,10 @@ impl ServiceRuntime {
         Self::start_traced(locals, network, depth, Recorder::disabled())
     }
 
-    /// [`start`](Self::start) with telemetry: every worker spans its
-    /// receive waits, hop computations, sends and idle periods, tagged
-    /// with the scheduler-assigned query id. The recorder is shared by
+    /// [`start`](Self::start) with telemetry: every worker spans each
+    /// hop's receive, computations, encode and send, and a lossy or
+    /// chaos worker its idle waits too, tagged with the
+    /// scheduler-assigned query id. The recorder is shared by
     /// all workers and the scheduler; transcripts stay bit-identical to
     /// the untraced service.
     ///
@@ -881,7 +1050,7 @@ impl ServiceRuntime {
                     .map(|(i, worker)| {
                         std::thread::Builder::new()
                             .name(format!("privtopk-svc-{i}"))
-                            .spawn(move || worker.run())
+                            .spawn(move || run_threaded(worker, Vec::new()))
                             .map_err(|_| ProtocolError::WorkerFailed { position: i })
                     })
                     .collect::<Result<_, _>>()?;
@@ -1702,6 +1871,182 @@ mod tests {
                 let sim = engine.run(&locals, *seed).unwrap();
                 assert_eq!(outcome.transcript, sim, "depth {depth}, seed {seed}");
             }
+        }
+    }
+
+    #[test]
+    fn a_frame_queued_while_the_worker_is_held_is_never_stranded() {
+        // Four readers push bursts of frames into one worker at once, so
+        // they keep finding it held. Whenever every push has returned, no
+        // thread holds the worker, so a frame still queued then is
+        // stranded: its reader left it to a holder that let go without
+        // checking the queue again. An empty frame fails to decode, which
+        // with no slot open is a cheap dispatch.
+        use privtopk_ring::transport::FifoNetwork;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let endpoint = FifoNetwork::new(1).endpoints().pop().unwrap();
+        let (reports, _) = unbounded();
+        let worker = ServiceWorker::new(
+            NodeId::new(0),
+            None,
+            Box::new(endpoint),
+            unbounded().1,
+            reports,
+            None,
+            Recorder::disabled(),
+        );
+        let pushed = Arc::new(PushedWorker {
+            worker: Mutex::new(worker),
+            queue: Mutex::default(),
+        });
+        let (readers, rounds, burst) = (4, 20_000, 2);
+        let barrier = Arc::new(Barrier::new(readers));
+        let stranded = Arc::new(AtomicBool::new(false));
+        let threads: Vec<_> = (0..readers)
+            .map(|_| {
+                let (pushed, barrier) = (Arc::clone(&pushed), Arc::clone(&barrier));
+                let stranded = Arc::clone(&stranded);
+                std::thread::spawn(move || {
+                    for _ in 0..rounds {
+                        for _ in 0..burst {
+                            pushed.push(NodeId::new(1), Bytes::new());
+                        }
+                        if barrier.wait().is_leader() && !pushed.queued().is_empty() {
+                            stranded.store(true, Ordering::Relaxed);
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert!(!stranded.load(Ordering::Relaxed), "a frame was stranded");
+        let total = (readers * rounds * burst) as u64;
+        assert_eq!(pushed.lock().hops, total);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_node_thread_sleeps_through_its_deadlines() {
+        // A node thread whose receive deadline passes with no slot open
+        // must start a new wait, not poll the expired one. This one idles
+        // through fifteen 20 ms deadlines; polling would spend most of
+        // that time on the CPU.
+        use privtopk_ring::transport::FifoNetwork;
+        let endpoint = FifoNetwork::new(1).endpoints().pop().unwrap();
+        let (control_tx, control) = unbounded();
+        let mut worker = ServiceWorker::new(
+            NodeId::new(0),
+            None,
+            Box::new(endpoint),
+            control,
+            unbounded().0,
+            None,
+            Recorder::disabled(),
+        );
+        worker.recv_timeout = Duration::from_millis(20);
+        let pushed = PushedWorker {
+            worker: Mutex::new(worker),
+            queue: Mutex::default(),
+        };
+        let (wake, inbox) = unbounded();
+        let watcher = std::thread::spawn(move || {
+            pushed.watch(inbox);
+            // utime and stime, in clock ticks: fields 14 and 15, counted
+            // from the state after the parenthesized command name (3).
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            let fields: Vec<&str> = stat
+                .rsplit(')')
+                .next()
+                .unwrap()
+                .split_whitespace()
+                .collect();
+            fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        // Hang up, then wake it to read the hang-up: it drains and exits.
+        drop(control_tx);
+        wake.send((NodeId::new(0), Bytes::new())).unwrap();
+        let ticks = watcher.join().unwrap();
+        assert!(ticks < 10, "the idle node thread ran for {ticks} ticks");
+    }
+
+    #[test]
+    fn one_shot_tcp_rings_open_every_slot_before_a_reader_dispatches() {
+        // A reader that dispatched a frame at a node whose slots were not
+        // open yet would drop it as stale, and the ring would stall for
+        // its 30 s receive deadline. 300 one-shot rings of six nodes with
+        // random starts (the default) must each finish well inside that,
+        // with the engine's transcript.
+        let locals = locals(6, 3, 43);
+        let cfg = config(3);
+        let engine = crate::SimulationEngine::new(cfg.clone());
+        for run in 0..300u64 {
+            let seed = crate::derive_batch_seed(43, run);
+            let started = Instant::now();
+            let out = run_distributed(&cfg, &locals, NetworkKind::Tcp, seed).unwrap();
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(5),
+                "run {run} took {elapsed:?}"
+            );
+            assert_eq!(
+                out.transcript,
+                engine.run(&locals, seed).unwrap(),
+                "run {run}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_deep_tcp_service_matches_the_engine_at_the_paper_frame_count() {
+        // Sixteen queries in flight keep each worker busy, so its readers
+        // often find it held and queue their frames. A holder that let go
+        // without checking the queue again would strand a frame until
+        // the worker's next event, or for good once the workload ends.
+        let (n, rounds, queries) = (6u64, 6u64, 500u64);
+        let locals = locals(n as usize, 3, 47);
+        let cfg = config(3);
+        let workload: Vec<(ProtocolConfig, u64)> = (0..queries)
+            .map(|q| (cfg.clone(), crate::derive_batch_seed(47, q)))
+            .collect();
+        let mut service = ServiceRuntime::start(&locals, NetworkKind::Tcp, 16).unwrap();
+        let outcomes = service.run_workload(&workload).unwrap();
+        let stats = service.stats();
+        service.shutdown().unwrap();
+        assert_eq!(stats.frames_sent, queries * (n * rounds + n - 1));
+        assert_eq!(stats.logical_messages, stats.frames_sent);
+        let engine = crate::SimulationEngine::new(cfg);
+        for (outcome, (_, seed)) in outcomes.iter().zip(&workload) {
+            let sim = engine.run(&locals, *seed).unwrap();
+            assert_eq!(outcome.transcript, sim, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_tcp_batch_of_several_groups_matches_its_solo_runs() {
+        // Random starts split 24 jobs into lock-step groups by ring order,
+        // every group in flight at once on one TCP ring, each at the
+        // paper's n*r + n - 1 frames.
+        let (n, rounds) = (5u64, 6u64);
+        let locals = locals(n as usize, 2, 53);
+        let cfg = config(2);
+        let jobs: Vec<BatchJob> = (0..24u64)
+            .map(|q| BatchJob::new(cfg.clone(), locals.clone(), crate::derive_batch_seed(53, q)))
+            .collect();
+        let batch = crate::distributed::run_distributed_batch(&jobs, NetworkKind::Tcp).unwrap();
+        let groups = u64::from(batch.groups);
+        assert!(groups > 1 && groups < 24, "{groups} groups");
+        assert_eq!(batch.frames_sent, groups * (n * rounds + n - 1));
+        assert_eq!(batch.logical_messages, 24 * (n * rounds + n - 1));
+        for (i, job) in jobs.iter().enumerate() {
+            let solo =
+                run_distributed(&job.config, &job.locals, NetworkKind::InMemory, job.seed).unwrap();
+            assert_eq!(batch.transcripts[i], solo.transcript, "job {i}");
+            assert_eq!(batch.per_node_results[i], solo.per_node_results, "job {i}");
         }
     }
 }

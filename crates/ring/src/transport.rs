@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
@@ -71,7 +71,25 @@ pub trait Transport: Send {
     /// A handle that ends this endpoint's blocked receive from any
     /// thread; see [`Waker`].
     fn waker(&self) -> Waker;
+
+    /// Opts into push delivery: from now on, every thread that reads one
+    /// of this endpoint's connections hands each peer frame it reads to
+    /// `sink`, on that thread, instead of queuing the frame for
+    /// [`recv`](Self::recv). Wakes, and frames queued before the call,
+    /// still wait in the inbox, and the returned receiver reads them.
+    ///
+    /// Returns `None`, and never calls `sink`, on an endpoint with no
+    /// reader threads of its own; only [`TcpEndpoint`] has them.
+    fn push_frames(&mut self, sink: FrameSink) -> Option<Receiver<(NodeId, Bytes)>> {
+        let _ = sink;
+        None
+    }
 }
+
+/// Where a push-mode endpoint's readers hand peer frames
+/// ([`Transport::push_frames`]): called with the sender and payload on
+/// the reader's own thread, in the order its connection delivered them.
+pub type FrameSink = Arc<dyn Fn(NodeId, Bytes) + Send + Sync>;
 
 /// Wakes one endpoint from any thread, in the self-pipe pattern:
 /// [`wake`](Waker::wake) queues an empty frame "from" the endpoint's own
@@ -519,21 +537,22 @@ impl TcpNetwork {
         let addrs = Arc::new(self.addrs);
         let mut out = Vec::with_capacity(self.listeners.len());
         for (i, listener) in self.listeners.into_iter().enumerate() {
+            let node = NodeId::new(i);
             let (tx, rx) = unbounded();
-            let shutdown = Arc::new(AtomicBool::new(false));
+            let readers = Arc::new(Readers::default());
             let waker = Waker {
-                node: NodeId::new(i),
+                node,
                 inbox: tx.clone(),
             };
-            spawn_acceptor(listener, tx, Arc::clone(&shutdown));
+            spawn_acceptor(listener, node, tx, Arc::clone(&readers));
             out.push(TcpEndpoint {
-                node: NodeId::new(i),
+                node,
                 addrs: Arc::clone(&addrs),
                 my_addr: addrs[i],
                 outgoing: Mutex::new(HashMap::new()),
                 inbox: rx,
                 waker,
-                shutdown,
+                readers,
                 metrics: self.metrics.clone(),
             });
         }
@@ -541,20 +560,51 @@ impl TcpNetwork {
     }
 }
 
-/// Accepts connections and pumps their frames into the endpoint's inbox.
-fn spawn_acceptor(listener: TcpListener, tx: Sender<(NodeId, Bytes)>, shutdown: Arc<AtomicBool>) {
+/// What a [`TcpEndpoint`] shares with its acceptor and reader threads.
+#[derive(Default)]
+struct Readers {
+    /// Set when the endpoint drops; the acceptor exits on its next accept.
+    shutdown: AtomicBool,
+    /// The push hook, once installed ([`Transport::push_frames`]).
+    sink: OnceLock<FrameSink>,
+}
+
+/// Accepts connections and starts one reader thread per connection, which
+/// runs until EOF or an error. A reader queues each frame in the inbox
+/// until the endpoint installs a sink, and from then on calls the sink
+/// with it, on the reader's thread. A frame naming the endpoint's own
+/// node reads as a wake ([`Waker`]), so it always goes to the inbox.
+///
+/// Once the endpoint has dropped, the next connection accepted is its
+/// wake (see its `Drop`): the acceptor answers it with one byte, waits
+/// up to 1 s for the reset that the byte causes, and exits.
+fn spawn_acceptor(
+    listener: TcpListener,
+    me: NodeId,
+    inbox: Sender<(NodeId, Bytes)>,
+    readers: Arc<Readers>,
+) {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
+            if readers.shutdown.load(Ordering::SeqCst) {
+                if let Ok(mut wake) = stream {
+                    let _ = wake.write_all(&[0]);
+                    let _ = wake.set_read_timeout(Some(Duration::from_secs(1)));
+                    let _ = wake.read(&mut [0]);
+                }
                 break;
             }
             let Ok(mut stream) = stream else { continue };
-            let tx = tx.clone();
+            let (inbox, readers) = (inbox.clone(), Arc::clone(&readers));
             std::thread::spawn(move || {
-                // Per-connection reader: runs until EOF or error.
-                while let Ok(frame) = read_frame(&mut stream) {
-                    if tx.send(frame).is_err() {
-                        break;
+                while let Ok((from, frame)) = read_frame(&mut stream) {
+                    match readers.sink.get() {
+                        Some(sink) if from != me => sink(from, frame),
+                        _ => {
+                            if inbox.send((from, frame)).is_err() {
+                                break;
+                            }
+                        }
                     }
                 }
             });
@@ -570,7 +620,7 @@ pub struct TcpEndpoint {
     outgoing: Mutex<HashMap<NodeId, TcpStream>>,
     inbox: Receiver<(NodeId, Bytes)>,
     waker: Waker,
-    shutdown: Arc<AtomicBool>,
+    readers: Arc<Readers>,
     metrics: TransportMetrics,
 }
 
@@ -626,13 +676,27 @@ impl Transport for TcpEndpoint {
     fn waker(&self) -> Waker {
         self.waker.clone()
     }
+
+    fn push_frames(&mut self, sink: FrameSink) -> Option<Receiver<(NodeId, Bytes)>> {
+        self.readers.sink.set(sink).ok()?;
+        Some(self.inbox.clone())
+    }
 }
 
 impl Drop for TcpEndpoint {
+    /// Wakes the acceptor, by connecting to the endpoint's own listener,
+    /// so it sees the shutdown flag and exits. Whichever side closes a
+    /// connection first keeps it in TIME_WAIT for a minute: here that
+    /// ties up an ephemeral port, and on the acceptor's side it keeps the
+    /// listener's port bound, which Linux's `connect` then skips. So this
+    /// waits (up to 1 s) for the acceptor's byte and closes with it
+    /// unread, which resets the connection, and neither side keeps one.
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the acceptor so it observes the flag and exits.
-        let _ = TcpStream::connect(self.my_addr);
+        self.readers.shutdown.store(true, Ordering::SeqCst);
+        if let Ok(wake) = TcpStream::connect(self.my_addr) {
+            let _ = wake.set_read_timeout(Some(Duration::from_secs(1)));
+            let _ = wake.peek(&mut [0]);
+        }
     }
 }
 
@@ -843,6 +907,84 @@ mod tests {
         let net = TcpNetwork::bind(2).unwrap();
         let metrics = net.metrics();
         check(net.endpoints().unwrap().pop().unwrap(), &metrics);
+    }
+
+    #[test]
+    fn a_pushing_endpoint_hands_peer_frames_to_its_sink_and_wakes_to_its_inbox() {
+        let mut eps = TcpNetwork::bind(2).unwrap().endpoints().unwrap();
+        let (tx, pushed) = unbounded();
+        let sink: FrameSink = Arc::new(move |from, frame| {
+            let _ = tx.send((from, frame, std::thread::current().id()));
+        });
+        let inbox = eps[1].push_frames(sink).expect("a TCP endpoint pushes");
+        assert!(eps[1].push_frames(Arc::new(|_, _| {})).is_none());
+        eps[0]
+            .send(NodeId::new(1), Bytes::from_static(b"pushed"))
+            .unwrap();
+        let (from, frame, reader) = pushed.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((from, &frame[..]), (NodeId::new(0), &b"pushed"[..]));
+        assert_ne!(reader, std::thread::current().id());
+        // A wake, and a peer frame naming the endpoint's own node, still
+        // reach the inbox, in order.
+        eps[1].waker().wake();
+        let mut spoofer = TcpStream::connect(eps[1].my_addr).unwrap();
+        write_frame(&mut spoofer, NodeId::new(1), b"spoofed").unwrap();
+        for expected in [&b""[..], b"spoofed"] {
+            let (from, frame) = inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!((from, &frame[..]), (NodeId::new(1), expected));
+        }
+        assert!(pushed.try_recv().is_err());
+        // An endpoint with no reader threads declines the hook.
+        let mut memory = InMemoryNetwork::new(1).endpoints().pop().unwrap();
+        assert!(memory.push_frames(Arc::new(|_, _| {})).is_none());
+    }
+
+    /// The `(local, remote)` port pairs of this host's IPv4 TIME_WAIT
+    /// sockets. Columns of `/proc/net/tcp`: slot, local address, remote
+    /// address, state (06 is TIME_WAIT); addresses are hex `ip:port`.
+    #[cfg(target_os = "linux")]
+    fn time_waits() -> std::collections::HashSet<(u16, u16)> {
+        let port = |address: &str| {
+            let hex = address.rsplit(':').next().unwrap();
+            u16::from_str_radix(hex, 16).unwrap()
+        };
+        let table = std::fs::read_to_string("/proc/net/tcp").unwrap();
+        table
+            .lines()
+            .skip(1)
+            .map(|line| line.split_whitespace().collect::<Vec<_>>())
+            .filter(|fields| fields[3] == "06")
+            .map(|fields| (port(fields[1]), port(fields[2])))
+            .collect()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dropped_rings_leave_no_time_wait_toward_their_listeners() {
+        // Each endpoint's drop wakes its acceptor through a connection to
+        // its own listener, which must end in a reset: no new TIME_WAIT
+        // may name a listener's port, on the connecting side (remote) or
+        // the accepting one (local). A listener can reuse a port that a
+        // TIME_WAIT from before the test names, so those are set aside.
+        let nets: Vec<TcpNetwork> = (0..20).map(|_| TcpNetwork::bind(3).unwrap()).collect();
+        let listeners: std::collections::HashSet<u16> = nets
+            .iter()
+            .flat_map(|net| net.addrs.iter().map(SocketAddr::port))
+            .collect();
+        let before = time_waits();
+        for net in nets {
+            drop(net.endpoints().unwrap());
+        }
+        let left: Vec<(u16, u16)> = time_waits()
+            .difference(&before)
+            .filter(|(local, remote)| listeners.contains(local) || listeners.contains(remote))
+            .copied()
+            .collect();
+        assert!(
+            left.is_empty(),
+            "{} wake connections left TIME_WAIT: {left:?}",
+            left.len()
+        );
     }
 
     #[test]

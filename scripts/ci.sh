@@ -261,7 +261,8 @@ cargo test --test service_shutdown
 # frames per query, with the simulation engine's transcripts; and
 # recovery from a crash must rebuild the in-memory ring at once, well
 # inside a 5 s worker timeout, excluding the node a threaded run
-# excludes.
+# excludes, while the TCP run waits out its 200 ms worker timeout and
+# finishes inside 5 s.
 for gate in service::tests::fifo_ring_matches_tcp_and_the_engine \
     distributed::tests::recovery_over_memory_rebuilds_without_waiting_the_timeout; do
     echo "==> cargo test -p privtopk-core --lib $gate"
@@ -269,6 +270,43 @@ for gate in service::tests::fifo_ring_matches_tcp_and_the_engine \
     echo "$GATE_OUT"
     echo "$GATE_OUT" | grep -q "1 passed" \
         || { echo "error: FIFO ring gate $gate matched no test (renamed?)" >&2; exit 1; }
+done
+
+# TCP push gates, run by name with the same rename guard. A TCP
+# endpoint's readers must hand peer frames to an installed sink on their
+# own thread, while wakes and frames naming the endpoint's own node still
+# reach its inbox. A dropped endpoint's wake connection to its acceptor
+# must end in a reset, so 20 dropped rings leave no TIME_WAIT entry on
+# either end of a listener's port (Linux only: it reads /proc/net/tcp).
+for gate in a_pushing_endpoint_hands_peer_frames_to_its_sink_and_wakes_to_its_inbox \
+    dropped_rings_leave_no_time_wait_toward_their_listeners; do
+    echo "==> cargo test -p privtopk-ring --lib $gate"
+    GATE_OUT=$(cargo test -p privtopk-ring --lib "$gate" 2>&1)
+    echo "$GATE_OUT"
+    echo "$GATE_OUT" | grep -q "1 passed" \
+        || { echo "error: TCP push gate $gate matched no test (renamed?)" >&2; exit 1; }
+done
+
+# TCP workers are dispatched on their readers' threads, under a lock a
+# reader only try-locks. A frame queued while the worker is held must
+# never be stranded once every push has returned; 300 one-shot rings of
+# six nodes must open every slot before a reader dispatches, each
+# finishing under 5 s with the engine's transcript; a depth-16 service
+# of 500 queries must give the engine's transcripts at n*r + n - 1
+# frames per query; a batch of several lock-step groups must match its
+# solo runs; and a node thread idling past its receive deadline must
+# sleep, not poll the expired deadline (Linux only: it reads its CPU
+# time from /proc).
+for gate in service::tests::a_frame_queued_while_the_worker_is_held_is_never_stranded \
+    service::tests::an_idle_node_thread_sleeps_through_its_deadlines \
+    service::tests::one_shot_tcp_rings_open_every_slot_before_a_reader_dispatches \
+    service::tests::a_deep_tcp_service_matches_the_engine_at_the_paper_frame_count \
+    service::tests::a_tcp_batch_of_several_groups_matches_its_solo_runs; do
+    echo "==> cargo test -p privtopk-core --lib $gate"
+    GATE_OUT=$(cargo test -p privtopk-core --lib "$gate" 2>&1)
+    echo "$GATE_OUT"
+    echo "$GATE_OUT" | grep -q "1 passed" \
+        || { echo "error: TCP dispatch gate $gate matched no test (renamed?)" >&2; exit 1; }
 done
 
 # Crash recovery through the one-shot worker loop: a node dies in round
